@@ -121,6 +121,12 @@ struct TsState {
     active: Vec<bool>,
     crashed: bool,
     grants: u64,
+    /// Whether the current grant has already been taken by a returning
+    /// `yield_point`. Only a consumed grant is re-drawn when its holder
+    /// yields: a thread granted the baton *before it arrives* must take
+    /// that grant exactly as if it had been waiting, or the schedule
+    /// would depend on host timing.
+    consumed: bool,
 }
 
 impl TsState {
@@ -137,6 +143,7 @@ impl TsState {
                 if pick == 0 {
                     self.current = t;
                     self.grants += 1;
+                    self.consumed = false;
                     return;
                 }
                 pick -= 1;
@@ -175,14 +182,19 @@ impl Turnstile {
             active: vec![true; threads],
             crashed: false,
             grants: 0,
+            consumed: false,
         };
         st.pass();
+        // The initial draw only picks who re-draws first: its holder's
+        // first yield is an interleaving point like any other.
+        st.consumed = true;
         Turnstile { state: Mutex::new(st), cv: Condvar::new() }
     }
 
-    /// Blocks until thread `t` is granted the next step. If `t` already
-    /// holds the baton, it is re-drawn first (this is the interleaving
-    /// point).
+    /// Blocks until thread `t` is granted the next step. If `t` holds the
+    /// baton from a grant it already ran under, the baton is re-drawn
+    /// first (this is the interleaving point); a grant `t` has not taken
+    /// yet — it was drawn before `t` got here — is taken as is.
     ///
     /// # Errors
     ///
@@ -197,7 +209,7 @@ impl Turnstile {
         if st.crashed {
             return Err(Crashed);
         }
-        if st.current == t {
+        if st.current == t && st.consumed {
             st.pass();
             self.cv.notify_all();
         }
@@ -210,6 +222,7 @@ impl Turnstile {
         if st.crashed {
             return Err(Crashed);
         }
+        st.consumed = true;
         Ok(())
     }
 
@@ -320,12 +333,24 @@ mod tests {
     /// Runs `threads` workers over a shared log under a turnstile;
     /// returns the observed step order.
     fn turnstile_trace(threads: usize, steps_per_thread: usize, seed: u64) -> Vec<usize> {
+        staggered_trace(threads, steps_per_thread, seed, |_| 0)
+    }
+
+    /// [`turnstile_trace`] where thread `t` sleeps `delay_ms(t)` before
+    /// its first yield, forcing a chosen arrival order.
+    fn staggered_trace(
+        threads: usize,
+        steps_per_thread: usize,
+        seed: u64,
+        delay_ms: fn(usize) -> u64,
+    ) -> Vec<usize> {
         let ts = Arc::new(Turnstile::new(threads, seed));
         let log = Arc::new(Mutex::new(Vec::new()));
         std::thread::scope(|s| {
             for t in 0..threads {
                 let (ts, log) = (Arc::clone(&ts), Arc::clone(&log));
                 s.spawn(move || {
+                    std::thread::sleep(std::time::Duration::from_millis(delay_ms(t)));
                     for _ in 0..steps_per_thread {
                         if ts.yield_point(t).is_err() {
                             break;
@@ -350,6 +375,19 @@ mod tests {
         assert_eq!(a, b, "same seed, same interleaving, any host timing");
         let c = turnstile_trace(4, 25, 10);
         assert_ne!(a, c, "different seeds explore different interleavings");
+    }
+
+    #[test]
+    fn turnstile_schedule_ignores_arrival_order() {
+        // A thread granted the baton before it first arrives must take
+        // that grant like a waiter would, whichever thread arrives last.
+        for seed in 0..8 {
+            let together = turnstile_trace(4, 6, seed);
+            let ascending = staggered_trace(4, 6, seed, |t| 3 * t as u64);
+            let descending = staggered_trace(4, 6, seed, |t| 3 * (3 - t as u64));
+            assert_eq!(ascending, descending, "seed {seed}: arrival order leaked");
+            assert_eq!(together, ascending, "seed {seed}: start-up stagger leaked");
+        }
     }
 
     #[test]
