@@ -31,6 +31,7 @@ use utpr_bench::report::{BenchReport, Json};
 use utpr_ds::concurrent::{ConcurrentIndex, FlushCounters, FlushStrategy, Handle};
 use utpr_ds::{ConcHash, ConcList, RbTree, Striped};
 use utpr_heap::{AddressSpace, FlushModel, HeapError, SharedPool, SlabId, UndoLog};
+use utpr_kv::rng::mix;
 use utpr_ptr::{site, ExecEnv, Mode};
 
 type Result<T> = std::result::Result<T, HeapError>;
@@ -39,15 +40,6 @@ type Result<T> = std::result::Result<T, HeapError>;
 const PARTS: u64 = 8;
 const THREADS: [u32; 4] = [1, 2, 4, 8];
 const SEED: u64 = 0xC0DE_5EED;
-
-fn mix(seed: u64, salt: u64) -> u64 {
-    let mut x = seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Key `i` of partition `p`: dense in `0..records`, disjoint across
 /// partitions.

@@ -24,7 +24,7 @@
 //!
 //! Lock ordering: each operation holds at most one stripe lock and never
 //! allocates a second, so the adapter cannot deadlock against itself or
-//! the heap's internal `flush → faults → slabs → central → stripes`
+//! the heap's internal `plane → slabs → central → media → stripes`
 //! order (stripe locks here are *above* all heap locks).
 
 use std::marker::PhantomData;

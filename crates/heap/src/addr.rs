@@ -149,7 +149,7 @@ impl PoolId {
     /// ids that went through [`PoolId::new`]): skips the range assert so
     /// the translation fast path carries no panic edge.
     #[inline(always)]
-    pub(crate) fn from_raw_trusted(id: u32) -> Self {
+    pub(crate) const fn from_raw_trusted(id: u32) -> Self {
         debug_assert!(id <= MAX_POOL_ID);
         PoolId(id)
     }

@@ -3,10 +3,11 @@
 //! The paper's usage model presumes library calls are "enclosed in a
 //! persistent transaction" (§VI) and that a crash may strike anywhere.
 //! This module turns that assumption into a *measured* property: every
-//! durable write to an NVM pool passes through a fault gate in
-//! [`AddressSpace`], which counts write boundaries and — when armed — stops
-//! the simulated process at a chosen boundary by raising
-//! [`HeapError::CrashInjected`]. A sweep then enumerates *all* boundaries
+//! durable write to an NVM pool — owned by an [`AddressSpace`] or shared
+//! through a [`crate::shard::SharedPool`] — passes through the one fault
+//! gate of the persistence plane (`persist.rs`), which counts write
+//! boundaries and — when armed — stops the simulated process at a chosen
+//! boundary by raising [`HeapError::CrashInjected`]. A sweep then enumerates *all* boundaries
 //! of a workload (exhaustively at small scale, seeded-sampled at large
 //! scale), simulates the crash, runs [`UndoLog::recover`], and checks the
 //! caller's invariants against the recovered image.
@@ -21,10 +22,11 @@
 //! - **Torn crash** ([`FaultPlan::torn_at`]): the `k`-th durable write is
 //!   applied and then the process dies. Under the ADR flush model
 //!   ([`crate::space::FlushModel::Adr`]) every cache line written since the
-//!   last fence is still volatile at that point; on restart each pending
-//!   line drains at 8-byte-word granularity, with a seeded subset of words
-//!   landing — the torn-write failure mode eADR platforms are sold to
-//!   avoid.
+//!   last fence is still volatile at that point; at power loss
+//!   ([`AddressSpace::restart`], [`crate::shard::SharedPool::power_cycle`])
+//!   each pending line drains at 8-byte-word granularity, with a seeded
+//!   subset of words landing — the torn-write failure mode eADR platforms
+//!   are sold to avoid.
 //! - **Bit flips** ([`FaultPlan::with_bitflips`]): retention/media errors
 //!   injected into the pool image between detach and re-attach
 //!   ([`inject_bitflips`]). These corrupt bytes that were durably written
@@ -134,9 +136,10 @@ impl FaultPlan {
 
     /// Armed mode with tearing: the `k`-th durable write is *applied* and
     /// the process then dies, leaving the write (and every unfenced line)
-    /// in flight. On the next [`AddressSpace::restart`] under the ADR
-    /// flush model, each pending line drains per-word by a lottery seeded
-    /// from `seed` — some new words land, some revert.
+    /// in flight. On the next [`AddressSpace::restart`] (or
+    /// [`crate::shard::SharedPool::power_cycle`]) under the ADR flush
+    /// model, each pending line drains per-word by a lottery seeded from
+    /// `seed` — some new words land, some revert.
     pub fn torn_at(k: u64, seed: u64) -> Self {
         FaultPlan { enabled: true, crash_at: Some(k), torn: true, torn_seed: seed, ..FaultPlan::default() }
     }
@@ -201,7 +204,7 @@ impl FaultPlan {
         HeapError::CrashInjected { writes: self.writes }
     }
 
-    /// Consulted by [`AddressSpace`] before each *atomic* durable write
+    /// Consulted by the persistence plane before each *atomic* durable write
     /// (allocator metadata, root pointer): the write either fully lands or
     /// — on the armed boundary, torn or not — never happens.
     ///
@@ -216,8 +219,8 @@ impl FaultPlan {
         }
     }
 
-    /// Consulted by [`AddressSpace`] before each *tearable* durable data
-    /// write. [`GateVerdict::TornCrash`] instructs the caller to apply the
+    /// Consulted by the persistence plane before each *tearable* durable
+    /// data write. [`GateVerdict::TornCrash`] instructs the caller to apply the
     /// write and then raise [`FaultPlan::crash_error`].
     ///
     /// # Errors

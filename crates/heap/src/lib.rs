@@ -38,6 +38,7 @@ pub mod faults;
 pub mod integrity;
 pub mod lookaside;
 pub mod pagestore;
+mod persist;
 pub mod pool;
 pub mod retain;
 pub mod scrub;

@@ -16,9 +16,12 @@
 //!   central free list) that the owning thread subdivides with
 //!   [`Region::carve_front`] without taking the central lock. Only lease
 //!   *refills* and frees touch the central allocator.
-//! - **Fault plane** — one [`FaultPlan`] guards the whole pool, so a
-//!   crash boundary armed at `k` counts durable writes across *all*
-//!   threads, exactly like a machine-wide power failure.
+//! - **Persistence plane** — one `PersistPlane` (fault gate, ADR pending
+//!   lines, FliT tags) serves the whole pool: the same code an
+//!   [`crate::AddressSpace`] runs for its local pools, here behind one
+//!   mutex. A crash boundary armed at `k` counts durable writes across
+//!   *all* threads, exactly like a machine-wide power failure, and a torn
+//!   plan tears here exactly as it does there.
 //!
 //! Determinism: per-thread slab cursors make every allocation's offset a
 //! function of (slab, thread-local op sequence) alone, never of cross-
@@ -27,26 +30,28 @@
 //! sweeps replay under `UTPR_QC_SEED`. See DESIGN.md §10.
 //!
 //! Lock order (a level may only acquire locks from levels to its right):
-//! `flush` → `faults` → `slabs` → `central` → `media` → stripe locks.
+//! `plane` → `slabs` → `central` → `media` → stripe locks.
 //! Stripe locks are leaves and are held one word/page at a time. The
-//! `flush` mutex guards the ADR persistence plane
-//! ([`SharedPool::write_u64_stage`], [`SharedPool::cas_u64`],
+//! `plane` mutex guards the persistence plane (the gate,
+//! [`SharedPool::write_u64_stage`], [`SharedPool::cas_u64`],
 //! flush/fence/tag bookkeeping) and is never held across an allocator
 //! call. The `media` mutex guards the retention plane (media clock, wear
 //! table, CRC sidecar, decay books — see [`crate::retain`] and
 //! DESIGN.md §13); routines holding it may briefly take stripe locks to
 //! read or seal pages, never the reverse.
 
+use crate::addr::PoolId;
 use crate::alloc::{MemWords, Region, SalvageReport};
 use crate::error::Result;
 use crate::faults::FaultPlan;
 use crate::integrity::{classify_pages, crc32, PageCrcs, PageVerdict};
 use crate::pagestore::{PageStore, PAGE_SIZE};
+use crate::persist::PersistPlane;
 use crate::retain::{decay_draw, RetentionConfig, WearStats, WearTable};
-use crate::space::{FlushModel, LINE_SIZE};
+use crate::space::FlushModel;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Sentinel for [`SharedPool`]'s quarantine word: no page quarantined.
 const NO_QUARANTINE: u64 = u64::MAX;
@@ -112,33 +117,10 @@ impl Arena {
     }
 }
 
-/// Persistence-domain state of one shared pool under [`FlushModel::Adr`]:
-/// the machine-wide "cache" of lines written but not yet flushed. Unlike
-/// the per-space pending map, this one is shared by every thread — caches
-/// are coherent, so thread B staging a line thread A already dirtied must
-/// see A's bytes as the *newest* and the pre-A bytes as the *durable*
-/// image. One mutex guards the whole plane; it sits at the head of the
-/// lock order (`flush` → `faults` → stripe locks) and is only ever taken
-/// on data-plane writes, flushes, and fences.
-#[derive(Clone, Debug, Default)]
-struct FlushState {
-    model: FlushModel,
-    /// Unflushed lines: line offset → the line's durable bytes (the
-    /// striped image holds the newest bytes). Ordered so power-loss
-    /// drains are deterministic.
-    pending: BTreeMap<u64, [u8; LINE_SIZE as usize]>,
-    /// FliT-style per-word dirty tags: word offset → count of stores
-    /// tagged but not yet persisted by their writer. A reader finding a
-    /// tag must flush before depending on the word; an untagged word is
-    /// provably persisted and the flush can be elided.
-    tags: BTreeMap<u64, u32>,
-    /// Lines made durable by explicit flush or fence drain.
-    lines_drained: u64,
-    /// Lines whose in-flight bytes were lost to a power cycle.
-    lines_lost: u64,
-    /// Pool-wide fence (full-drain) events.
-    fences: u64,
-}
+/// The key a [`SharedPool`] files its lines and tags under on its own
+/// plane. Shards adopt the pool under differing ids, so the plane cannot
+/// use theirs; it only ever holds this one pool.
+const PLANE_KEY: PoolId = PoolId::from_raw_trusted(0);
 
 /// Retention-plane state of one shared pool, present once
 /// [`SharedPool::configure_retention`] has run: the media clock, the
@@ -188,8 +170,12 @@ pub struct SharedPool {
     region: Region,
     central: Mutex<()>,
     slabs: Mutex<Vec<SlabState>>,
-    faults: Mutex<FaultPlan>,
-    flush: Mutex<FlushState>,
+    /// The machine-wide persistence plane, shared by every thread: caches
+    /// are coherent, so thread B staging a line thread A already dirtied
+    /// must see A's bytes as the *newest* and the pre-A bytes as the
+    /// *durable* image. Head of the lock order; taken only on gated
+    /// writes, flushes, fences and tag bookkeeping.
+    plane: Mutex<PersistPlane>,
     /// Retention plane; `None` until [`SharedPool::configure_retention`].
     media: Mutex<Option<MediaState>>,
     /// Fast-path mirror of `media.is_some()`: one relaxed load keeps the
@@ -206,7 +192,7 @@ pub struct SharedPool {
     central_allocs: AtomicU64,
     slab_overflows: AtomicU64,
     /// Batch persist barriers issued through [`SharedPool::persist_point`]
-    /// (the serving layer's group commits), a subset of `flush.fences`.
+    /// (the serving layer's group commits), a subset of the plane's fences.
     group_commits: AtomicU64,
 }
 
@@ -254,8 +240,7 @@ impl SharedPool {
             region: Region::from_size_unchecked(size),
             central: Mutex::new(()),
             slabs: Mutex::new(Vec::new()),
-            faults: Mutex::new(FaultPlan::disabled()),
-            flush: Mutex::new(FlushState::default()),
+            plane: Mutex::new(PersistPlane::default()),
             media: Mutex::new(None),
             media_on: AtomicBool::new(false),
             quarantine: AtomicU64::new(NO_QUARANTINE),
@@ -331,18 +316,22 @@ impl SharedPool {
         self.stripe_for(offset).lock().unwrap().write_u64(offset, value)
     }
 
-    // ---- fault plane ------------------------------------------------------
+    // ---- persistence plane (fault gate, ADR staging, FliT tags) -----------
+
+    fn plane(&self) -> MutexGuard<'_, PersistPlane> {
+        self.plane.lock().unwrap()
+    }
 
     /// Installs the pool-wide fault plan. One plan gates every thread's
     /// durable writes, so an armed boundary models a machine-wide power
     /// failure regardless of which thread trips it.
     pub fn set_faults(&self, plan: FaultPlan) {
-        *self.faults.lock().unwrap() = plan;
+        self.plane().faults = plan;
     }
 
     /// Snapshot of the pool-wide fault plan.
     pub fn faults(&self) -> FaultPlan {
-        *self.faults.lock().unwrap()
+        self.plane().faults
     }
 
     /// Consults the pool-wide gate for one atomic durable write.
@@ -351,40 +340,34 @@ impl SharedPool {
     ///
     /// Returns [`HeapError::CrashInjected`] at and after the armed point.
     pub(crate) fn gate(&self) -> Result<()> {
-        self.faults.lock().unwrap().gate()
+        self.plane().gate()
     }
-
-    // ---- persistence domain (ADR flush plane) -----------------------------
 
     /// The pool's persistence-domain model.
     pub fn flush_model(&self) -> FlushModel {
-        self.flush.lock().unwrap().model
+        self.plane().flush_model()
     }
 
     /// Switches the persistence-domain model. Moving to eADR implicitly
     /// fences: lines in flight become durable and every tag clears.
     pub fn set_flush_model(&self, model: FlushModel) {
-        let mut fs = self.flush.lock().unwrap();
-        if model == FlushModel::Eadr {
-            fs.lines_drained += fs.pending.len() as u64;
-            fs.pending.clear();
-            fs.tags.clear();
-        }
-        fs.model = model;
+        self.plane().set_flush_model(model);
     }
 
-    /// Stage the durable bytes of `off`'s line before a write mutates the
-    /// image. Must run under the flush lock, *before* the stripe write.
-    fn stage_line(&self, fs: &mut FlushState, off: u64) {
-        if fs.model != FlushModel::Adr {
-            return;
-        }
-        let line = off / LINE_SIZE * LINE_SIZE;
-        if !fs.pending.contains_key(&line) {
-            let mut old = [0u8; LINE_SIZE as usize];
-            self.read_bytes(line, &mut old);
-            fs.pending.insert(line, old);
-        }
+    /// One tearable durable write boundary over `[off, off + len)`, under
+    /// the plane lock: gate, stage the touched lines (ADR), `apply` the
+    /// stripe write, settle the verdict.
+    fn write_boundary(
+        &self,
+        plane: &mut PersistPlane,
+        off: u64,
+        len: u64,
+        apply: impl FnOnce(),
+    ) -> Result<()> {
+        let verdict = plane.gate_tearable()?;
+        plane.stage(PLANE_KEY, off, len, |line, old| self.read_bytes(line, old));
+        apply();
+        plane.settle(verdict)
     }
 
     /// One gated, durable-boundary word write on the data plane: under ADR
@@ -395,72 +378,57 @@ impl SharedPool {
     /// # Errors
     ///
     /// Returns [`HeapError::CrashInjected`] when an armed fault point
-    /// fires; the write does not land.
+    /// fires; the write lands only on a torn boundary
+    /// ([`FaultPlan::torn_at`]).
     pub fn write_u64_stage(&self, off: u64, value: u64) -> Result<()> {
-        let mut fs = self.flush.lock().unwrap();
-        self.gate()?;
-        self.stage_line(&mut fs, off);
-        self.write_u64(off, value);
-        Ok(())
+        self.write_boundary(&mut self.plane(), off, 8, || self.write_u64(off, value))
+    }
+
+    /// [`SharedPool::write_u64_stage`] for a byte range.
+    pub(crate) fn write_bytes_stage(&self, off: u64, buf: &[u8]) -> Result<()> {
+        self.write_boundary(&mut self.plane(), off, buf.len() as u64, || self.write_bytes(off, buf))
     }
 
     /// Compare-and-swap on the word at `off`. Returns `(swapped, old)`.
-    /// The whole read-compare-write runs under the flush-plane lock, so it
-    /// is atomic against every other staged write and CAS. Only a
+    /// The whole read-compare-write runs under the plane lock, so it is
+    /// atomic against every other staged write and CAS. Only a
     /// *successful* swap is a durable write boundary (and stages its line);
     /// a failed CAS is just a load.
     ///
     /// # Errors
     ///
     /// Returns [`HeapError::CrashInjected`] when the gate fires on a
-    /// would-succeed swap; the write does not land.
+    /// would-succeed swap; the write lands only on a torn boundary.
     pub fn cas_u64(&self, off: u64, expected: u64, new: u64) -> Result<(bool, u64)> {
-        let mut fs = self.flush.lock().unwrap();
+        let mut plane = self.plane();
         let cur = self.read_u64(off);
         if cur != expected {
             return Ok((false, cur));
         }
-        self.gate()?;
-        self.stage_line(&mut fs, off);
-        self.write_u64(off, new);
+        self.write_boundary(&mut plane, off, 8, || self.write_u64(off, new))?;
         Ok((true, cur))
     }
 
     /// Targeted `clwb`: makes the line containing `off` durable. Returns
     /// whether the line was actually pending.
     pub fn flush_line(&self, off: u64) -> bool {
-        let mut fs = self.flush.lock().unwrap();
-        let line = off / LINE_SIZE * LINE_SIZE;
-        if fs.pending.remove(&line).is_some() {
-            fs.lines_drained += 1;
-            true
-        } else {
-            false
-        }
+        self.plane().flush_line(PLANE_KEY, off)
     }
 
     /// FliT tag protocol: marks the word at `off` dirty (store side). The
     /// count nests so two in-flight stores need two completions.
     pub fn tag_word(&self, off: u64) {
-        let mut fs = self.flush.lock().unwrap();
-        *fs.tags.entry(off / 8 * 8).or_insert(0) += 1;
+        self.plane().tag_word(PLANE_KEY, off);
     }
 
     /// FliT tag protocol: the writer persisted the word; drop one tag.
     pub fn untag_word(&self, off: u64) {
-        let mut fs = self.flush.lock().unwrap();
-        let w = off / 8 * 8;
-        if let Some(c) = fs.tags.get_mut(&w) {
-            *c -= 1;
-            if *c == 0 {
-                fs.tags.remove(&w);
-            }
-        }
+        self.plane().untag_word(PLANE_KEY, off);
     }
 
     /// FliT tag protocol, load side: is the word possibly unpersisted?
     pub fn word_tagged(&self, off: u64) -> bool {
-        self.flush.lock().unwrap().tags.contains_key(&(off / 8 * 8))
+        self.plane().word_tagged(PLANE_KEY, off)
     }
 
     /// Pool-wide persist barrier: drains every pending line to durability
@@ -468,46 +436,37 @@ impl SharedPool {
     /// machine-wide, so one thread's fence drains everyone's lines).
     /// Returns the number of lines drained.
     pub fn drain_all(&self) -> u64 {
-        let mut fs = self.flush.lock().unwrap();
-        let n = fs.pending.len() as u64;
-        fs.lines_drained += n;
-        fs.fences += 1;
-        fs.pending.clear();
-        n
+        self.plane().persist_point()
     }
 
-    /// Power loss: every unflushed line reverts to its durable bytes and
-    /// all tags clear (the tag table is volatile). The crash sweeps call
-    /// this on a tripped trial before recovery, exactly where
-    /// [`crate::AddressSpace::restart`] drains per-space pending lines.
+    /// Power loss: every unflushed line reverts to its durable bytes — or,
+    /// under a torn plan, drains by the plan's seeded per-word lottery —
+    /// and all tags clear (the tag table is volatile). The crash sweeps
+    /// call this on a tripped trial before recovery; it is the same
+    /// `PersistPlane::power_loss` that [`crate::AddressSpace::restart`]
+    /// runs over per-space pending lines.
     pub fn power_cycle(&self) {
-        let mut fs = self.flush.lock().unwrap();
-        let pending = std::mem::take(&mut fs.pending);
-        fs.lines_lost += pending.len() as u64;
-        for (line, old) in pending {
-            self.write_bytes(line, &old);
-        }
-        fs.tags.clear();
+        self.plane().power_loss(|_, off, durable| self.write_bytes(off, durable));
     }
 
     /// Lines currently written but not yet durable.
     pub fn pending_lines(&self) -> usize {
-        self.flush.lock().unwrap().pending.len()
+        self.plane().pending_lines()
     }
 
     /// Lines made durable by flush or fence drain so far.
     pub fn lines_drained(&self) -> u64 {
-        self.flush.lock().unwrap().lines_drained
+        self.plane().lines_flushed
     }
 
     /// Lines lost to power cycles so far.
     pub fn lines_lost(&self) -> u64 {
-        self.flush.lock().unwrap().lines_lost
+        self.plane().lines_lost
     }
 
     /// Pool-wide fence (full-drain) events so far.
     pub fn fence_count(&self) -> u64 {
-        self.flush.lock().unwrap().fences
+        self.plane().fences
     }
 
     /// Batch persist entry point for group commit: one pool-wide barrier
@@ -805,9 +764,9 @@ impl SharedPool {
         if !self.media_on.load(Ordering::Acquire) {
             return 0;
         }
-        // Copy the decay law out first: `faults` precedes `media` in the
+        // Copy the decay law out first: `plane` precedes `media` in the
         // lock order and must never be taken underneath it.
-        let decay = self.faults.lock().unwrap().decay();
+        let decay = self.plane().faults.decay();
         let mut guard = self.media.lock().unwrap();
         let Some(m) = guard.as_mut() else { return 0 };
         m.work += units;
@@ -1144,8 +1103,7 @@ impl SharedPool {
             region: self.region,
             central: Mutex::new(()),
             slabs: Mutex::new(self.slabs.lock().unwrap().clone()),
-            faults: Mutex::new(*self.faults.lock().unwrap()),
-            flush: Mutex::new(self.flush.lock().unwrap().clone()),
+            plane: Mutex::new(self.plane().clone()),
             media: Mutex::new(self.media.lock().unwrap().clone()),
             media_on: AtomicBool::new(self.media_on.load(Ordering::Acquire)),
             quarantine: AtomicU64::new(self.quarantine.load(Ordering::Acquire)),
@@ -1247,6 +1205,35 @@ mod tests {
         assert_eq!(p.fence_count(), f0 + 1, "a group commit is also a fence");
         p.drain_all();
         assert_eq!(p.group_commits(), 1, "plain fences are not group commits");
+    }
+
+    #[test]
+    fn torn_plan_tears_a_shared_pool_like_an_owned_one() {
+        let drained = |seed: u64| -> Vec<u64> {
+            let p = SharedPool::create("torn", 1 << 20, 4).unwrap();
+            p.set_flush_model(FlushModel::Adr);
+            let off = p.alloc_raw(128).unwrap().next_multiple_of(64);
+            for w in 0..8 {
+                p.write_u64_stage(off + w * 8, 0xAAAA).unwrap();
+            }
+            p.drain_all(); // durable state: all 0xAAAA
+            p.set_faults(FaultPlan::torn_at(7, seed));
+            for w in 0..7 {
+                p.write_u64_stage(off + w * 8, 0xBBBB).unwrap();
+            }
+            let err = p.write_u64_stage(off + 56, 0xBBBB).unwrap_err();
+            assert!(matches!(err, HeapError::CrashInjected { writes: 7 }));
+            assert_eq!(p.read_u64(off + 56), 0xBBBB, "the tripped write is in flight");
+            assert!(p.cas_u64(off, 0xBBBB, 0xCCCC).is_err(), "dead after the trip");
+            p.power_cycle();
+            assert_eq!((p.pending_lines(), p.lines_lost()), (0, 1));
+            (0..8).map(|w| p.read_u64(off + w * 8)).collect()
+        };
+        let a = drained(0xD5EED);
+        assert_eq!(a, drained(0xD5EED), "the drain lottery replays bit-identically");
+        assert!(a.contains(&0xAAAA) && a.contains(&0xBBBB), "a per-word mix: {a:x?}");
+        assert!(a.iter().all(|&v| v == 0xAAAA || v == 0xBBBB));
+        assert_ne!(a, drained(0xD5EED + 1), "and differs across seeds");
     }
 
     #[test]

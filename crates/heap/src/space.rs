@@ -9,11 +9,12 @@
 use crate::addr::{PoolId, RelLoc, VirtAddr, DRAM_BASE, NVM_BASE, NVM_END};
 use crate::alloc::{MemWords, Region};
 use crate::error::{HeapError, Result};
-use crate::faults::{splitmix64, FaultPlan, GateVerdict};
+use crate::faults::{splitmix64, FaultPlan};
 use crate::integrity::IntegrityMode;
 use crate::lookaside::TransCache;
 pub use crate::lookaside::TransStats;
 use crate::pagestore::{PageStore, PAGE_SIZE};
+use crate::persist::PersistPlane;
 use crate::pool::PoolStore;
 use crate::retain::decay_draw;
 use crate::shard::{Arena, SharedPool, SlabId};
@@ -106,29 +107,10 @@ pub struct AddressSpace {
     attach_counter: u64,
     /// Number of restarts performed, for diagnostics.
     generation: u64,
-    /// Fault-injection gate consulted before every durable pool write
-    /// ([`crate::faults`]). Disabled by default.
-    faults: FaultPlan,
-    /// Persistence-domain model. Under [`FlushModel::Adr`], written lines
-    /// are volatile until fenced.
-    flush_model: FlushModel,
-    /// Unfenced lines: `(pool, line offset)` → the line's *durable* bytes
-    /// (the pool image itself holds the newest bytes). Ordered so the
-    /// power-loss drain is deterministic. Always empty under eADR.
-    pending: BTreeMap<(PoolId, u64), [u8; LINE_SIZE as usize]>,
-    /// Fence events issued (ADR accounting).
-    fences: u64,
-    /// Lines flushed to durability (ADR accounting).
-    lines_flushed: u64,
-    /// Group-commit window: while set, [`AddressSpace::fence`] records the
-    /// event in `fences_elided` instead of issuing it, deferring durability
-    /// to the next [`AddressSpace::persist_point`]. Sound only while nothing
-    /// written inside the window has been acknowledged externally (the
-    /// crash-resilient-objects criterion: un-acked work may be dropped
-    /// whole). Volatile — a restart clears it.
-    defer_fences: bool,
-    /// Fence events elided by an open group-commit window.
-    fences_elided: u64,
+    /// Fault gate, ADR pending lines, fence accounting and group-commit
+    /// window for this space's *local* pools ([`crate::persist`]). Adopted
+    /// shared pools carry their own machine-wide plane.
+    plane: PersistPlane,
     /// Software POLB/VALB in front of the translation walks
     /// ([`crate::lookaside`]). Generation-stamped: any mutation that can
     /// move, remove, or quarantine an attachment bumps its epoch — a
@@ -183,13 +165,7 @@ impl AddressSpace {
             layout_seed,
             attach_counter: 0,
             generation: 0,
-            faults: FaultPlan::disabled(),
-            flush_model: FlushModel::default(),
-            pending: BTreeMap::new(),
-            fences: 0,
-            lines_flushed: 0,
-            defer_fences: false,
-            fences_elided: 0,
+            plane: PersistPlane::default(),
             trans: TransCache::new(),
             shared: HashMap::new(),
             arenas: HashMap::new(),
@@ -236,12 +212,12 @@ impl AddressSpace {
 
     /// The fault-injection gate's current state.
     pub fn faults(&self) -> &FaultPlan {
-        &self.faults
+        &self.plane.faults
     }
 
     /// Replaces the fault-injection gate (arm, start counting, disarm).
     pub fn set_faults(&mut self, plan: FaultPlan) {
-        self.faults = plan;
+        self.plane.faults = plan;
     }
 
     /// The local-pool media-clock tick (see
@@ -265,7 +241,7 @@ impl AddressSpace {
     /// tracking. Ages are therefore lower bounds; the shared-pool plane is
     /// the precise model.
     pub fn advance_media_clock(&mut self, ticks: u64) -> u64 {
-        let Some((seed, ppb)) = self.faults.decay() else {
+        let Some((seed, ppb)) = self.plane.faults.decay() else {
             self.media_tick += ticks;
             return 0;
         };
@@ -298,17 +274,13 @@ impl AddressSpace {
 
     /// The current persistence-domain model.
     pub fn flush_model(&self) -> FlushModel {
-        self.flush_model
+        self.plane.flush_model()
     }
 
     /// Switches the persistence-domain model. Moving from ADR to eADR
     /// implicitly fences (lines in flight become durable).
     pub fn set_flush_model(&mut self, model: FlushModel) {
-        if model == FlushModel::Eadr {
-            self.lines_flushed += self.pending.len() as u64;
-            self.pending.clear();
-        }
-        self.flush_model = model;
+        self.plane.set_flush_model(model);
     }
 
     /// Flush + store fence: every written line becomes durable. A no-op
@@ -317,17 +289,11 @@ impl AddressSpace {
     /// which is what keeps the allocator's fence-first discipline sound
     /// when the metadata lives in a [`SharedPool`].
     pub fn fence(&mut self) {
-        if self.defer_fences {
-            self.fences_elided += 1;
+        if !self.plane.fence() {
             return;
         }
-        self.fences += 1;
-        self.lines_flushed += self.pending.len() as u64;
-        self.pending.clear();
-        if !self.shared.is_empty() {
-            for sp in self.shared.values() {
-                self.lines_flushed += sp.drain_all();
-            }
+        for sp in self.shared.values() {
+            self.plane.lines_flushed += sp.drain_all();
         }
     }
 
@@ -346,17 +312,17 @@ impl AddressSpace {
     /// pending and revert together), which is indistinguishable from
     /// crashing before the batch started.
     pub fn set_fence_deferral(&mut self, on: bool) {
-        self.defer_fences = on;
+        self.plane.defer_fences = on;
     }
 
     /// Whether a group-commit window is currently open.
     pub fn fence_deferral(&self) -> bool {
-        self.defer_fences
+        self.plane.defer_fences
     }
 
     /// Fence events elided by group-commit windows so far.
     pub fn fences_elided(&self) -> u64 {
-        self.fences_elided
+        self.plane.fences_elided
     }
 
     /// Group-commit persist point: issues the batch's one real barrier,
@@ -365,13 +331,10 @@ impl AddressSpace {
     /// [`SharedPool::persist_point`], so the pool-side group-commit
     /// counters advance too. Returns the number of lines made durable.
     pub fn persist_point(&mut self) -> u64 {
-        self.fences += 1;
-        let mut drained = self.pending.len() as u64;
-        self.lines_flushed += drained;
-        self.pending.clear();
+        let mut drained = self.plane.persist_point();
         for sp in self.shared.values() {
             let n = sp.persist_point();
-            self.lines_flushed += n;
+            self.plane.lines_flushed += n;
             drained += n;
         }
         drained
@@ -382,57 +345,25 @@ impl AddressSpace {
     /// the pool's own pending buffer for adopted shared pools.
     pub fn flush_line(&mut self, pool: PoolId, off: u64) {
         if let Some(sp) = self.shared_route(pool) {
-            if sp.flush_line(off) {
-                self.lines_flushed += 1;
-            }
+            self.plane.lines_flushed += u64::from(sp.flush_line(off));
             return;
         }
-        if self.pending.remove(&(pool, off / LINE_SIZE * LINE_SIZE)).is_some() {
-            self.lines_flushed += 1;
-        }
+        self.plane.flush_line(pool, off);
     }
 
     /// Fence events issued so far.
     pub fn fence_count(&self) -> u64 {
-        self.fences
+        self.plane.fences
     }
 
     /// Lines flushed to durability so far (ADR accounting).
     pub fn lines_flushed(&self) -> u64 {
-        self.lines_flushed
+        self.plane.lines_flushed
     }
 
     /// Lines currently written but not yet fenced.
     pub fn pending_lines(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Under ADR, snapshots the durable bytes of every line overlapped by
-    /// `[off, off + len)` in `pool` before a write lands there. Must be
-    /// called *before* the write mutates the image.
-    #[inline]
-    fn stage_lines(pending: &mut BTreeMap<(PoolId, u64), [u8; LINE_SIZE as usize]>,
-                   img: &crate::pool::PoolImage,
-                   pool: PoolId,
-                   off: u64,
-                   len: u64) {
-        if len == 0 {
-            return;
-        }
-        let first = off / LINE_SIZE * LINE_SIZE;
-        let last = (off + len - 1) / LINE_SIZE * LINE_SIZE;
-        let mut line = first;
-        loop {
-            pending.entry((pool, line)).or_insert_with(|| {
-                let mut old = [0u8; LINE_SIZE as usize];
-                img.data().read(line, &mut old);
-                old
-            });
-            if line >= last {
-                break;
-            }
-            line += LINE_SIZE;
-        }
+        self.plane.pending_lines()
     }
 
     // ---- integrity ---------------------------------------------------------
@@ -525,28 +456,21 @@ impl AddressSpace {
     #[inline]
     pub fn pool_write_u64(&mut self, id: PoolId, off: u64, value: u64) -> Result<()> {
         if let Some(sp) = self.shared_checked(id)? {
-            // Shared pools gate on the pool-wide plan (armed boundaries
-            // crash cleanly) and stage the line in the *pool's* machine-
-            // wide pending buffer — caches are coherent, so the ADR state
-            // must be shared by every thread, not split per space.
+            // Shared pools gate and stage on the *pool's* machine-wide
+            // plane — caches are coherent, so the boundary counter and the
+            // ADR state must be shared by every thread, not split per space.
             return sp.write_u64_stage(off, value);
         }
         let img = self.store.get_mut(id)?;
-        let verdict = self.faults.gate_tearable()?;
-        if self.flush_model == FlushModel::Adr {
-            Self::stage_lines(&mut self.pending, img, id, off, 8);
-        }
+        let verdict = self.plane.gate_tearable()?;
+        self.plane.stage(id, off, 8, |line, old| img.data().read(line, old));
         img.data_mut().write_u64(off, value);
-        match verdict {
-            GateVerdict::Proceed => Ok(()),
-            // The in-flight write landed in the cache; the process is dead.
-            GateVerdict::TornCrash => Err(self.faults.crash_error()),
-        }
+        self.plane.settle(verdict)
     }
 
     /// Atomic compare-and-swap on the word at `va`. Returns
     /// `(swapped, old value)`. For adopted shared pools the whole
-    /// read-compare-write is atomic under the pool's flush-plane lock and
+    /// read-compare-write is atomic under the pool's plane lock and
     /// a *successful* swap is one durable write boundary (staged under
     /// ADR); a failed CAS is just a load. DRAM and local (single-threaded)
     /// pools get the plain read/compare/write equivalent.
@@ -804,9 +728,7 @@ impl AddressSpace {
             }
             return Ok(());
         }
-        let before = self.pending.len();
-        self.pending.retain(|(pool, _), _| *pool != id);
-        self.lines_flushed += (before - self.pending.len()) as u64;
+        self.plane.flush_pool(id);
         let _ = self.store.seal(id);
         Ok(())
     }
@@ -821,31 +743,13 @@ impl AddressSpace {
     /// Pools must be reopened, and will generally land at different base
     /// addresses.
     pub fn restart(&mut self) {
-        let torn_seed = self.faults.torn_drain_seed();
-        let pending = std::mem::take(&mut self.pending);
-        for ((pool, line), old) in pending {
-            let Ok(img) = self.store.peek_mut(pool) else { continue };
-            match torn_seed {
-                None => {
-                    // Clean power loss: the whole unfenced line is lost.
-                    img.data_mut().write(line, &old);
-                }
-                Some(seed) => {
-                    // Torn: an 8-byte-word lottery decides, per word,
-                    // whether the in-flight value landed or the durable
-                    // one survived.
-                    for w in 0..(LINE_SIZE / 8) {
-                        let h = splitmix64(
-                            seed ^ splitmix64(u64::from(pool.raw()) ^ (line + w * 8)),
-                        );
-                        if h & 1 == 0 {
-                            let at = (w * 8) as usize;
-                            img.data_mut().write(line + w * 8, &old[at..at + 8]);
-                        }
-                    }
-                }
+        let store = &mut self.store;
+        self.plane.power_loss(|pool, off, durable| {
+            // A pool destroyed with lines in flight has nothing to drain to.
+            if let Ok(img) = store.peek_mut(pool) {
+                img.data_mut().write(off, durable);
             }
-        }
+        });
         self.store.seal_all();
         self.generation += 1;
         self.dram.clear();
@@ -861,9 +765,6 @@ impl AddressSpace {
         // consistent (merely smaller) heap.
         self.shared.clear();
         self.arenas.clear();
-        // An open group-commit window is volatile state; the batch it was
-        // deferring died un-acked with the process.
-        self.defer_fences = false;
         self.trans.bump();
     }
 
@@ -1073,25 +974,19 @@ impl AddressSpace {
         }
         if va.is_nvm_region() {
             let loc = self.locate(va)?;
+            let off = u64::from(loc.offset);
             if let Some(sp) = self.shared_checked(loc.pool)? {
-                // Shared pools live in the eADR domain and gate on the
-                // *pool-wide* plan: the boundary counter spans every
-                // thread, like a machine-wide power failure would.
-                sp.gate()?;
-                sp.write_bytes(loc.offset.into(), buf);
-                return Ok(());
+                // Same boundary as `pool_write_u64`'s shared arm: gated
+                // and staged on the pool's machine-wide plane.
+                return sp.write_bytes_stage(off, buf);
             }
             let img = self.store.get_mut(loc.pool)?;
-            let verdict = self.faults.gate_tearable()?;
-            if self.flush_model == FlushModel::Adr {
-                Self::stage_lines(&mut self.pending, img, loc.pool, loc.offset.into(), buf.len() as u64);
-            }
-            img.data_mut().write(loc.offset.into(), buf);
-            if verdict == GateVerdict::TornCrash {
-                // The in-flight write landed in the cache; the process is
-                // dead and the line drains at restart.
-                return Err(self.faults.crash_error());
-            }
+            let verdict = self.plane.gate_tearable()?;
+            self.plane.stage(loc.pool, off, buf.len() as u64, |line, old| img.data().read(line, old));
+            img.data_mut().write(off, buf);
+            // On a torn boundary the in-flight write landed in the cache;
+            // the process is dead and the line drains at restart.
+            self.plane.settle(verdict)?;
         } else {
             self.dram.write(va.raw(), buf);
         }
@@ -1226,7 +1121,7 @@ impl AddressSpace {
         }
         let img = self.store.get_mut(id)?;
         // One durable boundary per allocation (see `crate::faults`).
-        self.faults.gate()?;
+        self.plane.gate()?;
         let region = img.region();
         let off = region.alloc(img.data_mut(), size)?;
         Ok(RelLoc::new(id, off as u32))
@@ -1246,7 +1141,7 @@ impl AddressSpace {
         }
         let img = self.store.get_mut(loc.pool)?;
         // One durable boundary per free, mirroring `pmalloc`.
-        self.faults.gate()?;
+        self.plane.gate()?;
         let region = img.region();
         region.free(img.data_mut(), loc.offset.into())
     }
@@ -1278,7 +1173,7 @@ impl AddressSpace {
             return Ok(());
         }
         let img = self.store.get_mut(id)?;
-        self.faults.gate()?;
+        self.plane.gate()?;
         let region = img.region();
         region.set_root(img.data_mut(), value);
         Ok(())
@@ -1433,6 +1328,27 @@ mod tests {
         // Every shard is dead once the machine-wide plan has tripped.
         assert!(b.write_u64(vb, 4).is_err());
         assert_eq!(sp.read_u64(u64::from(loc.offset)), 2, "suppressed writes never landed");
+    }
+
+    #[test]
+    fn byte_writes_into_an_adr_shared_pool_stage_and_revert() {
+        let sp = SharedPool::create("bytes", 1 << 20, 4).unwrap();
+        sp.set_flush_model(FlushModel::Adr);
+        let mut s = AddressSpace::new(8);
+        let p = s.adopt_shared(&sp).unwrap();
+        let loc = s.pmalloc(p, 256).unwrap();
+        let va = s.ra2va(loc).unwrap();
+        s.write(va, &[0x11; 200]).unwrap();
+        s.fence();
+        assert_eq!(sp.pending_lines(), 0);
+        s.write(va, &[0x22; 200]).unwrap();
+        let off = u64::from(loc.offset);
+        let lines = ((off + 199) / LINE_SIZE - off / LINE_SIZE + 1) as usize;
+        assert_eq!(sp.pending_lines(), lines, "byte stores stage every overlapped line");
+        sp.power_cycle();
+        let mut back = [0u8; 200];
+        s.read(va, &mut back).unwrap();
+        assert_eq!(back, [0x11; 200], "the unfenced byte store was lost whole");
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //!    [`SweepFailure`] carrying the replay seed.
 
 use crate::faultsweep::SweepFailure;
+use crate::rng::mix;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use utpr_ds::concurrent::{ConcurrentIndex, FlushStrategy, Handle};
@@ -50,15 +51,6 @@ const POOL_BYTES: u64 = 24 << 20;
 /// Small key universe so histories overlap heavily and the audit stays
 /// enumerable.
 pub const KEY_UNIVERSE: u64 = 8;
-
-fn mix(seed: u64, salt: u64) -> u64 {
-    let mut x = seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Shape of one concurrent-history crash sweep.
 #[derive(Clone, Copy, Debug)]

@@ -40,6 +40,7 @@
 //! must be detected (`flips_injected == flips_detected`), and no audit
 //! mismatch may exist that the media plane never noticed.
 
+use crate::rng::mix;
 use crate::ycsb::Preset;
 use std::collections::{BTreeMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -57,15 +58,6 @@ use utpr_qc::sched::Turnstile;
 pub type Result<T> = std::result::Result<T, HeapError>;
 
 const POOL_BYTES: u64 = 24 << 20;
-
-fn mix(seed: u64, salt: u64) -> u64 {
-    let mut x = seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Uniform draw in `[0, 1)` from a mixed salt.
 fn dice(seed: u64, salt: u64) -> f64 {

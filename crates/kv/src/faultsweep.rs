@@ -50,7 +50,7 @@ use utpr_heap::{
     crash_and_recover, select_points, AddressSpace, FaultPlan, FlushModel, HeapError,
     IntegrityMode, PoolId, Region, SalvageStats,
 };
-use utpr_ptr::{site, ExecEnv, Mode, NullSink};
+use utpr_ptr::{site, ExecEnv, Mode, NullSink, UPtr};
 
 /// Result alias.
 pub type Result<T> = std::result::Result<T, HeapError>;
@@ -194,7 +194,68 @@ fn structure_seed(seed: u64, name: &str) -> u64 {
     x
 }
 
-// ---- map-structure sweep ---------------------------------------------------
+// ---- the structures under test ---------------------------------------------
+
+/// How one bit-flip probe of a recovered image went.
+enum Probe {
+    /// Every key matched the model.
+    Clean,
+    /// This many wrong answers with no error raised.
+    Wrong(u64),
+    /// A typed error or panic surfaced while probing — noisy, not silent.
+    Errored,
+}
+
+/// What the crash-sweep and bit-flip drivers need from a structure: how it
+/// is built, stepped, modelled and probed. Everything else — census,
+/// arming, crash, recovery, the oracle order, failure reporting — is the
+/// drivers'.
+trait Subject: Sized {
+    /// Table III name.
+    const NAME: &'static str;
+    /// One transaction-wrapped operation of the armed workload.
+    type Op: Copy;
+    /// The in-memory model the recovered image is compared against.
+    type Model: Clone;
+
+    /// Creates the structure and applies `n` seeded insertions to it and
+    /// to a fresh model.
+    fn populate(
+        env: &mut ExecEnv<NullSink>,
+        rng: &mut Rng,
+        n: u64,
+        keyspace: u64,
+    ) -> Result<(Self, Self::Model)>;
+    /// The descriptor the pool root persists.
+    fn root_descriptor(&self) -> UPtr;
+    /// Re-attaches through the pool root.
+    fn reopen(env: &mut ExecEnv<NullSink>) -> Result<Self>;
+
+    fn gen_op(rng: &mut Rng, keyspace: u64) -> Self::Op;
+    fn apply_to_model(model: &mut Self::Model, op: Self::Op);
+    fn model_len(model: &Self::Model) -> u64;
+    /// The body of one op's transaction.
+    fn step(&mut self, env: &mut ExecEnv<NullSink>, op: Self::Op) -> Result<()>;
+
+    /// Oracle 1: the structure's own invariants (panics on violation);
+    /// returns the element count.
+    fn invariants(&self, env: &mut ExecEnv<NullSink>) -> Result<u64>;
+    /// Oracle 2: exact contents against `model`.
+    fn matches(
+        &mut self,
+        env: &mut ExecEnv<NullSink>,
+        model: &Self::Model,
+        keyspace: u64,
+    ) -> Result<bool>;
+    /// Oracle 3: a mutation lands and is visible.
+    fn probe(&mut self, env: &mut ExecEnv<NullSink>) -> Result<bool>;
+
+    /// Bit-flip probe of a possibly damaged image: never propagates, every
+    /// error and panic is part of the verdict.
+    fn flip_probe(env: &mut ExecEnv<NullSink>, model: &Self::Model, keyspace: u64) -> Probe;
+    /// After salvage: how many of the model's elements still read back.
+    fn survivors(env: &mut ExecEnv<NullSink>, model: &Self::Model, keyspace: u64) -> u64;
+}
 
 #[derive(Clone, Copy, Debug)]
 enum MapOp {
@@ -202,102 +263,288 @@ enum MapOp {
     Remove(u64),
 }
 
-fn map_ops(spec: &SweepSpec, seed: u64) -> Vec<MapOp> {
-    let mut rng = Rng::new(seed);
-    let keyspace = (spec.prepopulate * 2).max(4);
-    (0..spec.txn_ops)
-        .map(|_| {
+impl<I: Index> Subject for KvStore<I> {
+    const NAME: &'static str = I::NAME;
+    type Op = MapOp;
+    type Model = BTreeMap<u64, u64>;
+
+    fn populate(
+        env: &mut ExecEnv<NullSink>,
+        rng: &mut Rng,
+        n: u64,
+        keyspace: u64,
+    ) -> Result<(Self, Self::Model)> {
+        let mut store: KvStore<I> = KvStore::create(env)?;
+        let mut model = BTreeMap::new();
+        for _ in 0..n {
             let k = rng.below(keyspace);
-            if rng.below(3) == 0 {
-                MapOp::Remove(k)
-            } else {
-                MapOp::Insert(k, rng.next_u64() >> 1)
+            let v = rng.next_u64() >> 1;
+            store.set(env, k, v)?;
+            model.insert(k, v);
+        }
+        Ok((store, model))
+    }
+
+    fn root_descriptor(&self) -> UPtr {
+        self.index().descriptor()
+    }
+
+    fn reopen(env: &mut ExecEnv<NullSink>) -> Result<Self> {
+        Ok(KvStore::open(env.root(site!("faultsweep.open-root", KnownReturn))?))
+    }
+
+    fn gen_op(rng: &mut Rng, keyspace: u64) -> MapOp {
+        let k = rng.below(keyspace);
+        if rng.below(3) == 0 {
+            MapOp::Remove(k)
+        } else {
+            MapOp::Insert(k, rng.next_u64() >> 1)
+        }
+    }
+
+    fn apply_to_model(model: &mut Self::Model, op: MapOp) {
+        match op {
+            MapOp::Insert(k, v) => {
+                model.insert(k, v);
             }
-        })
-        .collect()
+            MapOp::Remove(k) => {
+                model.remove(&k);
+            }
+        }
+    }
+
+    fn model_len(model: &Self::Model) -> u64 {
+        model.len() as u64
+    }
+
+    fn step(&mut self, env: &mut ExecEnv<NullSink>, op: MapOp) -> Result<()> {
+        match op {
+            MapOp::Insert(k, v) => self.set(env, k, v).map(|_| ()),
+            MapOp::Remove(k) => self.remove(env, k).map(|_| ()),
+        }
+    }
+
+    fn invariants(&self, env: &mut ExecEnv<NullSink>) -> Result<u64> {
+        I::open(self.index().descriptor()).validate(env)
+    }
+
+    fn matches(
+        &mut self,
+        env: &mut ExecEnv<NullSink>,
+        model: &Self::Model,
+        keyspace: u64,
+    ) -> Result<bool> {
+        if self.len(env)? != model.len() as u64 {
+            return Ok(false);
+        }
+        for k in 0..keyspace {
+            if self.get(env, k)? != model.get(&k).copied() {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    fn probe(&mut self, env: &mut ExecEnv<NullSink>) -> Result<bool> {
+        let probe_key = u64::MAX - 1;
+        self.set(env, probe_key, 0xFEED)?;
+        if self.get(env, probe_key)? != Some(0xFEED) {
+            return Ok(false);
+        }
+        self.remove(env, probe_key)?;
+        Ok(true)
+    }
+
+    fn flip_probe(env: &mut ExecEnv<NullSink>, model: &Self::Model, keyspace: u64) -> Probe {
+        let mut wrong = 0u64;
+        let mut errored = false;
+        for k in 0..keyspace {
+            match catch_unwind(AssertUnwindSafe(|| Self::reopen(env)?.get(env, k))) {
+                Ok(Ok(got)) => wrong += u64::from(got != model.get(&k).copied()),
+                _ => errored = true,
+            }
+        }
+        match catch_unwind(AssertUnwindSafe(|| Self::reopen(env)?.invariants(env))) {
+            Ok(Ok(n)) => wrong += u64::from(n != model.len() as u64),
+            _ => errored = true,
+        }
+        if errored {
+            Probe::Errored
+        } else if wrong > 0 {
+            Probe::Wrong(wrong)
+        } else {
+            Probe::Clean
+        }
+    }
+
+    fn survivors(env: &mut ExecEnv<NullSink>, model: &Self::Model, _keyspace: u64) -> u64 {
+        let mut alive = 0;
+        for (k, v) in model {
+            let got = catch_unwind(AssertUnwindSafe(|| Self::reopen(env)?.get(env, *k)));
+            alive += u64::from(matches!(got, Ok(Ok(Some(x))) if x == *v));
+        }
+        alive
+    }
 }
+
+#[derive(Clone, Copy, Debug)]
+enum LlOp {
+    Push(u64, u64),
+    Pop,
+}
+
+impl Subject for LinkedList {
+    const NAME: &'static str = "LL";
+    type Op = LlOp;
+    type Model = VecDeque<(u64, u64)>;
+
+    fn populate(
+        env: &mut ExecEnv<NullSink>,
+        rng: &mut Rng,
+        n: u64,
+        _keyspace: u64,
+    ) -> Result<(Self, Self::Model)> {
+        let mut list = LinkedList::create(env)?;
+        let mut model = VecDeque::new();
+        for _ in 0..n {
+            let (v0, v1) = (rng.next_u64() >> 1, rng.next_u64() >> 1);
+            list.push_back(env, v0, v1)?;
+            model.push_back((v0, v1));
+        }
+        Ok((list, model))
+    }
+
+    fn root_descriptor(&self) -> UPtr {
+        self.descriptor()
+    }
+
+    fn reopen(env: &mut ExecEnv<NullSink>) -> Result<Self> {
+        Ok(LinkedList::open(env.root(site!("faultsweep.ll-open-root", KnownReturn))?))
+    }
+
+    fn gen_op(rng: &mut Rng, _keyspace: u64) -> LlOp {
+        if rng.below(3) == 0 {
+            LlOp::Pop
+        } else {
+            LlOp::Push(rng.next_u64() >> 1, rng.next_u64() >> 1)
+        }
+    }
+
+    fn apply_to_model(model: &mut Self::Model, op: LlOp) {
+        match op {
+            LlOp::Push(v0, v1) => model.push_back((v0, v1)),
+            LlOp::Pop => {
+                model.pop_front();
+            }
+        }
+    }
+
+    fn model_len(model: &Self::Model) -> u64 {
+        model.len() as u64
+    }
+
+    fn step(&mut self, env: &mut ExecEnv<NullSink>, op: LlOp) -> Result<()> {
+        match op {
+            LlOp::Push(v0, v1) => self.push_back(env, v0, v1),
+            LlOp::Pop => self.pop_front(env).map(|_| ()),
+        }
+    }
+
+    fn invariants(&self, env: &mut ExecEnv<NullSink>) -> Result<u64> {
+        self.validate(env)
+    }
+
+    fn matches(
+        &mut self,
+        env: &mut ExecEnv<NullSink>,
+        model: &Self::Model,
+        _keyspace: u64,
+    ) -> Result<bool> {
+        if self.len(env)? != model.len() as u64 {
+            return Ok(false);
+        }
+        let sum = model.iter().fold(0u64, |a, (v0, v1)| a.wrapping_add(*v0).wrapping_add(*v1));
+        Ok(self.iter_sum(env)? == sum)
+    }
+
+    fn probe(&mut self, env: &mut ExecEnv<NullSink>) -> Result<bool> {
+        let before = self.len(env)?;
+        self.push_back(env, 1, 2)?;
+        Ok(self.len(env)? == before + 1)
+    }
+
+    /// Whole-structure accounting: a list either survives its probe or its
+    /// elements are written off together.
+    fn flip_probe(env: &mut ExecEnv<NullSink>, model: &Self::Model, keyspace: u64) -> Probe {
+        let r = catch_unwind(AssertUnwindSafe(|| -> Result<bool> {
+            let mut list = Self::reopen(env)?;
+            list.invariants(env)?;
+            list.matches(env, model, keyspace)
+        }));
+        match r {
+            Ok(Ok(true)) => Probe::Clean,
+            Ok(Ok(false)) => Probe::Wrong(1),
+            _ => Probe::Errored,
+        }
+    }
+
+    fn survivors(env: &mut ExecEnv<NullSink>, model: &Self::Model, keyspace: u64) -> u64 {
+        match Self::flip_probe(env, model, keyspace) {
+            Probe::Clean => model.len() as u64,
+            _ => 0,
+        }
+    }
+}
+
+// ---- crash-point sweep -----------------------------------------------------
 
 fn fresh_env(space: AddressSpace, pool: PoolId) -> ExecEnv<NullSink> {
     ExecEnv::builder(space).mode(Mode::Hw).pool(pool).build()
 }
 
+/// Keys are drawn from twice the prepopulated count, so removes hit and
+/// miss about equally.
+fn keyspace_of(prepopulate: u64) -> u64 {
+    (prepopulate * 2).max(4)
+}
+
 /// Runs `ops` each inside its own transaction; returns the number that
 /// committed and the error (if any) that killed the run.
-fn run_map_ops<I: Index>(
+fn run_ops<S: Subject>(
     env: &mut ExecEnv<NullSink>,
-    store: &mut KvStore<I>,
-    ops: &[MapOp],
+    subject: &mut S,
+    ops: &[S::Op],
 ) -> (usize, Option<HeapError>) {
     for (i, op) in ops.iter().enumerate() {
-        let r = env.with_txn(|env| match *op {
-            MapOp::Insert(k, v) => store.set(env, k, v).map(|_| ()),
-            MapOp::Remove(k) => store.remove(env, k).map(|_| ()),
-        });
-        if let Err(e) = r {
+        if let Err(e) = env.with_txn(|env| subject.step(env, *op)) {
             return (i, Some(e));
         }
     }
     (ops.len(), None)
 }
 
-fn open_store<I: Index>(env: &mut ExecEnv<NullSink>) -> Result<KvStore<I>> {
-    let desc = env.root(site!("faultsweep.open-root", KnownReturn))?;
-    Ok(KvStore::open(desc))
-}
+fn sweep<S: Subject>(spec: &SweepSpec) -> Result<SweepReport> {
+    let sseed = structure_seed(spec.seed, S::NAME);
+    let keyspace = keyspace_of(spec.prepopulate);
 
-/// Checks the recovered store against `model`: exact length and every key.
-fn check_map_contents<I: Index>(
-    env: &mut ExecEnv<NullSink>,
-    store: &mut KvStore<I>,
-    model: &BTreeMap<u64, u64>,
-    keyspace: u64,
-) -> Result<bool> {
-    if store.len(env)? != model.len() as u64 {
-        return Ok(false);
-    }
-    for k in 0..keyspace {
-        if store.get(env, k)? != model.get(&k).copied() {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-fn sweep_map<I: Index>(spec: &SweepSpec) -> Result<SweepReport> {
-    let sseed = structure_seed(spec.seed, I::NAME);
-    let keyspace = (spec.prepopulate * 2).max(4);
-
-    // Base image: prepopulated store, root set, undo log materialized (so
-    // its one-time allocation is not part of the armed boundary count).
+    // Base image: prepopulated structure, root set, undo log materialized
+    // (so its one-time allocation is not part of the armed boundary count).
     let mut space = AddressSpace::new(sseed);
     let pool = space.create_pool(POOL, POOL_BYTES)?;
     let mut env = fresh_env(space, pool);
-    let mut store: KvStore<I> = KvStore::create(&mut env)?;
-    let mut model = BTreeMap::new();
     let mut rng = Rng::new(sseed ^ 0x517c_c1b7_2722_0a95);
-    for _ in 0..spec.prepopulate {
-        let k = rng.below(keyspace);
-        let v = rng.next_u64() >> 1;
-        store.set(&mut env, k, v)?;
-        model.insert(k, v);
-    }
-    env.set_root(site!("faultsweep.set-root", StackLocal), store.index().descriptor())?;
-    env.with_txn(|_| Ok(()))?; // materialize the undo log outside the armed count
+    let (subject, model) = S::populate(&mut env, &mut rng, spec.prepopulate, keyspace)?;
+    env.set_root(site!("faultsweep.set-root", StackLocal), subject.root_descriptor())?;
+    env.with_txn(|_| Ok(()))?;
     let (base_space, _, _) = env.into_parts();
 
     // Transaction-prefix models: models[j] = state after j committed ops.
-    let ops = map_ops(spec, sseed ^ 0x9e37_79b9_7f4a_7c15);
-    let mut models = vec![model.clone()];
+    let mut rng = Rng::new(sseed ^ 0x9e37_79b9_7f4a_7c15);
+    let ops: Vec<S::Op> = (0..spec.txn_ops).map(|_| S::gen_op(&mut rng, keyspace)).collect();
+    let mut models = vec![model];
     for op in &ops {
         let mut m = models.last().unwrap().clone();
-        match *op {
-            MapOp::Insert(k, v) => {
-                m.insert(k, v);
-            }
-            MapOp::Remove(k) => {
-                m.remove(&k);
-            }
-        }
+        S::apply_to_model(&mut m, *op);
         models.push(m);
     }
 
@@ -305,18 +552,16 @@ fn sweep_map<I: Index>(spec: &SweepSpec) -> Result<SweepReport> {
     let total = {
         let mut env = fresh_env(base_space.clone(), pool);
         env.space_mut().set_faults(FaultPlan::counting());
-        let mut store: KvStore<I> = open_store(&mut env)?;
-        let (done, err) = run_map_ops(&mut env, &mut store, &ops);
-        if let Some(e) = err {
+        let mut subject = S::reopen(&mut env)?;
+        if let (_, Some(e)) = run_ops(&mut env, &mut subject, &ops) {
             return Err(e);
         }
-        debug_assert_eq!(done, ops.len());
         env.space().faults().writes()
     };
 
     let points = select_points(total, spec.exhaustive_limit, spec.samples, spec.seed);
     let mut report = SweepReport {
-        benchmark: I::NAME,
+        benchmark: S::NAME,
         boundaries: total,
         tested: points.len() as u64,
         rollbacks: 0,
@@ -325,26 +570,21 @@ fn sweep_map<I: Index>(spec: &SweepSpec) -> Result<SweepReport> {
     };
 
     for k in points {
+        let mut fail = |detail: String| {
+            report.failures.push(SweepFailure { crash_point: k, seed: spec.seed, detail });
+        };
         let mut env = fresh_env(base_space.clone(), pool);
         arm(&mut env, spec, k);
-        let mut store: KvStore<I> = open_store(&mut env)?;
-        let (committed, err) = run_map_ops(&mut env, &mut store, &ops);
+        let mut subject = S::reopen(&mut env)?;
+        let (committed, err) = run_ops(&mut env, &mut subject, &ops);
         match err {
             Some(HeapError::CrashInjected { .. }) => {}
             Some(e) => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: format!("armed run died of a non-crash error: {e}"),
-                });
+                fail(format!("armed run died of a non-crash error: {e}"));
                 continue;
             }
             None => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: "armed run completed without crashing".into(),
-                });
+                fail("armed run completed without crashing".into());
                 continue;
             }
         }
@@ -357,40 +597,24 @@ fn sweep_map<I: Index>(spec: &SweepSpec) -> Result<SweepReport> {
                 continue;
             }
             Err(e) => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: format!("recovery failed: {e}"),
-                });
+                fail(format!("recovery failed: {e}"));
                 continue;
             }
         };
-        if rec.rolled_back {
-            report.rollbacks += 1;
-        }
+        report.rollbacks += u64::from(rec.rolled_back);
 
         let mut env = fresh_env(space, rec.pool);
-        let mut store: KvStore<I> = open_store(&mut env)?;
+        let mut subject = S::reopen(&mut env)?;
 
         // Oracle 1: the structure's own invariants.
-        let desc = store.index().descriptor();
-        let validated = catch_unwind(AssertUnwindSafe(|| I::open(desc).validate(&mut env)));
-        let count = match validated {
+        let count = match catch_unwind(AssertUnwindSafe(|| subject.invariants(&mut env))) {
             Ok(Ok(n)) => n,
             Ok(Err(e)) => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: format!("validator errored: {e}"),
-                });
+                fail(format!("validator errored: {e}"));
                 continue;
             }
             Err(panic) => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: format!("invariant violated: {}", panic_message(&panic)),
-                });
+                fail(format!("invariant violated: {}", panic_message(&panic)));
                 continue;
             }
         };
@@ -398,39 +622,26 @@ fn sweep_map<I: Index>(spec: &SweepSpec) -> Result<SweepReport> {
         // Oracle 2: exact contents. The crashed op either rolled back
         // (state == models[committed]) or the crash struck its deferred
         // post-commit frees (state == models[committed + 1]).
-        let candidates = [committed, (committed + 1).min(ops.len())];
         let mut matched = false;
-        for &j in &candidates {
-            if models[j].len() as u64 == count
-                && check_map_contents(&mut env, &mut store, &models[j], keyspace)?
+        for j in [committed, (committed + 1).min(ops.len())] {
+            if S::model_len(&models[j]) == count
+                && subject.matches(&mut env, &models[j], keyspace)?
             {
                 matched = true;
                 break;
             }
         }
         if !matched {
-            report.failures.push(SweepFailure {
-                crash_point: k,
-                seed: spec.seed,
-                detail: format!(
-                    "recovered contents match no transaction boundary (committed {committed}, count {count})"
-                ),
-            });
+            fail(format!(
+                "recovered contents match no transaction boundary (committed {committed}, count {count})"
+            ));
             continue;
         }
 
         // Oracle 3: the recovered structure still works.
-        let probe_key = u64::MAX - 1;
-        store.set(&mut env, probe_key, 0xFEED)?;
-        if store.get(&mut env, probe_key)? != Some(0xFEED) {
-            report.failures.push(SweepFailure {
-                crash_point: k,
-                seed: spec.seed,
-                detail: "post-recovery probe key not readable".into(),
-            });
-            continue;
+        if !subject.probe(&mut env)? {
+            fail("post-recovery probe mutation not visible".into());
         }
-        store.remove(&mut env, probe_key)?;
     }
     Ok(report)
 }
@@ -443,214 +654,6 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     } else {
         "panic".into()
     }
-}
-
-// ---- linked-list sweep -----------------------------------------------------
-
-#[derive(Clone, Copy, Debug)]
-enum LlOp {
-    Push(u64, u64),
-    Pop,
-}
-
-fn ll_ops(spec: &SweepSpec, seed: u64) -> Vec<LlOp> {
-    let mut rng = Rng::new(seed);
-    (0..spec.txn_ops)
-        .map(|_| {
-            if rng.below(3) == 0 {
-                LlOp::Pop
-            } else {
-                LlOp::Push(rng.next_u64() >> 1, rng.next_u64() >> 1)
-            }
-        })
-        .collect()
-}
-
-fn run_ll_ops(
-    env: &mut ExecEnv<NullSink>,
-    list: &mut LinkedList,
-    ops: &[LlOp],
-) -> (usize, Option<HeapError>) {
-    for (i, op) in ops.iter().enumerate() {
-        let r = env.with_txn(|env| match *op {
-            LlOp::Push(v0, v1) => list.push_back(env, v0, v1),
-            LlOp::Pop => list.pop_front(env).map(|_| ()),
-        });
-        if let Err(e) = r {
-            return (i, Some(e));
-        }
-    }
-    (ops.len(), None)
-}
-
-fn ll_model_matches(
-    env: &mut ExecEnv<NullSink>,
-    list: &LinkedList,
-    model: &VecDeque<(u64, u64)>,
-) -> Result<bool> {
-    if list.len(env)? != model.len() as u64 {
-        return Ok(false);
-    }
-    let sum: u64 = model.iter().fold(0u64, |a, (v0, v1)| a.wrapping_add(*v0).wrapping_add(*v1));
-    Ok(list.iter_sum(env)? == sum)
-}
-
-fn sweep_ll(spec: &SweepSpec) -> Result<SweepReport> {
-    let sseed = structure_seed(spec.seed, "LL");
-
-    let mut space = AddressSpace::new(sseed);
-    let pool = space.create_pool(POOL, POOL_BYTES)?;
-    let mut env = fresh_env(space, pool);
-    let mut list = LinkedList::create(&mut env)?;
-    let mut model = VecDeque::new();
-    let mut rng = Rng::new(sseed ^ 0x517c_c1b7_2722_0a95);
-    for _ in 0..spec.prepopulate {
-        let (v0, v1) = (rng.next_u64() >> 1, rng.next_u64() >> 1);
-        list.push_back(&mut env, v0, v1)?;
-        model.push_back((v0, v1));
-    }
-    env.set_root(site!("faultsweep.ll-root", StackLocal), list.descriptor())?;
-    env.with_txn(|_| Ok(()))?; // materialize the undo log outside the armed count
-    let (base_space, _, _) = env.into_parts();
-
-    let ops = ll_ops(spec, sseed ^ 0x9e37_79b9_7f4a_7c15);
-    let mut models = vec![model.clone()];
-    for op in &ops {
-        let mut m = models.last().unwrap().clone();
-        match *op {
-            LlOp::Push(v0, v1) => m.push_back((v0, v1)),
-            LlOp::Pop => {
-                m.pop_front();
-            }
-        }
-        models.push(m);
-    }
-
-    let total = {
-        let mut env = fresh_env(base_space.clone(), pool);
-        env.space_mut().set_faults(FaultPlan::counting());
-        let desc = env.root(site!("faultsweep.ll-count", KnownReturn))?;
-        let mut list = LinkedList::open(desc);
-        let (done, err) = run_ll_ops(&mut env, &mut list, &ops);
-        if let Some(e) = err {
-            return Err(e);
-        }
-        debug_assert_eq!(done, ops.len());
-        env.space().faults().writes()
-    };
-
-    let points = select_points(total, spec.exhaustive_limit, spec.samples, spec.seed);
-    let mut report = SweepReport {
-        benchmark: "LL",
-        boundaries: total,
-        tested: points.len() as u64,
-        rollbacks: 0,
-        detected: 0,
-        failures: Vec::new(),
-    };
-
-    for k in points {
-        let mut env = fresh_env(base_space.clone(), pool);
-        arm(&mut env, spec, k);
-        let desc = env.root(site!("faultsweep.ll-armed", KnownReturn))?;
-        let mut list = LinkedList::open(desc);
-        let (committed, err) = run_ll_ops(&mut env, &mut list, &ops);
-        match err {
-            Some(HeapError::CrashInjected { .. }) => {}
-            Some(e) => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: format!("armed run died of a non-crash error: {e}"),
-                });
-                continue;
-            }
-            None => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: "armed run completed without crashing".into(),
-                });
-                continue;
-            }
-        }
-
-        let (mut space, _, _) = env.into_parts();
-        let rec = match crash_and_recover(&mut space, POOL) {
-            Ok(r) => r,
-            Err(e) if is_detected_corruption(spec, &e) => {
-                report.detected += 1;
-                continue;
-            }
-            Err(e) => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: format!("recovery failed: {e}"),
-                });
-                continue;
-            }
-        };
-        if rec.rolled_back {
-            report.rollbacks += 1;
-        }
-
-        let mut env = fresh_env(space, rec.pool);
-        let desc = env.root(site!("faultsweep.ll-check", KnownReturn))?;
-        let list = LinkedList::open(desc);
-
-        let validated = catch_unwind(AssertUnwindSafe(|| list.validate(&mut env)));
-        match validated {
-            Ok(Ok(_)) => {}
-            Ok(Err(e)) => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: format!("validator errored: {e}"),
-                });
-                continue;
-            }
-            Err(panic) => {
-                report.failures.push(SweepFailure {
-                    crash_point: k,
-                    seed: spec.seed,
-                    detail: format!("invariant violated: {}", panic_message(&panic)),
-                });
-                continue;
-            }
-        }
-
-        let candidates = [committed, (committed + 1).min(ops.len())];
-        let mut matched = false;
-        for &j in &candidates {
-            if ll_model_matches(&mut env, &list, &models[j])? {
-                matched = true;
-                break;
-            }
-        }
-        if !matched {
-            report.failures.push(SweepFailure {
-                crash_point: k,
-                seed: spec.seed,
-                detail: format!(
-                    "recovered list matches no transaction boundary (committed {committed})"
-                ),
-            });
-            continue;
-        }
-
-        let mut list = LinkedList::open(desc);
-        let before = list.len(&mut env)?;
-        list.push_back(&mut env, 1, 2)?;
-        if list.len(&mut env)? != before + 1 {
-            report.failures.push(SweepFailure {
-                crash_point: k,
-                seed: spec.seed,
-                detail: "post-recovery probe push not visible".into(),
-            });
-        }
-    }
-    Ok(report)
 }
 
 // ---- bit-flip retention campaign -------------------------------------------
@@ -714,62 +717,13 @@ pub struct BitflipReport {
     pub failures: Vec<SweepFailure>,
 }
 
-/// How one probe of a recovered image went.
-enum Probe {
-    /// Every key matched the model.
-    Clean,
-    /// At least one wrong answer with no error raised.
-    Wrong(u64),
-    /// A typed error or panic surfaced while probing — noisy, not silent.
-    Errored,
-}
-
-fn probe_map<I: Index>(
-    env: &mut ExecEnv<NullSink>,
-    model: &BTreeMap<u64, u64>,
-    keyspace: u64,
-) -> Probe {
-    let mut wrong = 0u64;
-    let mut errored = false;
-    for k in 0..keyspace {
-        let r = catch_unwind(AssertUnwindSafe(|| -> Result<Option<u64>> {
-            let desc = env.root(site!("faultsweep.flip-probe", KnownReturn))?;
-            let mut store = KvStore::<I>::open(desc);
-            store.get(env, k)
-        }));
-        match r {
-            Ok(Ok(got)) => {
-                if got != model.get(&k).copied() {
-                    wrong += 1;
-                }
-            }
-            _ => errored = true,
-        }
-    }
-    let validated = catch_unwind(AssertUnwindSafe(|| -> Result<u64> {
-        let desc = env.root(site!("faultsweep.flip-validate", KnownReturn))?;
-        I::open(desc).validate(env)
-    }));
-    match validated {
-        Ok(Ok(n)) if n != model.len() as u64 => wrong += 1,
-        Ok(Ok(_)) => {}
-        _ => errored = true,
-    }
-    if errored {
-        Probe::Errored
-    } else if wrong > 0 {
-        Probe::Wrong(wrong)
-    } else {
-        Probe::Clean
-    }
-}
-
 /// Walks the degraded path after detected corruption: salvage the
 /// allocator substrate, bless the damage (`release` + `reseal`), re-attach,
-/// and count which keys survived.
-fn salvage_and_probe<I: Index>(
+/// and count which of the model's elements survived.
+fn salvage_and_probe<S: Subject>(
     mut space: AddressSpace,
-    model: &BTreeMap<u64, u64>,
+    model: &S::Model,
+    keyspace: u64,
     report: &mut BitflipReport,
 ) -> Result<()> {
     let id = space.pool_store().id_of(POOL)?;
@@ -780,34 +734,21 @@ fn salvage_and_probe<I: Index>(
     }
     space.pool_store_mut().release(id);
     space.pool_store_mut().reseal(id)?;
-    let pool = match space.open_pool(POOL) {
-        Ok(p) => p,
+    let recovered = match space.open_pool(POOL) {
+        Ok(pool) => S::survivors(&mut fresh_env(space, pool), model, keyspace),
         // The flip hit the pool header itself; nothing is reachable.
-        Err(_) => {
-            report.lost_keys += model.len() as u64;
-            return Ok(());
-        }
+        Err(_) => 0,
     };
-    let mut env = fresh_env(space, pool);
-    for (k, v) in model {
-        let got = catch_unwind(AssertUnwindSafe(|| -> Result<Option<u64>> {
-            let desc = env.root(site!("faultsweep.flip-salvage", KnownReturn))?;
-            let mut store = KvStore::<I>::open(desc);
-            store.get(&mut env, *k)
-        }));
-        match got {
-            Ok(Ok(Some(x))) if x == *v => report.recovered_keys += 1,
-            _ => report.lost_keys += 1,
-        }
-    }
+    report.recovered_keys += recovered;
+    report.lost_keys += S::model_len(model) - recovered;
     Ok(())
 }
 
-fn bitflip_map<I: Index>(spec: &BitflipSpec) -> Result<BitflipReport> {
-    let sseed = structure_seed(spec.seed, I::NAME);
-    let keyspace = (spec.prepopulate * 2).max(4);
+fn bitflip<S: Subject>(spec: &BitflipSpec) -> Result<BitflipReport> {
+    let sseed = structure_seed(spec.seed, S::NAME);
+    let keyspace = keyspace_of(spec.prepopulate);
     let mut report = BitflipReport {
-        benchmark: I::NAME,
+        benchmark: S::NAME,
         trials: spec.trials,
         detected: 0,
         silent_wrong: 0,
@@ -824,16 +765,9 @@ fn bitflip_map<I: Index>(spec: &BitflipSpec) -> Result<BitflipReport> {
         space.set_integrity(if spec.crc { IntegrityMode::Crc } else { IntegrityMode::Off });
         let pool = space.create_pool(POOL, POOL_BYTES)?;
         let mut env = fresh_env(space, pool);
-        let mut store: KvStore<I> = KvStore::create(&mut env)?;
-        let mut model = BTreeMap::new();
         let mut rng = Rng::new(tseed ^ 0x517c_c1b7_2722_0a95);
-        for _ in 0..spec.prepopulate {
-            let k = rng.below(keyspace);
-            let v = rng.next_u64() >> 1;
-            store.set(&mut env, k, v)?;
-            model.insert(k, v);
-        }
-        env.set_root(site!("faultsweep.flip-root", StackLocal), store.index().descriptor())?;
+        let (subject, model) = S::populate(&mut env, &mut rng, spec.prepopulate, keyspace)?;
+        env.set_root(site!("faultsweep.flip-root", StackLocal), subject.root_descriptor())?;
         env.with_txn(|_| Ok(()))?; // materialize the undo log
         let (mut space, _, _) = env.into_parts();
 
@@ -841,22 +775,19 @@ fn bitflip_map<I: Index>(spec: &BitflipSpec) -> Result<BitflipReport> {
         space.set_faults(
             FaultPlan::counting().with_bitflips(tseed ^ 0xf11b_f11b, spec.flips),
         );
+        let mut fail = |detail: String| {
+            report.failures.push(SweepFailure { crash_point: t, seed: spec.seed, detail });
+        };
         match crash_and_recover(&mut space, POOL) {
             Ok(rec) => {
                 let mut env = fresh_env(space, rec.pool);
-                match probe_map::<I>(&mut env, &model, keyspace) {
+                match S::flip_probe(&mut env, &model, keyspace) {
                     Probe::Clean => report.clean += 1,
                     Probe::Errored => report.detected += 1,
                     Probe::Wrong(n) => {
                         report.silent_wrong += 1;
                         if spec.crc {
-                            report.failures.push(SweepFailure {
-                                crash_point: t,
-                                seed: spec.seed,
-                                detail: format!(
-                                    "CRC on, yet {n} wrong answers surfaced with no error"
-                                ),
-                            });
+                            fail(format!("CRC on, yet {n} wrong answers surfaced with no error"));
                         }
                     }
                 }
@@ -869,123 +800,9 @@ fn bitflip_map<I: Index>(spec: &BitflipSpec) -> Result<BitflipReport> {
                 // Typed detection: the CRC sidecar at re-attach, or the
                 // hardened allocator/header validation underneath it.
                 report.detected += 1;
-                salvage_and_probe::<I>(space, &model, &mut report)?;
+                salvage_and_probe::<S>(space, &model, keyspace, &mut report)?;
             }
-            Err(e) => {
-                report.failures.push(SweepFailure {
-                    crash_point: t,
-                    seed: spec.seed,
-                    detail: format!("power-off recovery failed unexpectedly: {e}"),
-                });
-            }
-        }
-    }
-    Ok(report)
-}
-
-fn bitflip_ll(spec: &BitflipSpec) -> Result<BitflipReport> {
-    let sseed = structure_seed(spec.seed, "LL");
-    let mut report = BitflipReport {
-        benchmark: "LL",
-        trials: spec.trials,
-        detected: 0,
-        silent_wrong: 0,
-        clean: 0,
-        recovered_keys: 0,
-        lost_keys: 0,
-        salvage: SalvageStats::default(),
-        failures: Vec::new(),
-    };
-
-    for t in 0..spec.trials {
-        let tseed = sseed ^ (t.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1);
-        let mut space = AddressSpace::new(tseed);
-        space.set_integrity(if spec.crc { IntegrityMode::Crc } else { IntegrityMode::Off });
-        let pool = space.create_pool(POOL, POOL_BYTES)?;
-        let mut env = fresh_env(space, pool);
-        let mut list = LinkedList::create(&mut env)?;
-        let mut model = VecDeque::new();
-        let mut rng = Rng::new(tseed ^ 0x517c_c1b7_2722_0a95);
-        for _ in 0..spec.prepopulate {
-            let (v0, v1) = (rng.next_u64() >> 1, rng.next_u64() >> 1);
-            list.push_back(&mut env, v0, v1)?;
-            model.push_back((v0, v1));
-        }
-        env.set_root(site!("faultsweep.flip-ll-root", StackLocal), list.descriptor())?;
-        env.with_txn(|_| Ok(()))?;
-        let (mut space, _, _) = env.into_parts();
-
-        space.set_faults(
-            FaultPlan::counting().with_bitflips(tseed ^ 0xf11b_f11b, spec.flips),
-        );
-        // Whole-structure accounting: a list either survives its probe or
-        // its elements are written off together.
-        let probe_list = |env: &mut ExecEnv<NullSink>| -> Probe {
-            let r = catch_unwind(AssertUnwindSafe(|| -> Result<bool> {
-                let desc = env.root(site!("faultsweep.flip-ll-probe", KnownReturn))?;
-                let list = LinkedList::open(desc);
-                list.validate(env)?;
-                let sum: u64 = model
-                    .iter()
-                    .fold(0u64, |a, (v0, v1)| a.wrapping_add(*v0).wrapping_add(*v1));
-                Ok(list.len(env)? == model.len() as u64 && list.iter_sum(env)? == sum)
-            }));
-            match r {
-                Ok(Ok(true)) => Probe::Clean,
-                Ok(Ok(false)) => Probe::Wrong(1),
-                _ => Probe::Errored,
-            }
-        };
-        match crash_and_recover(&mut space, POOL) {
-            Ok(rec) => {
-                let mut env = fresh_env(space, rec.pool);
-                match probe_list(&mut env) {
-                    Probe::Clean => report.clean += 1,
-                    Probe::Errored => report.detected += 1,
-                    Probe::Wrong(_) => {
-                        report.silent_wrong += 1;
-                        if spec.crc {
-                            report.failures.push(SweepFailure {
-                                crash_point: t,
-                                seed: spec.seed,
-                                detail: "CRC on, yet the list silently lost elements".into(),
-                            });
-                        }
-                    }
-                }
-            }
-            Err(
-                HeapError::MediaCorruption { .. }
-                | HeapError::CorruptRegion(_)
-                | HeapError::BadPoolHeader { .. },
-            ) => {
-                report.detected += 1;
-                let id = space.pool_store().id_of(POOL)?;
-                {
-                    let img = space.pool_store().peek(id)?;
-                    let salv = Region::salvage(img.data(), img.size());
-                    report.salvage.merge(&salv.stats());
-                }
-                space.pool_store_mut().release(id);
-                space.pool_store_mut().reseal(id)?;
-                match space.open_pool(POOL) {
-                    Ok(pool) => {
-                        let mut env = fresh_env(space, pool);
-                        match probe_list(&mut env) {
-                            Probe::Clean => report.recovered_keys += model.len() as u64,
-                            _ => report.lost_keys += model.len() as u64,
-                        }
-                    }
-                    Err(_) => report.lost_keys += model.len() as u64,
-                }
-            }
-            Err(e) => {
-                report.failures.push(SweepFailure {
-                    crash_point: t,
-                    seed: spec.seed,
-                    detail: format!("power-off recovery failed unexpectedly: {e}"),
-                });
-            }
+            Err(e) => fail(format!("power-off recovery failed unexpectedly: {e}")),
         }
     }
     Ok(report)
@@ -999,13 +816,13 @@ fn bitflip_ll(spec: &BitflipSpec) -> Result<BitflipReport> {
 /// [`BitflipReport::failures`]).
 pub fn bitflip_campaign(benchmark: Benchmark, spec: &BitflipSpec) -> Result<BitflipReport> {
     match benchmark {
-        Benchmark::Ll => bitflip_ll(spec),
-        Benchmark::Hash => bitflip_map::<HashMapIndex>(spec),
-        Benchmark::Rb => bitflip_map::<RbTree>(spec),
-        Benchmark::Splay => bitflip_map::<SplayTree>(spec),
-        Benchmark::Avl => bitflip_map::<AvlTree>(spec),
-        Benchmark::Sg => bitflip_map::<ScapegoatTree>(spec),
-        Benchmark::Bplus => bitflip_map::<BPlusTree>(spec),
+        Benchmark::Ll => bitflip::<LinkedList>(spec),
+        Benchmark::Hash => bitflip::<KvStore<HashMapIndex>>(spec),
+        Benchmark::Rb => bitflip::<KvStore<RbTree>>(spec),
+        Benchmark::Splay => bitflip::<KvStore<SplayTree>>(spec),
+        Benchmark::Avl => bitflip::<KvStore<AvlTree>>(spec),
+        Benchmark::Sg => bitflip::<KvStore<ScapegoatTree>>(spec),
+        Benchmark::Bplus => bitflip::<KvStore<BPlusTree>>(spec),
     }
 }
 
@@ -1028,13 +845,13 @@ pub fn bitflip_all(spec: &BitflipSpec) -> Result<Vec<BitflipReport>> {
 /// findings — those land in [`SweepReport::failures`]).
 pub fn sweep_structure(benchmark: Benchmark, spec: &SweepSpec) -> Result<SweepReport> {
     match benchmark {
-        Benchmark::Ll => sweep_ll(spec),
-        Benchmark::Hash => sweep_map::<HashMapIndex>(spec),
-        Benchmark::Rb => sweep_map::<RbTree>(spec),
-        Benchmark::Splay => sweep_map::<SplayTree>(spec),
-        Benchmark::Avl => sweep_map::<AvlTree>(spec),
-        Benchmark::Sg => sweep_map::<ScapegoatTree>(spec),
-        Benchmark::Bplus => sweep_map::<BPlusTree>(spec),
+        Benchmark::Ll => sweep::<LinkedList>(spec),
+        Benchmark::Hash => sweep::<KvStore<HashMapIndex>>(spec),
+        Benchmark::Rb => sweep::<KvStore<RbTree>>(spec),
+        Benchmark::Splay => sweep::<KvStore<SplayTree>>(spec),
+        Benchmark::Avl => sweep::<KvStore<AvlTree>>(spec),
+        Benchmark::Sg => sweep::<KvStore<ScapegoatTree>>(spec),
+        Benchmark::Bplus => sweep::<KvStore<BPlusTree>>(spec),
     }
 }
 

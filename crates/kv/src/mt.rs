@@ -30,6 +30,7 @@
 //! [`crate::faultsweep`]).
 
 use crate::faultsweep::SweepFailure;
+use crate::rng::mix;
 use crate::store::{KvStore, RunSummary};
 use crate::ycsb::{generate_preset, Preset};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -51,16 +52,6 @@ pub type Result<T> = std::result::Result<T, HeapError>;
 pub const PARTITIONS: u64 = 16;
 
 const POOL_BYTES: u64 = 64 << 20;
-
-/// splitmix64-style finalizer for deriving per-thread / per-op values.
-fn mix(seed: u64, salt: u64) -> u64 {
-    let mut x = seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 // ---- multi-threaded YCSB ---------------------------------------------------
 

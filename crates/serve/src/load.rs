@@ -32,6 +32,7 @@ use utpr_heap::FaultPlan;
 use utpr_kv::workload::{key_of_index, KeyUniverse};
 use utpr_kv::SweepFailure;
 use utpr_qc::bench::nearest_rank;
+use utpr_qc::rng::splitmix64;
 
 use crate::proto::{Decoder, Request, Response};
 use crate::server::{DirectView, Result, ServeConfig, ServeError, Server};
@@ -648,7 +649,7 @@ pub fn kill_arm(spec: &KillSpec) -> Result<KillReport> {
     // Phase 2: armed run on a fresh server. The boundary is a seeded
     // fraction of the full load's budget, placed past warmup.
     let frac = 0.1
-        + (mix64(spec.seed ^ 0x6b31_6c6c) as f64 / u64::MAX as f64)
+        + (splitmix64(spec.seed ^ 0x6b31_6c6c) as f64 / u64::MAX as f64)
             * spec.crash_window.clamp(0.01, 0.8);
     let budget = per_op * load.operations as f64;
     let k = (budget * frac).max(8.0) as u64;
@@ -729,9 +730,3 @@ pub fn kill_arm(spec: &KillSpec) -> Result<KillReport> {
     Ok(out)
 }
 
-fn mix64(seed: u64) -> u64 {
-    let mut x = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}

@@ -52,6 +52,7 @@ use utpr_heap::{
     AddressSpace, FlushModel, HeapError, SharedPool, SlabId, TransStats, UndoLog,
     MAX_LOG_SLOTS,
 };
+use utpr_kv::rng::mix;
 use utpr_kv::KvStore;
 use utpr_ptr::{site, ExecEnv, Mode, NullSink};
 
@@ -90,16 +91,6 @@ impl From<std::io::Error> for ServeError {
     fn from(e: std::io::Error) -> Self {
         ServeError::Io(e)
     }
-}
-
-/// splitmix64 finalizer (the same mix `utpr-kv::mt` derives seeds with).
-fn mix(seed: u64, salt: u64) -> u64 {
-    let mut x = seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Which shard owns `key`. Stable across restarts (pure function of the
@@ -482,7 +473,8 @@ impl Server {
         Ok(ServerHandle { addr, pool: Arc::clone(pool), stats, stop, threads })
     }
 
-    /// Post-crash recovery: adopts the pool in a fresh space, rolls back
+    /// Post-crash recovery: power-cycles the pool (unflushed lines are
+    /// lost — a no-op under eADR), adopts it in a fresh space, rolls back
     /// every active undo-log slot, and validates allocator invariants.
     /// Returns whether any transaction was rolled back.
     ///
@@ -490,6 +482,7 @@ impl Server {
     ///
     /// Recovery or validation failures.
     pub fn recover(pool: &Arc<SharedPool>) -> Result<bool> {
+        pool.power_cycle();
         let mut space = AddressSpace::new(0x4ec0_4e4);
         let pid = space.adopt_shared(pool)?;
         let rolled = UndoLog::recover(&mut space, pid)?;
@@ -1027,5 +1020,25 @@ fn apply(
             Ok(Response::Batch(rs))
         }
         Request::Ping => Ok(Response::Pong),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn recover_power_cycles_an_adr_pool() {
+        let pool = SharedPool::create("recover-adr", 1 << 20, 2).unwrap();
+        pool.set_flush_model(FlushModel::Adr);
+        let off = pool.alloc_raw(64).unwrap();
+        pool.write_u64_stage(off, 1).unwrap();
+        pool.drain_all();
+        // Crash with one staged write that never saw a barrier.
+        pool.write_u64_stage(off, 2).unwrap();
+        assert_eq!(pool.pending_lines(), 1);
+        assert!(!Server::recover(&pool).unwrap(), "no undo log, nothing to roll back");
+        assert_eq!(pool.pending_lines(), 0);
+        assert_eq!(pool.read_u64(off), 1, "the unflushed line was lost, not kept");
     }
 }

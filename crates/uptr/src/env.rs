@@ -318,20 +318,6 @@ impl ExecEnv<NullSink> {
 }
 
 impl<S: TimingSink> ExecEnv<S> {
-    /// Creates an environment. `pool` is the default placement for
-    /// [`ExecEnv::alloc`]; it is ignored in [`Mode::Volatile`], which always
-    /// allocates volatile memory.
-    ///
-    /// Thin wrapper over [`ExecEnv::builder`], kept for positional-call
-    /// compatibility; prefer the builder, which names every knob.
-    pub fn new(space: AddressSpace, mode: Mode, pool: Option<PoolId>, sink: S) -> Self {
-        let mut b = ExecEnv::builder(space).mode(mode).sink(sink);
-        if let Some(p) = pool {
-            b = b.pool(p);
-        }
-        b.build()
-    }
-
     /// Overrides which sites execute software checks (SW-mode ablation).
     pub fn set_check_policy(&mut self, policy: CheckPolicy) {
         self.check_policy = policy;
@@ -1192,10 +1178,10 @@ mod tests {
     }
 
     #[test]
-    fn new_is_a_thin_builder_wrapper() {
+    fn builder_with_only_mode_pool_and_sink_places_in_the_pool() {
         let mut space = AddressSpace::new(23);
         let pool = space.create_pool("t", 1 << 20).unwrap();
-        let e = ExecEnv::new(space, Mode::Hw, Some(pool), CountingSink::new());
+        let e = ExecEnv::builder(space).mode(Mode::Hw).pool(pool).sink(CountingSink::new()).build();
         assert_eq!(e.mode(), Mode::Hw);
         assert_eq!(e.default_placement(), Placement::Pool(pool));
     }

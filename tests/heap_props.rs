@@ -4,7 +4,9 @@
 
 use utpr_qc::prelude::*;
 use std::collections::HashMap;
-use utpr_heap::{AddressSpace, HeapError, PageStore, PoolId, Region, RelLoc, SharedPool};
+use utpr_heap::{
+    AddressSpace, FlushModel, HeapError, PageStore, PoolId, Region, RelLoc, SharedPool,
+};
 use utpr_ptr::UPtr;
 
 props! {
@@ -374,12 +376,22 @@ props! {
 // stored through each handle, and errors compare by variant
 // (`std::mem::discriminant`), which is exactly the part of an error that is
 // independent of layout.
+//
+// Both substrates stage on the same persistence plane, so under ADR they
+// must also agree on the number of pending lines after every step and on
+// the total lines made durable. Line *sharing* is layout-dependent (two
+// small neighbours may or may not straddle one 64-byte line), so the ADR
+// run allocates at least a line per object: every handle's stamped word
+// then owns its line on either allocator.
 
 /// One per-thread heap operation; indices are reduced modulo live handles.
 #[derive(Clone, Copy, Debug)]
 enum TwinOp {
     Alloc { size: u16 },
     Write { idx: u8, value: u64 },
+    /// The same store through the byte-range path (`AddressSpace::write`),
+    /// which must gate and stage exactly like the word path.
+    WriteBytes { idx: u8, value: u64 },
     Read { idx: u8 },
     Free { idx: u8 },
     /// Free of an odd (hence never-allocated) offset: `BadFree` on both
@@ -392,7 +404,8 @@ enum TwinOp {
 fn twin_op_strategy() -> OneOf<TwinOp> {
     one_of![
         4 => (8u16..384).prop_map(|size| TwinOp::Alloc { size }),
-        4 => (any::<u8>(), any::<u64>()).prop_map(|(idx, value)| TwinOp::Write { idx, value }),
+        3 => (any::<u8>(), any::<u64>()).prop_map(|(idx, value)| TwinOp::Write { idx, value }),
+        1 => (any::<u8>(), any::<u64>()).prop_map(|(idx, value)| TwinOp::WriteBytes { idx, value }),
         4 => any::<u8>().prop_map(|idx| TwinOp::Read { idx }),
         2 => any::<u8>().prop_map(|idx| TwinOp::Free { idx }),
         1 => any::<u32>().prop_map(|off| TwinOp::BadFree { off }),
@@ -402,6 +415,23 @@ fn twin_op_strategy() -> OneOf<TwinOp> {
 
 type TwinTrace = Vec<Result<u64, std::mem::Discriminant<HeapError>>>;
 
+/// What one twin run observed: the per-step values/errors, the pending
+/// line count after each step, and the lines made durable in total.
+#[derive(Debug, PartialEq)]
+struct TwinRun {
+    trace: TwinTrace,
+    pending: Vec<usize>,
+    durable: u64,
+}
+
+/// Smallest allocation of a twin run under `model` (see the section note).
+fn twin_min_alloc(model: FlushModel) -> u64 {
+    match model {
+        FlushModel::Eadr => 0,
+        FlushModel::Adr => 64,
+    }
+}
+
 /// Executes one step of a logical thread's script against `space`,
 /// appending a layout-independent observation to `trace`.
 fn twin_step(
@@ -409,11 +439,12 @@ fn twin_step(
     pool: PoolId,
     space: &mut AddressSpace,
     locs: &mut Vec<RelLoc>,
+    min_alloc: u64,
     trace: &mut TwinTrace,
 ) {
     use std::mem::discriminant;
     let entry = match op {
-        TwinOp::Alloc { size } => match space.pmalloc(pool, u64::from(size)) {
+        TwinOp::Alloc { size } => match space.pmalloc(pool, u64::from(size).max(min_alloc)) {
             Ok(loc) => {
                 // Stamp the payload immediately: a fresh block may hold
                 // stale free-list words, which *are* layout-dependent.
@@ -430,6 +461,14 @@ fn twin_step(
             space
                 .ra2va(loc)
                 .and_then(|va| space.write_u64(va, value))
+                .map(|()| value)
+                .map_err(|e| discriminant(&e))
+        }
+        TwinOp::WriteBytes { idx, value } if !locs.is_empty() => {
+            let loc = locs[idx as usize % locs.len()];
+            space
+                .ra2va(loc)
+                .and_then(|va| space.write(va, &value.to_le_bytes()))
                 .map(|()| value)
                 .map_err(|e| discriminant(&e))
         }
@@ -456,9 +495,10 @@ fn twin_step(
 
 /// The seeded interleaving through N spaces over one `SharedPool`, each
 /// logical thread with its own slab-bound arena.
-fn run_twin_sharded(scripts: &[Vec<TwinOp>], order: &[u32]) -> TwinTrace {
+fn run_twin_sharded(scripts: &[Vec<TwinOp>], order: &[u32], model: FlushModel) -> TwinRun {
     let threads = scripts.len();
     let sp = SharedPool::create("twin", 8 << 20, 4).unwrap();
+    sp.set_flush_model(model);
     let mut spaces = Vec::new();
     let mut pools = Vec::new();
     for t in 0..threads {
@@ -470,27 +510,32 @@ fn run_twin_sharded(scripts: &[Vec<TwinOp>], order: &[u32]) -> TwinTrace {
         pools.push(pool);
     }
     let mut locs: Vec<Vec<RelLoc>> = vec![Vec::new(); threads];
-    let mut trace = TwinTrace::new();
+    let (mut trace, mut pending) = (TwinTrace::new(), Vec::new());
     for (t, j) in utpr_qc::sched::steps(order) {
         let t = t as usize;
-        twin_step(scripts[t][j as usize], pools[t], &mut spaces[t], &mut locs[t], &mut trace);
+        let op = scripts[t][j as usize];
+        twin_step(op, pools[t], &mut spaces[t], &mut locs[t], twin_min_alloc(model), &mut trace);
+        pending.push(sp.pending_lines());
     }
-    trace
+    TwinRun { trace, pending, durable: sp.lines_drained() }
 }
 
 /// The identical interleaving through one plain single-threaded space:
 /// logical threads keep separate handle lists but share the space.
-fn run_twin_reference(scripts: &[Vec<TwinOp>], order: &[u32]) -> TwinTrace {
+fn run_twin_reference(scripts: &[Vec<TwinOp>], order: &[u32], model: FlushModel) -> TwinRun {
     let threads = scripts.len();
     let mut space = AddressSpace::new(0x7717);
     let pool = space.create_pool("twin-ref", 8 << 20).unwrap();
+    space.set_flush_model(model);
     let mut locs: Vec<Vec<RelLoc>> = vec![Vec::new(); threads];
-    let mut trace = TwinTrace::new();
+    let (mut trace, mut pending) = (TwinTrace::new(), Vec::new());
     for (t, j) in utpr_qc::sched::steps(order) {
         let t = t as usize;
-        twin_step(scripts[t][j as usize], pool, &mut space, &mut locs[t], &mut trace);
+        let op = scripts[t][j as usize];
+        twin_step(op, pool, &mut space, &mut locs[t], twin_min_alloc(model), &mut trace);
+        pending.push(space.pending_lines());
     }
-    trace
+    TwinRun { trace, pending, durable: space.lines_flushed() }
 }
 
 props! {
@@ -498,7 +543,9 @@ props! {
 
     /// Three per-thread scripts under a seeded interleaving: the sharded
     /// heap and the single-threaded reference return the same values and
-    /// the same error identities at every step.
+    /// the same error identities at every step — and, under ADR, hold the
+    /// same number of lines in flight after every step and make the same
+    /// number durable.
     #[test]
     fn sharded_heap_matches_single_threaded_reference(
         s0 in collection::vec(twin_op_strategy(), 1..40),
@@ -510,9 +557,11 @@ props! {
         let counts: Vec<u64> = scripts.iter().map(|s| s.len() as u64).collect();
         let order =
             utpr_qc::sched::schedule(utpr_qc::sched::Policy::Seeded(seed), &counts);
-        let sharded = run_twin_sharded(&scripts, &order);
-        let reference = run_twin_reference(&scripts, &order);
-        prop_assert_eq!(&sharded, &reference);
+        for model in [FlushModel::Eadr, FlushModel::Adr] {
+            let sharded = run_twin_sharded(&scripts, &order, model);
+            let reference = run_twin_reference(&scripts, &order, model);
+            prop_assert_eq!(&sharded, &reference);
+        }
     }
 }
 
