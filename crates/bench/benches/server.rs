@@ -14,6 +14,12 @@
 //!   deliberately carries no `ops`/`cycles`/`checksum` so baseline
 //!   diffing skips it (crash timing is seeded but boundary counts move
 //!   with code changes);
+//! - one `serve_ping_rtt` record: 2 000 sequential PINGs on one blocking
+//!   connection, timed here with exact percentiles — no KV work, so the
+//!   figure is socket → poll → wake → socket and nothing else. It carries
+//!   no `ops` either (host time is never baselined); `verify.sh --serve`
+//!   fails if its p50 reaches one 200 µs sleep quantum, which any sleep
+//!   reintroduced on the request path must cost;
 //! - extras `fence_amortization` (fences/op at window 1 ÷ window 8 —
 //!   the tentpole gate wants ≥ 2.0), `checksum_ok`, and
 //!   `kill_oracles_ok`. Exits nonzero when a gate fails.
@@ -24,9 +30,10 @@ use utpr_bench::par;
 use utpr_bench::report::{BenchReport, Json};
 use utpr_heap::FlushModel;
 use utpr_kv::workload::key_of_index;
+use utpr_qc::bench::nearest_rank;
 use utpr_serve::{
-    expected_put_keys, kill_arm, preload, run_load, DirectView, KillSpec, LoadMode, LoadSpec,
-    ServeConfig, Server,
+    expected_put_keys, kill_arm, preload, run_load, Client, DirectView, KillSpec, LoadMode,
+    LoadSpec, Request, Response, ServeConfig, Server,
 };
 
 const SEED: u64 = 0x5EED_C0DE;
@@ -101,6 +108,9 @@ fn main() {
     );
     cells.push(cell);
 
+    let (ping_p50_us, ping_p99_us) = ping_rtt();
+    eprintln!("  serve_ping_rtt: p50 {ping_p50_us:.1}us, p99 {ping_p99_us:.1}us");
+
     // Gate 1: fence amortization — window 8 must at least halve fences
     // per write against the unbatched server.
     let unbatched = cells[0].fences_per_op;
@@ -145,6 +155,7 @@ fn main() {
             c.name, c.throughput, c.p50_us, c.p99_us, c.p999_us, c.fences_per_op
         );
     }
+    println!("serve_ping_rtt: p50 {ping_p50_us:.1}us p99 {ping_p99_us:.1}us");
     println!(
         "amortization w1/w8: {amortization:.1}x ({}), checksums {}, kill arm {}",
         if amortization_ok { "gate >= 2.0 holds" } else { "GATE FAILED" },
@@ -171,6 +182,12 @@ fn main() {
         ]));
     }
     rep.push_record(Json::obj(vec![
+        ("name", Json::Str("serve_ping_rtt".into())),
+        ("pings", Json::U64(PINGS as u64)),
+        ("p50_us", Json::F64(ping_p50_us)),
+        ("p99_us", Json::F64(ping_p99_us)),
+    ]));
+    rep.push_record(Json::obj(vec![
         ("name", Json::Str("serve_kill".into())),
         ("boundary", Json::U64(kill.boundary)),
         ("acked_puts", Json::U64(kill.acked)),
@@ -185,6 +202,25 @@ fn main() {
         eprintln!("server: gate failure (see above)");
         std::process::exit(1);
     }
+}
+
+const PINGS: usize = 2_000;
+
+/// Round trip of a request that does no KV work: `(p50, p99)` in µs over
+/// [`PINGS`] sequential PINGs on one blocking connection.
+fn ping_rtt() -> (f64, f64) {
+    let handle = Server::launch(&cfg(8)).expect("launch");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut us: Vec<f64> = (0..PINGS)
+        .map(|_| {
+            let t = Instant::now();
+            assert_eq!(client.call(&Request::Ping).expect("ping"), Response::Pong);
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    handle.shutdown();
+    us.sort_by(f64::total_cmp);
+    (nearest_rank(&us, 0.50), nearest_rank(&us, 0.99))
 }
 
 /// Runs a cell and audits final contents directly against the pool,

@@ -35,7 +35,7 @@ use utpr_qc::bench::nearest_rank;
 use utpr_qc::rng::splitmix64;
 
 use crate::proto::{Decoder, Request, Response};
-use crate::server::{DirectView, Result, ServeConfig, ServeError, Server};
+use crate::server::{end_pass, DirectView, Result, ServeConfig, ServeError, Server};
 
 /// How the generator paces requests.
 #[derive(Clone, Copy, Debug)]
@@ -448,6 +448,7 @@ fn drive_thread(
         LoadMode::Open { .. } => 1 << 14,
     };
     let mut rbuf = [0u8; 16 << 10];
+    let mut last_progress = Instant::now();
 
     loop {
         let mut progressed = false;
@@ -561,9 +562,9 @@ fn drive_thread(
         if all_done {
             break;
         }
-        if !progressed {
-            std::thread::sleep(Duration::from_micros(100));
-        }
+        // The shard loop's linger, for its reason: a harness that dozes
+        // between passes times its own naps, not the server.
+        end_pass(progressed, &mut last_progress, Duration::from_micros(100));
     }
 
     let wall = start.elapsed().as_secs_f64();

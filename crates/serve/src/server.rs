@@ -35,6 +35,15 @@
 //! fences throughout, ack after commit.
 //!
 //! Read-only chunks skip the transaction and the barrier entirely.
+//!
+//! ## Idle policy
+//!
+//! A pass that moved nothing ends in `yield_now` while the shard's last
+//! progress is younger than `LINGER`, and in a 200 µs sleep after that
+//! (`end_pass`): a shard with traffic in flight never sleeps on it, a
+//! silent server sleep-polls. Nothing on the request path blocks in
+//! `recv`/`park` — a blocked hand-off is 60× a polled one on the
+//! reference host (DESIGN.md §14).
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -44,7 +53,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use utpr_ds::concurrent::FlushCounters;
 use utpr_ds::{IndexCore, RbTree};
@@ -145,6 +154,9 @@ struct ServeStats {
     lines_persisted: AtomicU64,
     conns: AtomicU64,
     proto_errors: AtomicU64,
+    accept_errors: AtomicU64,
+    idle_sleeps: AtomicU64,
+    poll_yields: AtomicU64,
     crashed: AtomicBool,
     trans: Mutex<TransStats>,
 }
@@ -174,6 +186,12 @@ pub struct ServeCounters {
     pub conns: u64,
     /// Connections dropped for protocol violations.
     pub proto_errors: u64,
+    /// `accept` failures the acceptor backed off from and survived.
+    pub accept_errors: u64,
+    /// Shard passes that found nothing to do past the linger and slept.
+    pub idle_sleeps: u64,
+    /// Shard passes that found nothing to do inside the linger and yielded.
+    pub poll_yields: u64,
     /// Pool-wide fences (includes setup; subtract a baseline snapshot for
     /// steady-state rates).
     pub pool_fences: u64,
@@ -242,6 +260,9 @@ impl ServerHandle {
             lines_persisted: s.lines_persisted.load(Ordering::Relaxed),
             conns: s.conns.load(Ordering::Relaxed),
             proto_errors: s.proto_errors.load(Ordering::Relaxed),
+            accept_errors: s.accept_errors.load(Ordering::Relaxed),
+            idle_sleeps: s.idle_sleeps.load(Ordering::Relaxed),
+            poll_yields: s.poll_yields.load(Ordering::Relaxed),
             pool_fences: self.pool.fence_count(),
             pool_group_commits: self.pool.group_commits(),
             pool_lines_drained: self.pool.lines_drained(),
@@ -282,12 +303,17 @@ impl ServerHandle {
     }
 }
 
+/// A connection's name on its shard: assigned in accept order and never
+/// reused, so an answer that outlives its connection finds nobody — not a
+/// newer connection in the same place.
+type ConnId = u64;
+
 /// Where a pending op's answer goes.
 enum RespTo {
-    /// A connection on this shard: slot + sequence number.
-    Local { conn: u32, seq: u64 },
+    /// A connection on this shard: id + sequence number.
+    Local { conn: ConnId, seq: u64 },
     /// A connection on another shard, reached through its done-channel.
-    Remote { reply: Sender<Done>, conn: u32, seq: u64 },
+    Remote { reply: Sender<Done>, conn: ConnId, seq: u64 },
 }
 
 /// One operation waiting in a shard's backlog.
@@ -308,7 +334,7 @@ impl PendingOp {
 
 /// A completed remote op returning to its connection's shard.
 struct Done {
-    conn: u32,
+    conn: ConnId,
     seq: u64,
     bytes: Vec<u8>,
 }
@@ -317,7 +343,7 @@ struct Done {
 struct Fwd {
     req: Request,
     reply: Sender<Done>,
-    conn: u32,
+    conn: ConnId,
     seq: u64,
 }
 
@@ -333,7 +359,7 @@ struct Conn {
     ready: BTreeMap<u64, Vec<u8>>,
     /// Set on EOF or protocol error: stop reading, flush, then drop.
     closing: bool,
-    /// Fully closed; slot is dead (slots are not reused).
+    /// The socket failed; the end of this pass reaps the connection.
     closed: bool,
 }
 
@@ -464,7 +490,12 @@ impl Server {
                         Err(e) if e.kind() == ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_micros(500));
                         }
-                        Err(_) => break,
+                        // EMFILE, ECONNABORTED and their kin pass; a dead
+                        // acceptor refuses every later client for good.
+                        Err(_) => {
+                            stats.accept_errors.fetch_add(1, Ordering::Relaxed);
+                            std::thread::sleep(Duration::from_millis(10));
+                        }
                     }
                 }
             }));
@@ -596,6 +627,43 @@ impl DirectView {
     }
 }
 
+/// How long a poll loop keeps polling after it last moved something.
+///
+/// A blocked-thread hand-off on the reference host (`mpsc::recv`
+/// ping-pong) costs 44 µs round trip and swings with the host's phase; a
+/// polled one (`try_recv` + `yield_now`) costs 0.7 µs. So a loop that has
+/// seen traffic within `LINGER` yields instead of sleeping — no request
+/// waits out a sleep on a socket, a lane or a reorder buffer — and a
+/// silent one still falls back to its sleep-poll and costs what it always
+/// did. Measured at 10 k ops/s open loop: 200 µs still lets shards doze
+/// between arrivals (p99 56–78 µs against 44–52 µs); 5 ms buys nothing
+/// over 1 ms (p99 50–65 µs, p50 13–15 µs at all three).
+const LINGER: Duration = Duration::from_millis(1);
+
+/// What the end of a poll pass did.
+pub(crate) enum Pass {
+    /// The pass moved something; the linger restarts.
+    Worked,
+    /// Idle inside the linger: the thread yielded its core and comes back.
+    Yielded,
+    /// Idle past the linger: the thread slept `nap`.
+    Slept,
+}
+
+/// Ends one pass of a poll loop — the shard's or the load harness's.
+pub(crate) fn end_pass(progressed: bool, last_progress: &mut Instant, nap: Duration) -> Pass {
+    if progressed {
+        *last_progress = Instant::now();
+        Pass::Worked
+    } else if last_progress.elapsed() < LINGER {
+        std::thread::yield_now();
+        Pass::Yielded
+    } else {
+        std::thread::sleep(nap);
+        Pass::Slept
+    }
+}
+
 struct ShardLanes {
     conn_rx: Receiver<TcpStream>,
     fwd_rx: Receiver<Fwd>,
@@ -633,10 +701,14 @@ fn shard_main(
     };
     let mut store: KvStore<RbTree> = KvStore::open(desc);
 
-    let mut conns: Vec<Conn> = Vec::new();
+    // Live connections only: a pass costs what is connected now, not what
+    // ever was.
+    let mut conns: BTreeMap<ConnId, Conn> = BTreeMap::new();
+    let mut next_conn: ConnId = 0;
     let mut pending: VecDeque<PendingOp> = VecDeque::new();
     let mut rbuf = [0u8; 16 << 10];
     let mut elided_seen = 0u64;
+    let mut last_progress = Instant::now();
 
     'outer: loop {
         // An injected crash is machine-wide: once any shard trips the
@@ -648,42 +720,43 @@ fn shard_main(
 
         // New connections.
         while let Ok(stream) = lanes.conn_rx.try_recv() {
-            conns.push(Conn {
-                stream,
-                dec: Decoder::new(),
-                wbuf: Vec::new(),
-                next_seq: 0,
-                next_out: 0,
-                ready: BTreeMap::new(),
-                closing: false,
-                closed: false,
-            });
+            conns.insert(
+                next_conn,
+                Conn {
+                    stream,
+                    dec: Decoder::new(),
+                    wbuf: Vec::new(),
+                    next_seq: 0,
+                    next_out: 0,
+                    ready: BTreeMap::new(),
+                    closing: false,
+                    closed: false,
+                },
+            );
+            next_conn += 1;
             progressed = true;
         }
 
         // Socket reads → decoded requests → route.
-        for slot in 0..conns.len() {
-            if conns[slot].closed || conns[slot].closing {
+        for (&id, conn) in &mut conns {
+            if conn.closing {
                 continue;
             }
             loop {
-                match conns[slot].stream.read(&mut rbuf) {
+                match conn.stream.read(&mut rbuf) {
                     Ok(0) => {
                         // EOF inside a frame is a typed protocol error;
                         // a clean boundary is just a hangup.
-                        if conns[slot].dec.finish().is_err() {
-                            proto_reject(&mut conns[slot], stats, &ProtoError::Truncated);
+                        if conn.dec.finish().is_err() {
+                            proto_reject(conn, stats, &ProtoError::Truncated);
                         }
-                        conns[slot].closing = true;
+                        conn.closing = true;
                         break;
                     }
                     Ok(n) => {
                         progressed = true;
-                        conns[slot].dec.feed(&rbuf[..n]);
-                        if !drain_frames(
-                            me, cfg, slot as u32, &mut conns[slot], &lanes, &mut pending,
-                            stats,
-                        ) {
+                        conn.dec.feed(&rbuf[..n]);
+                        if !drain_frames(me, cfg, id, conn, &lanes, &mut pending, stats) {
                             break;
                         }
                         if n < rbuf.len() {
@@ -692,7 +765,7 @@ fn shard_main(
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(_) => {
-                        conns[slot].closed = true;
+                        conn.closed = true;
                         break;
                     }
                 }
@@ -798,8 +871,11 @@ fn shard_main(
                 let mut bytes = Vec::new();
                 resp.encode(&mut bytes);
                 match to {
+                    // A reply that outlived its connection is dropped.
                     RespTo::Local { conn, seq } => {
-                        conns[conn as usize].ready.insert(seq, bytes);
+                        if let Some(c) = conns.get_mut(&conn) {
+                            c.ready.insert(seq, bytes);
+                        }
                     }
                     RespTo::Remote { reply, conn, seq } => {
                         let _ = reply.send(Done { conn, seq, bytes });
@@ -810,52 +886,48 @@ fn shard_main(
 
         // Completions returning from other shards.
         while let Ok(d) = lanes.done_rx.try_recv() {
-            if let Some(c) = conns.get_mut(d.conn as usize) {
+            if let Some(c) = conns.get_mut(&d.conn) {
                 c.ready.insert(d.seq, d.bytes);
             }
             progressed = true;
         }
 
-        // Wire: release in-order responses, then push bytes.
-        for c in &mut conns {
-            if c.closed {
-                continue;
-            }
+        // Wire: release in-order responses, then push bytes. A connection
+        // that ends here is dropped with its socket and buffers.
+        conns.retain(|_, c| {
             while let Some(bytes) = c.ready.remove(&c.next_out) {
                 c.wbuf.extend_from_slice(&bytes);
                 c.next_out += 1;
             }
-            while !c.wbuf.is_empty() {
+            while !c.closed && !c.wbuf.is_empty() {
                 match c.stream.write(&c.wbuf) {
-                    Ok(0) => {
-                        c.closed = true;
-                        break;
-                    }
+                    Ok(0) => c.closed = true,
                     Ok(n) => {
                         c.wbuf.drain(..n);
                         progressed = true;
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        c.closed = true;
-                        break;
-                    }
+                    Err(_) => c.closed = true,
                 }
             }
             // A closing conn with no queued work left is done: everything
             // it was owed (including in-flight remote ops) has shipped.
-            if c.closing && c.wbuf.is_empty() && c.ready.is_empty() && c.next_out == c.next_seq
-            {
-                c.closed = true;
-            }
-        }
+            let shipped = c.closing
+                && c.wbuf.is_empty()
+                && c.ready.is_empty()
+                && c.next_out == c.next_seq;
+            !(c.closed || shipped)
+        });
 
         if stop.load(Ordering::Acquire) && pending.is_empty() {
             break;
         }
-        if !progressed {
-            std::thread::sleep(Duration::from_micros(200));
-        }
+        let idle = match end_pass(progressed, &mut last_progress, Duration::from_micros(200)) {
+            Pass::Worked => continue,
+            Pass::Yielded => &stats.poll_yields,
+            Pass::Slept => &stats.idle_sleeps,
+        };
+        idle.fetch_add(1, Ordering::Relaxed);
     }
 
     // Fold this shard's translation stats into the shared plane.
@@ -880,7 +952,7 @@ fn clone_to(to: &RespTo) -> RespTo {
 fn drain_frames(
     me: u32,
     cfg: &ServeConfig,
-    slot: u32,
+    id: ConnId,
     conn: &mut Conn,
     lanes: &ShardLanes,
     pending: &mut VecDeque<PendingOp>,
@@ -955,14 +1027,14 @@ fn drain_frames(
         };
 
         if owner == me {
-            pending.push_back(PendingOp { req, to: RespTo::Local { conn: slot, seq } });
+            pending.push_back(PendingOp { req, to: RespTo::Local { conn: id, seq } });
         } else {
             // A dead peer shard (crash arm) drops the op; the client sees
             // a silent non-ack, which is exactly a crash's contract.
             let _ = lanes.fwd_txs[owner as usize].send(Fwd {
                 req,
                 reply: lanes.done_tx.clone(),
-                conn: slot,
+                conn: id,
                 seq,
             });
         }

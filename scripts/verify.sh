@@ -55,11 +55,13 @@
 #   --serve        additionally run the group-commit server smoke: the
 #                  wire-protocol property battery, the loopback
 #                  integration tests (semantics, fence gate, determinism,
-#                  kill-mid-load recovery), then the server bench at small
+#                  kill-mid-load recovery, idle policy and connection
+#                  reaping), then the server bench at small
 #                  scale; check BENCH_server.json is emitted with p99
 #                  latency reported, batched fences/op at most half of
 #                  unbatched (amortization >= 2x), window-invariant
-#                  contents checksums, and zero kill-arm oracle failures
+#                  contents checksums, zero kill-arm oracle failures, and
+#                  a PING round trip p50 under 200 us (one sleep quantum)
 #
 # Environment:
 #   UTPR_QC_SEED  override the property-test base seed (decimal or 0x-hex)
@@ -399,7 +401,15 @@ if [[ "$run_serve" == 1 ]]; then
         echo "verify: fence amortization ${amort}x below the 2x floor (batched fences/op must be <= 0.5x unbatched)" >&2
         exit 1
     }
-    echo "smoke: server clean (amortization ${amort}x, checksums invariant, kill arm recovered)"
+    # One sleep quantum: a PING measures ~7 us when nothing on the request
+    # path sleeps (33 us when the blocked client's wake-up lands on a halted
+    # core) and >= 200 us as soon as anything does.
+    ping=$(sed -n 's/.*"name":"serve_ping_rtt"[^}]*"p50_us":\([0-9.]*\).*/\1/p' "$srv_dir/BENCH_server.json")
+    awk -v p="$ping" 'BEGIN { exit !(p != "" && p < 200) }' || {
+        echo "verify: PING round trip p50 '${ping}' us is not under 200 us — something sleeps on the request path" >&2
+        exit 1
+    }
+    echo "smoke: server clean (amortization ${amort}x, checksums invariant, kill arm recovered, PING p50 ${ping} us)"
 fi
 
 echo "verify: OK"
