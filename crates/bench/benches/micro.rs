@@ -76,6 +76,34 @@ fn bench_pagestore(c: &mut Bench) {
             mem.write_u64(black_box(256), v);
         });
     });
+
+    // The page table at realistic size: 4 096 resident pages visited in a
+    // fixed shuffled order, so the memo always misses — dense from page 0
+    // (a pool) and interleaved at 64·i + 5 (one `SharedPool` stripe).
+    const PAGES: u64 = 4096;
+    let mut order: Vec<u64> = (0..PAGES).collect();
+    let mut rng = Rng::new(21);
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    for (name, stride, first) in [
+        ("pagestore/read_u64_scattered", 1, 0),
+        ("pagestore/read_u64_interleaved", 64, 5),
+    ] {
+        let offset = |i: u64| (stride * i + first) * PAGE_SIZE + 128;
+        let mut mem = PageStore::new();
+        for i in 0..PAGES {
+            mem.write_u64(offset(i), i);
+        }
+        let offsets: Vec<u64> = order.iter().map(|&i| offset(i)).collect();
+        c.bench_function(name, |b| {
+            let mut k = 0;
+            b.iter(|| {
+                k = (k + 1) % offsets.len();
+                black_box(mem.read_u64(black_box(offsets[k])))
+            });
+        });
+    }
 }
 
 fn bench_workload(c: &mut Bench) {

@@ -17,9 +17,6 @@
 //!   taking `&self` plus a per-thread [`crate::concurrent::Handle`]
 //!   instead of `&mut self`/`&mut ExecEnv`.
 //!
-//! [`Index`] remains as the combined alias (blanket-implemented for every
-//! `IndexOps` type), so existing `I: Index` bounds keep compiling.
-//!
 //! `get` and `len` take `&self`: the structure value owns no memory, only
 //! the descriptor pointer, so even self-adjusting reads mutate *pool*
 //! memory through the environment, never the handle. The splay tree is the
@@ -104,13 +101,6 @@ pub trait IndexOps: IndexCore {
     fn len<S: TimingSink>(&self, env: &mut ExecEnv<S>) -> Result<u64>;
 }
 
-/// The combined sequential interface — the pre-split trait, kept as an
-/// alias so `I: Index` bounds (store, faultsweep, ycsb, benches) keep
-/// working unchanged.
-pub trait Index: IndexOps {}
-
-impl<T: IndexOps> Index for T {}
-
 /// Exhaustive cross-check of an index against a model map — shared by the
 /// per-structure test suites.
 #[cfg(test)]
@@ -128,7 +118,7 @@ pub(crate) mod testing {
 
     /// Runs a deterministic pseudo-random op sequence against the index and
     /// a BTreeMap oracle in the given mode.
-    pub fn oracle_test<I: Index>(mode: Mode, ops: usize) {
+    pub fn oracle_test<I: IndexOps>(mode: Mode, ops: usize) {
         let mut env = env_for(mode);
         let mut idx = I::create(&mut env).unwrap();
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
@@ -170,7 +160,7 @@ pub(crate) mod testing {
 
     /// Builds an index, persists the descriptor in the pool root, restarts
     /// the process, reopens, and checks the content survived relocation.
-    pub fn crash_recovery_test<I: Index>() {
+    pub fn crash_recovery_test<I: IndexOps>() {
         use utpr_ptr::site;
         let mut env = env_for(Mode::Hw);
         let mut idx = I::create(&mut env).unwrap();

@@ -15,9 +15,8 @@
 //! | AVL   | AVL tree             | [`avl`] |
 //! | SG    | scapegoat tree       | [`sg`] |
 //!
-//! The five maps implement [`IndexOps`] (lifecycle in [`IndexCore`], with
-//! [`Index`] as the combined alias); the list has its own iteration
-//! harness, as in the paper. A bonus [`bplus`] B+ tree (wide nodes, leaf
+//! The five maps implement [`IndexOps`] (lifecycle in [`IndexCore`]); the
+//! list has its own iteration harness, as in the paper. A bonus [`bplus`] B+ tree (wide nodes, leaf
 //! chain) extends the suite beyond Table III.
 //!
 //! The [`concurrent`] module adds durable-linearizable multi-thread
@@ -38,7 +37,7 @@ pub use avl::AvlTree;
 pub use bplus::BPlusTree;
 pub use concurrent::{ConcHash, ConcList, ConcurrentIndex, FlushStrategy, Handle, Striped};
 pub use hash::HashMapIndex;
-pub use index::{Index, IndexCore, IndexOps};
+pub use index::{IndexCore, IndexOps};
 pub use ll::LinkedList;
 pub use rb::RbTree;
 pub use sg::ScapegoatTree;

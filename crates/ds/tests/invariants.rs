@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 
-use utpr_ds::{AvlTree, BPlusTree, Index, RbTree, ScapegoatTree};
+use utpr_ds::{AvlTree, BPlusTree, IndexOps, RbTree, ScapegoatTree};
 use utpr_heap::AddressSpace;
 use utpr_ptr::{ExecEnv, Mode, NullSink};
 use utpr_qc::prelude::*;
@@ -29,7 +29,7 @@ fn op_gen() -> OneOf<Op> {
 /// panics on violations and returns the node/key count.
 fn run_ops<T, V>(mode: Mode, ops: &[Op], validate: V) -> Result<(), String>
 where
-    T: Index,
+    T: IndexOps,
     V: Fn(&mut T, &mut ExecEnv<NullSink>) -> u64,
 {
     let mut space = AddressSpace::new(0xD5 ^ mode.label().len() as u64);

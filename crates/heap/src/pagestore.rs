@@ -6,27 +6,122 @@
 //! region costs memory proportional to the bytes actually touched.
 //!
 //! This sits on the hottest path of the whole tree — every simulated load
-//! and store of every benchmark run funnels through it — so the layout is
-//! tuned for the common case: pages live in a slab arena (`Vec<Box<[u8]>>`)
-//! with a `HashMap` from page number to slab slot, and a one-entry
-//! last-page memo lets consecutive accesses to the same page (the
-//! overwhelmingly common pattern: a node's fields, the allocator header,
-//! a stack frame) skip the hash probe entirely. `read_u64`/`write_u64`
+//! and store of every benchmark run funnels through it — so finding a page
+//! is what a hardware page walk would be, a table index, not a hash-map
+//! probe. Pages live in a slab arena (`Vec<Box<[u8; 4096]>>`, a thin
+//! pointer per page) and a private page table maps page number to slab
+//! slot: open addressing over a power-of-two array, Fibonacci hashing (one
+//! multiply, top bits pick the home entry), linear probing, load factor at
+//! most ½ and no deletion. A lookup is one multiply and, almost always,
+//! one load. The hash has no defence against crafted collisions and needs
+//! none: page numbers come from this program's own allocators and address
+//! layout, never from outside input (a served key picks a tree node, not
+//! a page).
+//!
+//! The same table serves all three kinds of store with memory
+//! proportional to the *resident* pages, whatever their page numbers: a
+//! pool's pages are dense from 0, the DRAM half is keyed by raw VA
+//! anywhere below 2^47, and each of `SharedPool`'s page-interleaved
+//! stripes holds one page in 64 of a pool's whole range. (A flat array
+//! indexed by page number would be as long as the range — a pool's
+//! boundary-tag footer sits at its far end — and a radix tree pays a leaf
+//! per stripe page.)
+//!
+//! In front of the table a one-entry last-page memo lets consecutive
+//! accesses to the same page (a node's fields, the allocator header, a
+//! stack frame) skip even the multiply. `read_u64`/`write_u64`
 //! additionally take an in-page fast path that avoids the generic
 //! multi-page copy loop whenever the word does not straddle a page
 //! boundary.
 
 use std::cell::Cell;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// Size of a backing page in bytes.
 pub const PAGE_SIZE: u64 = 4096;
 
-/// Sentinel page number marking the last-page memo invalid. No reachable
-/// access maps to it: offsets near `u64::MAX` would need a page number of
-/// `u64::MAX / PAGE_SIZE`, far below this.
+const PAGE_BYTES: usize = PAGE_SIZE as usize;
+
+/// One materialized page.
+type Page = Box<[u8; PAGE_BYTES]>;
+
+/// Sentinel page number: marks a free page-table entry and an invalid
+/// last-page memo. No reachable access maps to it: offsets near
+/// `u64::MAX` would need a page number of `u64::MAX / PAGE_SIZE`, far
+/// below this.
 const NO_PAGE: u64 = u64::MAX;
+
+/// 2^64 / φ: the Fibonacci-hashing multiplier. Consecutive and strided
+/// page numbers land evenly spread across the table's top bits.
+const FIB: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// log2 of the smallest page table, in entries.
+const MIN_TABLE_BITS: u32 = 3;
+
+/// Page number -> slab slot. Open addressing with linear probing over a
+/// power-of-two array, at most half full, so every probe run ends at a
+/// free entry. Entries are never removed (slots are never freed
+/// individually), so there are no tombstones. At most four entries —
+/// 64 bytes — per resident page.
+#[derive(Clone, Debug)]
+struct PageTable {
+    /// `(page_no, slot)`; `page_no == NO_PAGE` marks a free entry.
+    entries: Vec<(u64, u32)>,
+    /// `64 - log2(entries.len())`: the multiply's top bits are the home.
+    shift: u32,
+    /// Occupied entries.
+    len: usize,
+}
+
+impl PageTable {
+    fn with_bits(bits: u32) -> Self {
+        PageTable {
+            entries: vec![(NO_PAGE, 0); 1 << bits],
+            shift: 64 - bits,
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn home(&self, page_no: u64) -> usize {
+        (page_no.wrapping_mul(FIB) >> self.shift) as usize
+    }
+
+    /// The slot holding `page_no`, if it was ever materialized.
+    #[inline]
+    fn get(&self, page_no: u64) -> Option<u32> {
+        let mask = self.entries.len() - 1;
+        let mut i = self.home(page_no);
+        loop {
+            let (p, slot) = self.entries[i];
+            if p == page_no {
+                return Some(slot);
+            }
+            if p == NO_PAGE {
+                return None;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Records `page_no -> slot`; `page_no` must be absent. Doubles the
+    /// table first when this entry would make it more than half full.
+    fn insert(&mut self, page_no: u64, slot: u32) {
+        if 2 * (self.len + 1) > self.entries.len() {
+            let mut grown = PageTable::with_bits(65 - self.shift);
+            for &(p, s) in self.entries.iter().filter(|e| e.0 != NO_PAGE) {
+                grown.insert(p, s);
+            }
+            *self = grown;
+        }
+        let mask = self.entries.len() - 1;
+        let mut i = self.home(page_no);
+        while self.entries[i].0 != NO_PAGE {
+            i = (i + 1) & mask;
+        }
+        self.entries[i] = (page_no, slot);
+        self.len += 1;
+    }
+}
 
 /// Sparse, zero-initialized byte storage indexed by absolute offsets.
 ///
@@ -47,12 +142,12 @@ const NO_PAGE: u64 = u64::MAX;
 pub struct PageStore {
     /// Page number -> slot in `slabs`. Probed once per page, and only when
     /// the memo misses.
-    index: HashMap<u64, u32>,
+    table: PageTable,
     /// The materialized pages. Slots are never freed individually (only
     /// `clear` drops them), so memoized slot numbers stay valid.
-    slabs: Vec<Box<[u8]>>,
-    /// Slot -> page number, the reverse of `index` (kept so dirty-page and
-    /// resident-page enumeration never walks the hash map).
+    slabs: Vec<Page>,
+    /// Slot -> page number, the reverse of `table` (kept so dirty-page and
+    /// resident-page enumeration never walks the table).
     slot_pages: Vec<u64>,
     /// Per-slot dirty bitmap, maintained only while `track_dirty` is set.
     /// Slot `s` lives at bit `s % 64` of word `s / 64`.
@@ -76,7 +171,7 @@ impl PageStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         PageStore {
-            index: HashMap::new(),
+            table: PageTable::with_bits(MIN_TABLE_BITS),
             slabs: Vec::new(),
             slot_pages: Vec::new(),
             dirty: Vec::new(),
@@ -97,7 +192,7 @@ impl PageStore {
 
     /// Drops every page, returning the store to all-zero contents.
     pub fn clear(&mut self) {
-        self.index.clear();
+        self.table = PageTable::with_bits(MIN_TABLE_BITS);
         self.slabs.clear();
         self.slot_pages.clear();
         self.dirty.clear();
@@ -172,8 +267,8 @@ impl PageStore {
         let slot = if last_no == page_no {
             last_slot
         } else {
-            match self.index.get(&page_no) {
-                Some(&s) => s,
+            match self.table.get(page_no) {
+                Some(s) => s,
                 None => return false,
             }
         };
@@ -185,7 +280,7 @@ impl PageStore {
     /// Forgets the dirty mark of just `page_no` (after that one page was
     /// resealed — the incremental counterpart of [`PageStore::clear_dirty`]).
     pub fn clear_dirty_page(&mut self, page_no: u64) {
-        if let Some(&slot) = self.index.get(&page_no) {
+        if let Some(slot) = self.table.get(page_no) {
             if let Some(w) = self.dirty.get_mut(slot as usize / 64) {
                 *w &= !(1u64 << (slot % 64));
             }
@@ -201,7 +296,7 @@ impl PageStore {
 
     /// The raw bytes of page `page_no`, or `None` if never written.
     pub fn page_bytes(&self, page_no: u64) -> Option<&[u8]> {
-        self.page(page_no)
+        self.page(page_no).map(|p| &p[..])
     }
 
     /// Flips bit `bit` of the byte at `offset` — *without* marking the page
@@ -209,7 +304,7 @@ impl PageStore {
     /// as silent media decay would leave it. Returns `false` (no flip) when
     /// the page was never materialized.
     pub fn corrupt_bit(&mut self, offset: u64, bit: u8) -> bool {
-        let Some(&slot) = self.index.get(&(offset / PAGE_SIZE)) else {
+        let Some(slot) = self.table.get(offset / PAGE_SIZE) else {
             return false;
         };
         self.slabs[slot as usize][(offset % PAGE_SIZE) as usize] ^= 1 << (bit % 8);
@@ -219,12 +314,12 @@ impl PageStore {
     /// The page backing `page_no`, or `None` if it was never written.
     /// Refreshes the last-page memo on an index hit.
     #[inline]
-    fn page(&self, page_no: u64) -> Option<&[u8]> {
+    fn page(&self, page_no: u64) -> Option<&[u8; PAGE_BYTES]> {
         let (last_no, last_slot) = self.last.get();
         if last_no == page_no {
             return Some(&self.slabs[last_slot as usize]);
         }
-        let slot = *self.index.get(&page_no)?;
+        let slot = self.table.get(page_no)?;
         self.last.set((page_no, slot));
         Some(&self.slabs[slot as usize])
     }
@@ -232,24 +327,34 @@ impl PageStore {
     /// The page backing `page_no`, materializing it zero-filled if absent.
     /// Every caller is a write path, so the page is marked dirty here.
     #[inline]
-    fn page_mut(&mut self, page_no: u64) -> &mut [u8] {
+    fn page_mut(&mut self, page_no: u64) -> &mut [u8; PAGE_BYTES] {
         let (last_no, last_slot) = self.last.get();
         if last_no == page_no {
             self.mark_dirty(last_slot);
             return &mut self.slabs[last_slot as usize];
         }
-        let slot = match self.index.entry(page_no) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(v) => {
-                let slot = u32::try_from(self.slabs.len()).expect("page count fits in u32");
-                self.slabs.push(vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
-                self.slot_pages.push(page_no);
-                *v.insert(slot)
-            }
+        let slot = match self.table.get(page_no) {
+            Some(slot) => slot,
+            None => self.materialize(page_no),
         };
         self.last.set((page_no, slot));
         self.mark_dirty(slot);
         &mut self.slabs[slot as usize]
+    }
+
+    /// Appends a zero-filled page for `page_no` (absent) and returns its
+    /// slot. Out of line: a page is materialized once and read many times.
+    #[inline(never)]
+    fn materialize(&mut self, page_no: u64) -> u32 {
+        let slot = u32::try_from(self.slabs.len()).expect("page count fits in u32");
+        let page: Page = vec![0u8; PAGE_BYTES]
+            .into_boxed_slice()
+            .try_into()
+            .expect("PAGE_BYTES-long slice");
+        self.slabs.push(page);
+        self.slot_pages.push(page_no);
+        self.table.insert(page_no, slot);
+        slot
     }
 
     /// Reads `buf.len()` bytes starting at `offset`.
@@ -445,6 +550,24 @@ mod tests {
         let c = s.clone();
         assert_eq!(c.read_u64(0), 1);
         assert_eq!(c.read_u64(PAGE_SIZE * 3), 2);
+    }
+
+    #[test]
+    fn page_table_memory_is_bounded_by_resident_pages() {
+        // Pool-like, stripe-like and far-DRAM page numbers alike.
+        let top = (1u64 << 47) / PAGE_SIZE;
+        for (first, stride) in [(0, 1), (5, 64), (1 << 32, 1), (top - 3_000, 1)] {
+            let mut s = PageStore::new();
+            for i in 0..3_000u64 {
+                s.write_u64((first + i * stride) * PAGE_SIZE, i + 1);
+                let entries = s.table.entries.len();
+                assert!(entries <= 4 * s.resident_pages().max(2), "{entries} entries");
+            }
+            for i in 0..3_000u64 {
+                assert_eq!(s.read_u64((first + i * stride) * PAGE_SIZE), i + 1);
+            }
+            assert_eq!(s.read_u64((first + 3_000 * stride) * PAGE_SIZE), 0);
+        }
     }
 
     #[test]

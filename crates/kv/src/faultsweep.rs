@@ -8,7 +8,7 @@
 //! the address space and rolls back the torn transaction, and the
 //! recovered structure is checked against three oracles:
 //!
-//! 1. its own invariant validator ([`Index::validate`]),
+//! 1. its own invariant validator ([`utpr_ds::IndexCore::validate`]),
 //! 2. exact contents against the transaction-prefix model the recovered
 //!    image must equal (the op being crashed either rolled back or — when
 //!    the crash struck its post-commit deferred frees — committed),
@@ -44,7 +44,7 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use utpr_ds::{
-    AvlTree, BPlusTree, HashMapIndex, Index, LinkedList, RbTree, ScapegoatTree, SplayTree,
+    AvlTree, BPlusTree, HashMapIndex, IndexOps, LinkedList, RbTree, ScapegoatTree, SplayTree,
 };
 use utpr_heap::{
     crash_and_recover, select_points, AddressSpace, FaultPlan, FlushModel, HeapError,
@@ -263,7 +263,7 @@ enum MapOp {
     Remove(u64),
 }
 
-impl<I: Index> Subject for KvStore<I> {
+impl<I: IndexOps> Subject for KvStore<I> {
     const NAME: &'static str = I::NAME;
     type Op = MapOp;
     type Model = BTreeMap<u64, u64>;

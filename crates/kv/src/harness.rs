@@ -4,9 +4,9 @@
 
 use crate::store::KvStore;
 use crate::workload::{generate, WorkloadSpec};
-use utpr_ds::{AvlTree, BPlusTree, HashMapIndex, Index, IndexCore, LinkedList, RbTree, ScapegoatTree, SplayTree};
+use utpr_ds::{AvlTree, BPlusTree, HashMapIndex, IndexOps, LinkedList, RbTree, ScapegoatTree, SplayTree};
 use utpr_heap::{AddressSpace, HeapError, TransStats};
-use utpr_ptr::{site, ExecEnv, Mode, PtrStats};
+use utpr_ptr::{ExecEnv, Mode, PtrStats};
 use utpr_sim::{Machine, RangeEntry, SimConfig, SimStats};
 
 /// Result alias.
@@ -116,7 +116,7 @@ fn finish(benchmark: Benchmark, mode: Mode, env: ExecEnv<Machine>, checksum: u64
 /// # Errors
 ///
 /// Propagates allocation/translation failures.
-pub fn run_index_bench<I: Index>(
+pub fn run_index_bench<I: IndexOps>(
     benchmark: Benchmark,
     mode: Mode,
     sim: SimConfig,
@@ -226,31 +226,6 @@ pub fn run_all_modes(
     Ok(results)
 }
 
-/// Builds a persistent KV store, crashes, reopens it, and re-runs reads —
-/// the end-to-end recoverability demonstration used by examples and tests.
-///
-/// # Errors
-///
-/// Propagates failures.
-pub fn crash_and_recover_demo(spec: &WorkloadSpec) -> Result<(u64, u64)> {
-    let mut env = fresh_env(Mode::Hw, SimConfig::table_iv(), 256)?;
-    let w = generate(spec);
-    let mut store: KvStore<RbTree> = KvStore::create(&mut env)?;
-    store.load(&mut env, &w)?;
-    let before = store.len(&mut env)?;
-    env.set_root(site!("harness.save-root", StackLocal), store.index().descriptor())?;
-
-    env.space_mut().restart();
-    env.space_mut().open_pool("bench")?;
-    let desc = env.root(site!("harness.load-root", KnownReturn))?;
-    let mut reopened: KvStore<RbTree> = KvStore::open(desc);
-    let after = reopened.len(&mut env)?;
-    for k in &w.load_keys {
-        assert_eq!(reopened.get(&mut env, *k)?, Some(k ^ 0x5a5a_5a5a_5a5a_5a5a));
-    }
-    Ok((before, after))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,12 +285,6 @@ mod tests {
             sums.push(r.checksum);
         }
         assert!(sums.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn crash_recovery_demo() {
-        let (before, after) = crash_and_recover_demo(&tiny_spec()).unwrap();
-        assert_eq!(before, after);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! pipeline end to end:
 //!
 //! - [`workload`] — zipfian / latest-distribution operation streams;
-//! - [`store`] — the KV store generic over any [`utpr_ds::Index`];
+//! - [`store`] — the KV store generic over any [`utpr_ds::IndexOps`];
 //! - [`harness`] — machine + environment assembly, warm-up, and measured
 //!   runs producing [`harness::BenchResult`]s for the figure generators.
 //!

@@ -3,7 +3,7 @@
 //! six Boost structures.
 
 use crate::workload::{Op, Workload};
-use utpr_ds::Index;
+use utpr_ds::IndexOps;
 use utpr_heap::HeapError;
 use utpr_ptr::{ExecEnv, TimingSink};
 
@@ -23,7 +23,7 @@ pub struct RunSummary {
     pub checksum: u64,
 }
 
-/// A key-value store over any [`Index`].
+/// A key-value store over any [`IndexOps`].
 ///
 /// # Examples
 ///
@@ -42,11 +42,11 @@ pub struct RunSummary {
 /// # Ok::<(), utpr_heap::HeapError>(())
 /// ```
 #[derive(Debug)]
-pub struct KvStore<I: Index> {
+pub struct KvStore<I: IndexOps> {
     index: I,
 }
 
-impl<I: Index> KvStore<I> {
+impl<I: IndexOps> KvStore<I> {
     /// Creates an empty store.
     ///
     /// # Errors
@@ -156,7 +156,7 @@ mod tests {
         ExecEnv::builder(space).mode(mode).pool(pool).build()
     }
 
-    fn summary_for<I: Index>(mode: Mode) -> RunSummary {
+    fn summary_for<I: IndexOps>(mode: Mode) -> RunSummary {
         let mut e = env(mode);
         let mut store: KvStore<I> = KvStore::create(&mut e).unwrap();
         let w = generate(&WorkloadSpec::small());

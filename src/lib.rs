@@ -126,7 +126,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub mod prelude {
     pub use crate::ds::{
         AvlTree, BPlusTree, ConcHash, ConcList, ConcurrentIndex, FlushStrategy, HashMapIndex,
-        Index, IndexCore, IndexOps, LinkedList, RbTree, ScapegoatTree, SplayTree, Striped,
+        IndexCore, IndexOps, LinkedList, RbTree, ScapegoatTree, SplayTree, Striped,
     };
     pub use crate::heap::{
         AddressSpace, FaultPlan, PoolId, RelLoc, SharedPool, SlabId, UndoLog, VirtAddr,

@@ -12,7 +12,7 @@ fn spec() -> WorkloadSpec {
     WorkloadSpec { records: 300, operations: 0, read_fraction: 1.0, seed: 31 }
 }
 
-fn crash_cycle<I: Index>(mode: Mode) {
+fn crash_cycle<I: IndexOps>(mode: Mode) {
     let mut space = AddressSpace::new(61);
     let pool = space.create_pool("crash", 32 << 20).unwrap();
     let mut env = ExecEnv::builder(space).mode(mode).pool(pool).build();

@@ -3,7 +3,7 @@
 //! round-trips, and pool lifecycle sequences.
 
 use utpr_qc::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use utpr_heap::{
     AddressSpace, FlushModel, HeapError, PageStore, PoolId, Region, RelLoc, SharedPool,
 };
@@ -224,6 +224,95 @@ props! {
             prop_assert!(va.raw() >= att.base.raw());
             prop_assert!(va.raw() + size <= att.base.raw() + att.size);
             spans.push((loc.offset, size));
+        }
+    }
+}
+
+// ---- the page table at realistic sizes and spreads ------------------------
+
+/// Page `i` of one of three page-number populations: dense from 0 (a
+/// pool), one page in 64 (a `SharedPool` stripe), or far DRAM addresses —
+/// even `i` just above 2^32, odd `i` just below `DRAM_END`.
+fn sparse_page(population: u8, i: u64) -> u64 {
+    const PAGE: u64 = utpr_heap::pagestore::PAGE_SIZE;
+    match population {
+        0 => i,
+        1 => 64 * i + 5,
+        _ if i % 2 == 0 => (1 << 32) / PAGE + i,
+        _ => utpr_heap::addr::DRAM_END / PAGE - 1 - i,
+    }
+}
+
+/// One `PageStore` op: `sel` 0–3 write 8, 4, 3 or 1 bytes of `val` at
+/// `off` and return how many; anything else writes nothing.
+fn page_store_write(s: &mut PageStore, sel: u8, off: u64, val: u64) -> usize {
+    match sel {
+        0 => s.write_u64(off, val),
+        1 => s.write_u32(off, val as u32),
+        2 => s.write(off, &val.to_le_bytes()[..3]),
+        3 => s.write_u8(off, val as u8),
+        _ => return 0,
+    }
+    [8, 4, 3, 1][sel as usize]
+}
+
+props! {
+    #![cases(32)]
+
+    /// The page table holds at realistic sizes and spreads: up to 4 000
+    /// distinct pages are materialized first, then random reads and
+    /// writes (word, byte and page-straddling) run over them and beyond.
+    /// Reads match a byte map, the resident and dirty page sets equal the
+    /// model's, and a clone taken mid-sequence (dirty marks cleared on
+    /// both) stays equal to the original under the writes that follow.
+    #[test]
+    fn page_store_matches_byte_map_on_sparse_pages(
+        population in 0u8..3,
+        fill in 0u64..4_000,
+        ops in collection::vec((0u64..4_500, 0u64..4_096, any::<u64>(), 0u8..5), 1..300),
+        clone_at in 0usize..300,
+    ) {
+        const PAGE: u64 = utpr_heap::pagestore::PAGE_SIZE;
+        let fills = (0..fill).map(|i| (i, (i * 8) % PAGE, i.wrapping_mul(0x9e37), 0u8));
+        let mut store = PageStore::new();
+        store.set_dirty_tracking(true);
+        let mut twin: Option<PageStore> = None;
+        let mut model: HashMap<u64, u8> = HashMap::new();
+        let mut dirty: BTreeSet<u64> = BTreeSet::new();
+        for (step, (i, in_page, val, sel)) in fills.chain(ops.iter().copied()).enumerate() {
+            if step == fill as usize + clone_at {
+                store.clear_dirty();
+                dirty.clear();
+                twin = Some(store.clone());
+            }
+            let off = sparse_page(population, i) * PAGE + in_page;
+            if sel == 4 {
+                let want = u64::from_le_bytes(std::array::from_fn(|k| {
+                    model.get(&(off + k as u64)).copied().unwrap_or(0)
+                }));
+                prop_assert_eq!(store.read_u64(off), want, "read_u64 at {:#x}", off);
+                if let Some(t) = &twin {
+                    prop_assert_eq!(t.read_u64(off), want, "clone's read_u64 at {:#x}", off);
+                }
+                continue;
+            }
+            let n = page_store_write(&mut store, sel, off, val);
+            if let Some(t) = twin.as_mut() {
+                page_store_write(t, sel, off, val);
+            }
+            for (k, b) in val.to_le_bytes()[..n].iter().enumerate() {
+                model.insert(off + k as u64, *b);
+                dirty.insert((off + k as u64) / PAGE);
+            }
+        }
+        let resident: BTreeSet<u64> = model.keys().map(|o| o / PAGE).collect();
+        prop_assert!(resident.len() as u64 >= fill, "fill materializes {} pages", fill);
+        for s in std::iter::once(&store).chain(twin.as_ref()) {
+            prop_assert_eq!(s.resident_page_numbers(), resident.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(s.dirty_pages(), dirty.iter().copied().collect::<Vec<_>>());
+            for (&o, &b) in &model {
+                prop_assert_eq!(s.read_u8(o), b, "byte at {:#x}", o);
+            }
         }
     }
 }

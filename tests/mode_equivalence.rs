@@ -6,7 +6,7 @@
 //! NVM is in relative format.
 
 use utpr_qc::prelude::*;
-use utpr_ds::{AvlTree, HashMapIndex, Index, LinkedList, RbTree, ScapegoatTree, SplayTree};
+use utpr_ds::{AvlTree, HashMapIndex, IndexOps, LinkedList, RbTree, ScapegoatTree, SplayTree};
 use utpr_heap::{AddressSpace, PoolId, RelLoc};
 use utpr_kv::KvStore;
 use utpr_ptr::{site, CheckPolicy, ExecEnv, MemEvent, Mode, PtrKind, PtrStats, TimingSink, UPtr};
@@ -266,7 +266,7 @@ fn churn_key(batch: u64, i: u64) -> u64 {
 
 /// Runs one KV index structure under batch/churn interleaving and returns
 /// everything an equivalence comparison needs.
-fn run_index_churn<I: Index>(mode: Mode, trans_cache: bool) -> (u64, PtrStats, u64, u64) {
+fn run_index_churn<I: IndexOps>(mode: Mode, trans_cache: bool) -> (u64, PtrStats, u64, u64) {
     let mut space = AddressSpace::new(0xC0FF);
     let main = space.create_pool("churn-main", 16 << 20).unwrap();
     let scratch = space.create_pool("churn-scratch", 1 << 20).unwrap();
@@ -300,7 +300,7 @@ fn run_index_churn<I: Index>(mode: Mode, trans_cache: bool) -> (u64, PtrStats, u
     (checksum, ptr, sink.hash, sink.events)
 }
 
-/// Same interleaving for the linked list (not an `Index`).
+/// Same interleaving for the linked list (not an `IndexOps`).
 fn run_ll_churn(mode: Mode, trans_cache: bool) -> (u64, PtrStats, u64, u64) {
     let mut space = AddressSpace::new(0xC0FF);
     let main = space.create_pool("churn-main", 16 << 20).unwrap();

@@ -77,7 +77,7 @@ fn polb_capacity_matters_with_many_pools() {
         for id in &ids {
             // Build each shard's tree in its own pool.
             let mut space_tree = {
-                // Index::create uses the default placement; emulate per-pool
+                // IndexCore::create uses the default placement; emulate per-pool
                 // placement by allocating the descriptor and nodes there via
                 // a temporary default. Simplest: descriptor in pool 0 is
                 // fine for timing purposes, but nodes must spread — so use
