@@ -1,22 +1,26 @@
 //! Micro-benchmarks of the core primitives: pointer encode/decode,
-//! translations, allocator, zipfian sampling, the simulated cache, and the
-//! PageStore word fast paths. These track the cost of the library itself,
-//! not the simulated machine. Runs on the in-workspace `utpr-qc` harness
-//! (median/p95/min per op) and emits `BENCH_micro.json` per summary.
+//! translations, allocator, zipfian sampling, the simulated cache and
+//! machine, and the PageStore word fast paths. These track the host cost of
+//! the library and of the simulator, not modelled cycles. Runs on the
+//! in-workspace `utpr-qc` harness (median/p95/min per op) and emits
+//! `BENCH_micro.json` per summary.
 
 use std::hint::black_box;
 use std::time::Instant;
 use utpr_bench::par;
 use utpr_bench::report::{BenchReport, Json};
+use utpr_ds::RbTree;
 use utpr_heap::pagestore::PAGE_SIZE;
 use utpr_heap::{AddressSpace, PageStore, Region};
 use utpr_kv::rng::Rng;
-use utpr_kv::workload::Zipfian;
-use utpr_ptr::{C11Engine, UPtr};
+use utpr_kv::workload::{generate, WorkloadSpec, Zipfian};
+use utpr_kv::KvStore;
+use utpr_ptr::{C11Engine, ExecEnv, MemEvent, Mode, TimingSink, UPtr};
 use utpr_qc::bench::Bench;
 use utpr_qc::bench_group;
 use utpr_sim::cache::Cache;
 use utpr_sim::config::CacheCfg;
+use utpr_sim::{Machine, RangeEntry, SimConfig};
 
 fn bench_ptr_ops(c: &mut Bench) {
     let mut space = AddressSpace::new(3);
@@ -114,15 +118,75 @@ fn bench_workload(c: &mut Bench) {
     });
 }
 
+/// Records every event a run emits, for replay into a `Machine`.
+struct Recorder(Vec<MemEvent>);
+
+impl TimingSink for Recorder {
+    fn event(&mut self, ev: MemEvent) {
+        self.0.push(ev);
+    }
+}
+
+/// The Hw-mode event stream of the first 10 000 operations of the paper's
+/// RB-tree workload (after its load phase), with the pool ranges the
+/// `Machine` needs to replay it.
+fn record_paper_hw() -> (Vec<MemEvent>, Vec<RangeEntry>) {
+    let mut space = AddressSpace::new(0xBEEF);
+    let pool = space.create_pool("bench", 256 << 20).unwrap();
+    let ranges = space
+        .attachments()
+        .iter()
+        .map(|a| RangeEntry { base: a.base.raw(), size: a.size, pool: a.pool.raw() })
+        .collect();
+    let mut env =
+        ExecEnv::builder(space).mode(Mode::Hw).pool(pool).sink(Recorder(Vec::new())).build();
+    let w = generate(&WorkloadSpec { operations: 10_000, ..WorkloadSpec::paper() });
+    let mut store: KvStore<RbTree> = KvStore::create(&mut env).unwrap();
+    store.load(&mut env, &w).unwrap();
+    env.sink_mut().0.clear();
+    store.run(&mut env, &w).unwrap();
+    (std::mem::take(&mut env.sink_mut().0), ranges)
+}
+
 fn bench_sim(c: &mut Bench) {
+    let l1 = CacheCfg { sets: 64, ways: 8, line: 64, hit_cycles: 4 };
+    // 1 024 lines through a 512-line cache: every access misses.
     c.bench_function("sim/cache_access", |b| {
-        let mut cache = Cache::new(CacheCfg { sets: 64, ways: 8, line: 64, hit_cycles: 4 });
+        let mut cache = Cache::new(l1);
         let mut addr = 0u64;
         b.iter(|| {
             addr = addr.wrapping_add(64) & 0xffff;
             black_box(cache.access(black_box(addr)))
         });
     });
+    // 256 lines, four to a set: once warm every access hits, and never the
+    // line before it.
+    c.bench_function("sim/cache_access_hit", |b| {
+        let mut cache = Cache::new(l1);
+        let mut addr = 0u64;
+        b.iter(|| {
+            addr = addr.wrapping_add(64) & 0x3fff;
+            black_box(cache.access(black_box(addr)))
+        });
+    });
+    // The simulator as the paper's figures drive it: ns per event.
+    let (events, ranges) = record_paper_hw();
+    let mut machine = Machine::new(SimConfig::table_iv());
+    machine.set_pool_ranges(ranges);
+    for &ev in &events {
+        machine.event(ev);
+    }
+    let mut k = 0;
+    c.bench_function("sim/machine_replay_hw", |b| {
+        b.iter(|| {
+            k += 1;
+            if k == events.len() {
+                k = 0;
+            }
+            machine.event(black_box(events[k]));
+        });
+    });
+    black_box(machine.cycles());
 }
 
 bench_group!(benches, bench_ptr_ops, bench_allocator, bench_pagestore, bench_workload, bench_sim);

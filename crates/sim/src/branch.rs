@@ -8,6 +8,9 @@
 
 use crate::config::SimConfig;
 
+/// Next value of a 2-bit saturating counter, indexed `[taken][counter]`.
+const NEXT: [[u8; 4]; 2] = [[0, 0, 1, 2], [1, 2, 3, 3]];
+
 /// Gshare predictor: prediction table indexed by `pc ⊕ history`.
 #[derive(Clone, Debug)]
 pub struct BranchPredictor {
@@ -48,21 +51,16 @@ impl BranchPredictor {
 
     /// Predicts and updates with the actual outcome; returns `true` when
     /// the branch was mispredicted.
+    #[inline]
     pub fn execute(&mut self, pc: u64, taken: bool) -> bool {
         let idx = ((pc ^ self.history) & self.mask) as usize;
         let counter = &mut self.table[idx];
         let predicted = *counter >= 2;
-        if taken {
-            *counter = (*counter + 1).min(3);
-        } else {
-            *counter = counter.saturating_sub(1);
-        }
+        *counter = NEXT[usize::from(taken)][usize::from(*counter & 3)];
         self.history = ((self.history << 1) | u64::from(taken)) & self.history_mask;
         self.branches += 1;
         let wrong = predicted != taken;
-        if wrong {
-            self.mispredicts += 1;
-        }
+        self.mispredicts += u64::from(wrong);
         wrong
     }
 

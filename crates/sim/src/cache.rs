@@ -1,6 +1,7 @@
 //! Set-associative LRU caches and the three-level data hierarchy.
 
 use crate::config::{CacheCfg, SimConfig};
+use crate::setassoc::SetAssoc;
 
 /// One set-associative, true-LRU cache level.
 ///
@@ -18,14 +19,10 @@ use crate::config::{CacheCfg, SimConfig};
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheCfg,
-    /// `tags[set]` holds (tag, last-use stamp); invalid entries use tag = MAX.
-    tags: Vec<Vec<(u64, u64)>>,
-    stamp: u64,
-    hits: u64,
-    misses: u64,
+    /// log2 of the line size: an address is a shift away from its line.
+    line_shift: u32,
+    lines: SetAssoc,
 }
-
-const INVALID: u64 = u64::MAX;
 
 impl Cache {
     /// Creates an empty cache with the given geometry.
@@ -34,15 +31,9 @@ impl Cache {
     ///
     /// Panics if sets or ways are zero, or line size is not a power of two.
     pub fn new(cfg: CacheCfg) -> Self {
-        assert!(cfg.sets > 0 && cfg.ways > 0);
         assert!(cfg.line.is_power_of_two());
-        Cache {
-            cfg,
-            tags: vec![vec![(INVALID, 0); cfg.ways]; cfg.sets],
-            stamp: 0,
-            hits: 0,
-            misses: 0,
-        }
+        let lines = SetAssoc::new(cfg.sets, cfg.ways);
+        Cache { cfg, line_shift: cfg.line.trailing_zeros(), lines }
     }
 
     /// Geometry of this cache.
@@ -52,71 +43,41 @@ impl Cache {
 
     /// Accesses `addr`, updating LRU state; returns `true` on hit.
     /// Misses allocate (write-allocate, no distinction read/write).
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr / self.cfg.line;
-        let set = (line as usize) % self.cfg.sets;
-        let tag = line / self.cfg.sets as u64;
-        self.stamp += 1;
-        let ways = &mut self.tags[set];
-        if let Some(w) = ways.iter_mut().find(|(t, _)| *t == tag) {
-            w.1 = self.stamp;
-            self.hits += 1;
-            return true;
-        }
-        self.misses += 1;
-        // Evict LRU (or an invalid way).
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|(t, s)| if *t == INVALID { 0 } else { s + 1 })
-            .expect("ways nonzero");
-        *victim = (tag, self.stamp);
-        false
+        self.lines.access(addr >> self.line_shift)
     }
 
     /// Hits observed.
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.lines.hits()
     }
 
     /// Misses observed.
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.lines.misses()
     }
 
     /// Hit rate in [0, 1]; 0 when never accessed.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
+        let total = self.hits() + self.misses();
         if total == 0 {
             0.0
         } else {
-            self.hits as f64 / total as f64
+            self.hits() as f64 / total as f64
         }
     }
 
     /// Clears counters but keeps contents (for post-warm-up measurement).
     pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
+        self.lines.reset_counters();
     }
 
     /// Inserts the line containing `addr` without touching the hit/miss
     /// counters — used by prefetchers.
+    #[inline]
     pub fn touch(&mut self, addr: u64) {
-        let line = addr / self.cfg.line;
-        let set = (line as usize) % self.cfg.sets;
-        let tag = line / self.cfg.sets as u64;
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let ways = &mut self.tags[set];
-        if let Some(w) = ways.iter_mut().find(|(t, _)| *t == tag) {
-            w.1 = stamp;
-            return;
-        }
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|(t, s)| if *t == INVALID { 0 } else { s + 1 })
-            .expect("ways nonzero");
-        *victim = (tag, stamp);
+        self.lines.touch(addr >> self.line_shift);
     }
 }
 
@@ -153,6 +114,7 @@ impl Hierarchy {
     /// Performs an access; returns its latency in cycles. `is_nvm` selects
     /// the memory latency on a full miss (bit 47 of the virtual address in
     /// the paper's layout).
+    #[inline]
     pub fn access(&mut self, addr: u64, is_nvm: bool) -> u64 {
         if self.l1.access(addr) {
             return self.l1.cfg().hit_cycles;

@@ -33,6 +33,7 @@ pub mod config;
 pub mod cost;
 pub mod lookaside;
 pub mod machine;
+mod setassoc;
 pub mod stats;
 pub mod tlb;
 

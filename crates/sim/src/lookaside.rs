@@ -10,65 +10,60 @@
 //!   (a range table of pool attachments); a miss costs a VAW walk.
 
 use crate::config::LookasideCfg;
+use crate::setassoc::SetAssoc;
 
-/// Fully-associative LRU buffer keyed by pool id (the POLB).
+/// Fully-associative LRU buffer keyed by pool id (the POLB): one set of
+/// `entries` ways.
 #[derive(Clone, Debug)]
 pub struct Polb {
     cfg: LookasideCfg,
-    entries: Vec<(u32, u64)>,
-    stamp: u64,
-    hits: u64,
-    misses: u64,
+    pools: SetAssoc,
 }
 
 impl Polb {
     /// Creates an empty POLB.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer has no entries.
     pub fn new(cfg: LookasideCfg) -> Self {
-        Polb { cfg, entries: Vec::with_capacity(cfg.entries), stamp: 0, hits: 0, misses: 0 }
+        Polb { cfg, pools: SetAssoc::new(1, cfg.entries) }
     }
 
     /// Translates `pool`; returns the latency in cycles (hit latency or the
     /// POW walk on a miss, which also fills the entry).
+    #[inline]
     pub fn access(&mut self, pool: u32) -> u64 {
-        self.stamp += 1;
-        if let Some(e) = self.entries.iter_mut().find(|(p, _)| *p == pool) {
-            e.1 = self.stamp;
-            self.hits += 1;
-            return self.cfg.hit_cycles;
+        if self.pools.access(u64::from(pool)) {
+            self.cfg.hit_cycles
+        } else {
+            self.cfg.hit_cycles + self.cfg.walk_cycles
         }
-        self.misses += 1;
-        if self.entries.len() < self.cfg.entries {
-            self.entries.push((pool, self.stamp));
-        } else if let Some(v) = self.entries.iter_mut().min_by_key(|(_, s)| *s) {
-            *v = (pool, self.stamp);
-        }
-        self.cfg.hit_cycles + self.cfg.walk_cycles
     }
 
     /// Invalidates everything (pool detach / address-space change).
     pub fn flush(&mut self) {
-        self.entries.clear();
+        self.pools.clear();
     }
 
     /// Lookups that hit.
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.pools.hits()
     }
 
     /// Lookups that missed (POW walks).
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.pools.misses()
     }
 
     /// Total lookups.
     pub fn accesses(&self) -> u64 {
-        self.hits + self.misses
+        self.hits() + self.misses()
     }
 
     /// Clears counters, keeping contents.
     pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
+        self.pools.reset_counters();
     }
 }
 

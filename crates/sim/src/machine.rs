@@ -101,6 +101,7 @@ impl Machine {
         self.valb.reset_counters();
     }
 
+    #[inline]
     fn data_access(&mut self, va: u64) -> f64 {
         let t = self.tlb.access(va);
         let m = self.mem.access(va, va & (1 << 47) != 0);

@@ -1,71 +1,44 @@
 //! Two-level data TLB with a fixed page-walk penalty.
 
 use crate::config::SimConfig;
+use crate::setassoc::SetAssoc;
 
 /// A set-associative LRU TLB level over page numbers.
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    sets: usize,
-    entries: Vec<Vec<(u64, u64)>>,
-    stamp: u64,
-    hits: u64,
-    misses: u64,
+    pages: SetAssoc,
 }
-
-const INVALID: u64 = u64::MAX;
 
 impl Tlb {
     /// Creates a TLB with `entries` total entries and `ways` associativity.
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a multiple of `ways`.
+    /// Panics if `entries` is zero or not a multiple of `ways`.
     pub fn new(entries: usize, ways: usize) -> Self {
         assert!(ways > 0 && entries % ways == 0, "entries must be a multiple of ways");
-        let sets = entries / ways;
-        Tlb {
-            sets,
-            entries: vec![vec![(INVALID, 0); ways]; sets],
-            stamp: 0,
-            hits: 0,
-            misses: 0,
-        }
+        Tlb { pages: SetAssoc::new(entries / ways, ways) }
     }
 
     /// Looks up a page number, updating LRU; returns `true` on hit.
+    #[inline]
     pub fn access(&mut self, page: u64) -> bool {
-        let set = (page as usize) % self.sets;
-        let tag = page / self.sets as u64;
-        self.stamp += 1;
-        let ways = &mut self.entries[set];
-        if let Some(w) = ways.iter_mut().find(|(t, _)| *t == tag) {
-            w.1 = self.stamp;
-            self.hits += 1;
-            return true;
-        }
-        self.misses += 1;
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|(t, s)| if *t == INVALID { 0 } else { s + 1 })
-            .expect("ways nonzero");
-        *victim = (tag, self.stamp);
-        false
+        self.pages.access(page)
     }
 
     /// Hits observed.
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.pages.hits()
     }
 
     /// Misses observed.
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.pages.misses()
     }
 
     /// Clears counters, keeping contents.
     pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
+        self.pages.reset_counters();
     }
 }
 
@@ -77,7 +50,8 @@ pub struct TlbHierarchy {
     pub l1: Tlb,
     /// L2 shared TLB.
     pub l2: Tlb,
-    page_bytes: u64,
+    /// log2 of the page size: an address is a shift away from its page.
+    page_shift: u32,
     l2_hit_cycles: u64,
     walk_cycles: u64,
     walks: u64,
@@ -85,11 +59,16 @@ pub struct TlbHierarchy {
 
 impl TlbHierarchy {
     /// Builds the TLB hierarchy from a machine configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page size is not a power of two.
     pub fn new(cfg: &SimConfig) -> Self {
+        assert!(cfg.page_bytes.is_power_of_two(), "page size must be a power of two");
         TlbHierarchy {
             l1: Tlb::new(cfg.tlb1.entries, cfg.tlb1.ways),
             l2: Tlb::new(cfg.tlb2.entries, cfg.tlb2.ways),
-            page_bytes: cfg.page_bytes,
+            page_shift: cfg.page_bytes.trailing_zeros(),
             l2_hit_cycles: cfg.tlb2_hit_cycles,
             walk_cycles: cfg.page_walk_cycles,
             walks: 0,
@@ -97,8 +76,9 @@ impl TlbHierarchy {
     }
 
     /// Translates `addr`; returns the added latency in cycles.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> u64 {
-        let page = addr / self.page_bytes;
+        let page = addr >> self.page_shift;
         if self.l1.access(page) {
             return 0;
         }
@@ -153,6 +133,12 @@ mod tests {
     #[should_panic(expected = "multiple of ways")]
     fn bad_geometry_panics() {
         let _ = Tlb::new(63, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "nonzero")]
+    fn zero_entries_panics() {
+        let _ = Tlb::new(0, 4);
     }
 
     #[test]
