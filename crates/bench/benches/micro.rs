@@ -11,7 +11,7 @@ use utpr_bench::par;
 use utpr_bench::report::{BenchReport, Json};
 use utpr_ds::RbTree;
 use utpr_heap::pagestore::PAGE_SIZE;
-use utpr_heap::{AddressSpace, PageStore, Region};
+use utpr_heap::{AddressSpace, FlushModel, PageStore, Region, UndoLog};
 use utpr_kv::rng::Rng;
 use utpr_kv::workload::{generate, WorkloadSpec, Zipfian};
 use utpr_kv::KvStore;
@@ -48,6 +48,45 @@ fn bench_allocator(c: &mut Bench) {
         b.iter(|| {
             let p = region.alloc(&mut mem, 64).unwrap();
             region.free(&mut mem, black_box(p)).unwrap();
+        });
+    });
+}
+
+fn bench_persist(c: &mut Bench) {
+    let adr_space = |name: &str| {
+        let mut space = AddressSpace::new(5);
+        let pool = space.create_pool(name, 4 << 20).unwrap();
+        let loc = space.pmalloc(pool, 128).unwrap();
+        (space, pool, loc)
+    };
+    // The undo-log protocol per transaction: begin, one entry, the data
+    // store, commit — every fence under ADR.
+    c.bench_function("heap/txn_update_adr", |b| {
+        let (mut space, pool, word) = adr_space("micro-txn");
+        let log = UndoLog::ensure(&mut space, pool, 64).unwrap();
+        space.set_flush_model(FlushModel::Adr);
+        let va = space.ra2va(word).unwrap();
+        let mut v = 0u64;
+        b.iter(|| {
+            v += 1;
+            log.run(&mut space, |space, txn| {
+                txn.log_word(space, word)?;
+                space.write_u64(va, v)
+            })
+            .unwrap();
+        });
+    });
+    // The persistence plane alone: stage two lines, drain them.
+    c.bench_function("heap/fence_two_lines", |b| {
+        let (mut space, _, loc) = adr_space("micro-fence");
+        space.set_flush_model(FlushModel::Adr);
+        let va = space.ra2va(loc).unwrap();
+        let mut v = 0u64;
+        b.iter(|| {
+            v += 1;
+            space.write_u64(va, v).unwrap();
+            space.write_u64(va.add(64), v).unwrap();
+            space.fence();
         });
     });
 }
@@ -189,7 +228,15 @@ fn bench_sim(c: &mut Bench) {
     black_box(machine.cycles());
 }
 
-bench_group!(benches, bench_ptr_ops, bench_allocator, bench_pagestore, bench_workload, bench_sim);
+bench_group!(
+    benches,
+    bench_ptr_ops,
+    bench_allocator,
+    bench_persist,
+    bench_pagestore,
+    bench_workload,
+    bench_sim
+);
 
 fn main() {
     let t0 = Instant::now();

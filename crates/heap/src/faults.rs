@@ -524,7 +524,7 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert!(total >= 4, "begin(2) + log_word(3) + store(1), got {total}");
+        assert_eq!(total, 5, "begin(2) + log_word(2) + store(1)");
         space.write_u64(space.ra2va(loc).unwrap(), 100).unwrap();
 
         // Crash at every boundary of the same transaction; the word must
@@ -580,8 +580,8 @@ mod tests {
         .unwrap();
 
         // total counts up to the last data store; also sweep the commit's
-        // boundaries (two flag words).
-        for k in 0..total + 2 {
+        // one boundary, the store that clears the active word.
+        for k in 0..=total {
             space.set_faults(FaultPlan::torn_at(k, k ^ 0xBEEF));
             let log = UndoLog::open(&space, pool).unwrap();
             let crashed = log

@@ -22,6 +22,77 @@ use std::collections::BTreeMap;
 /// The durable bytes of one cache line.
 type Line = [u8; LINE_SIZE as usize];
 
+/// `(pool, line offset)`.
+type LineKey = (PoolId, u64);
+
+/// Pending lines the linear-scanned front holds before the ordered map
+/// takes the rest.
+const FRONT_LINES: usize = 16;
+
+/// Unflushed lines: `(pool, line offset)` → the line's *durable* bytes (the
+/// image holds the newest bytes). The first [`FRONT_LINES`] sit in a front
+/// scanned linearly whose capacity survives a drain, so a fence that drains
+/// a few lines frees nothing and the stages after it allocate nothing; only
+/// bulk writes that never fence reach the ordered map. A line is in exactly
+/// one of the two.
+#[derive(Clone, Debug, Default)]
+struct Pending {
+    front: Vec<(LineKey, Line)>,
+    spill: BTreeMap<LineKey, Line>,
+}
+
+impl Pending {
+    fn len(&self) -> usize {
+        self.front.len() + self.spill.len()
+    }
+
+    /// Snapshots `key`'s durable bytes through `read` unless it is pending.
+    #[inline]
+    fn stage(&mut self, key: LineKey, read: impl FnOnce(&mut Line)) {
+        if self.front.iter().any(|(k, _)| *k == key) || self.spill.contains_key(&key) {
+            return;
+        }
+        let mut old = [0u8; LINE_SIZE as usize];
+        read(&mut old);
+        if self.front.len() < FRONT_LINES {
+            self.front.push((key, old));
+        } else {
+            self.spill.insert(key, old);
+        }
+    }
+
+    fn remove(&mut self, key: LineKey) -> bool {
+        match self.front.iter().position(|(k, _)| *k == key) {
+            Some(i) => {
+                self.front.swap_remove(i);
+                true
+            }
+            None => self.spill.remove(&key).is_some(),
+        }
+    }
+
+    /// Drops every line of `pool`; returns how many there were.
+    fn remove_pool(&mut self, pool: PoolId) -> usize {
+        let before = self.len();
+        self.front.retain(|((p, _), _)| *p != pool);
+        self.spill.retain(|(p, _), _| *p != pool);
+        before - self.len()
+    }
+
+    fn clear(&mut self) {
+        self.front.clear();
+        self.spill.clear();
+    }
+
+    /// Takes every line, in `(pool, line)` order.
+    fn take_sorted(&mut self) -> Vec<(LineKey, Line)> {
+        let mut all: Vec<(LineKey, Line)> = self.front.drain(..).collect();
+        all.extend(std::mem::take(&mut self.spill));
+        all.sort_unstable_by_key(|(key, _)| *key);
+        all
+    }
+}
+
 /// Fault gate + ADR staging buffer + fence accounting; see the module docs.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PersistPlane {
@@ -30,10 +101,9 @@ pub(crate) struct PersistPlane {
     /// Persistence-domain model. Under [`FlushModel::Adr`], written lines
     /// are volatile until flushed or fenced.
     model: FlushModel,
-    /// Unflushed lines: `(pool, line offset)` → the line's *durable* bytes
-    /// (the image holds the newest bytes). Ordered so the power-loss drain
-    /// is deterministic. Always empty under eADR.
-    pending: BTreeMap<(PoolId, u64), Line>,
+    /// Unflushed lines, drained in `(pool, line)` order at power loss so
+    /// the drain is deterministic. Always empty under eADR.
+    pending: Pending,
     /// FliT-style per-word dirty tags: `(pool, word offset)` → count of
     /// stores tagged but not yet persisted by their writer. A reader
     /// finding a tag must flush before depending on the word; an untagged
@@ -131,11 +201,7 @@ impl PersistPlane {
         let last = (off + len - 1) / LINE_SIZE * LINE_SIZE;
         let mut line = off / LINE_SIZE * LINE_SIZE;
         loop {
-            self.pending.entry((pool, line)).or_insert_with(|| {
-                let mut old = [0u8; LINE_SIZE as usize];
-                read_line(line, &mut old);
-                old
-            });
+            self.pending.stage((pool, line), |old| read_line(line, old));
             if line >= last {
                 break;
             }
@@ -146,7 +212,7 @@ impl PersistPlane {
     /// Targeted `clwb`: makes the line containing `off` of `pool` durable.
     /// Returns whether the line was actually pending.
     pub(crate) fn flush_line(&mut self, pool: PoolId, off: u64) -> bool {
-        let hit = self.pending.remove(&(pool, off / LINE_SIZE * LINE_SIZE)).is_some();
+        let hit = self.pending.remove((pool, off / LINE_SIZE * LINE_SIZE));
         // No store on a miss: Eager readers flush clean lines all the time,
         // and dirtying the counter's cache line under the shared pool's
         // contended lock costs a third of their two-thread throughput.
@@ -158,9 +224,7 @@ impl PersistPlane {
 
     /// Graceful detach of `pool`: its in-flight lines become durable.
     pub(crate) fn flush_pool(&mut self, pool: PoolId) {
-        let before = self.pending.len();
-        self.pending.retain(|(p, _), _| *p != pool);
-        self.lines_flushed += (before - self.pending.len()) as u64;
+        self.lines_flushed += self.pending.remove_pool(pool) as u64;
     }
 
     /// Lines currently written but not yet durable.
@@ -227,7 +291,7 @@ impl PersistPlane {
     /// batch the window was deferring died un-acked).
     pub(crate) fn power_loss(&mut self, mut write: impl FnMut(PoolId, u64, &[u8])) {
         let torn_seed = self.faults.torn_drain_seed();
-        let pending = std::mem::take(&mut self.pending);
+        let pending = self.pending.take_sorted();
         self.lines_lost += pending.len() as u64;
         for ((pool, line), old) in pending {
             let Some(seed) = torn_seed else {
@@ -315,6 +379,37 @@ mod tests {
         assert_eq!(torn, drain(FaultPlan::torn_at(0, 7)), "lottery replays");
         assert!(torn.iter().all(|(_, off, b)| b.len() == 8 && (128..192).contains(off)));
         assert_ne!(torn, drain(FaultPlan::torn_at(0, 8)), "and differs across seeds");
+    }
+
+    #[test]
+    fn a_fence_worth_of_lines_stays_in_the_front_and_bulk_spills_in_order() {
+        let mut pl = adr();
+        for line in 0..FRONT_LINES as u64 {
+            pl.stage(P, line * 64, 8, |_, _| {});
+        }
+        let cap = pl.pending.front.capacity();
+        pl.persist_point();
+        for line in 0..FRONT_LINES as u64 {
+            pl.stage(Q, line * 64, 8, |_, _| {});
+        }
+        assert_eq!(pl.pending.front.capacity(), cap, "the drain kept the front's capacity");
+        assert!(pl.pending.spill.is_empty(), "a fence's worth of lines never reaches the map");
+
+        // Bulk staging spills; removal and the power-loss drain see one set.
+        for line in (0..3).rev() {
+            pl.stage(P, line * 64, 8, |_, old| old[0] = line as u8);
+        }
+        assert_eq!((pl.pending.spill.len(), pl.pending_lines()), (3, FRONT_LINES + 3));
+        assert!(pl.flush_line(Q, 0) && pl.flush_line(P, 64));
+        pl.stage(P, 64, 8, |_, _| {}); // back into the front's free slot
+        pl.stage(P, 64, 8, |_, _| panic!("already pending"));
+        let mut drained = Vec::new();
+        pl.power_loss(|pool, off, _| drained.push((pool, off)));
+        let mut sorted = drained.clone();
+        sorted.sort_unstable();
+        assert_eq!(drained, sorted, "power loss drains in (pool, line) order");
+        assert_eq!(drained.len(), FRONT_LINES + 2);
+        assert_eq!(pl.pending_lines(), 0);
     }
 
     #[test]

@@ -449,6 +449,14 @@ impl SharedPool {
         self.plane().power_loss(|_, off, durable| self.write_bytes(off, durable));
     }
 
+    /// The crash a tripped plan models, as the crash harnesses run it:
+    /// power-cycles while the plan is still installed — its torn seed
+    /// decides the drain — and only then disarms the gate for recovery.
+    pub fn crash_restart(&self) {
+        self.power_cycle();
+        self.set_faults(FaultPlan::disabled());
+    }
+
     /// Lines currently written but not yet durable.
     pub fn pending_lines(&self) -> usize {
         self.plane().pending_lines()
@@ -1234,6 +1242,24 @@ mod tests {
         assert!(a.contains(&0xAAAA) && a.contains(&0xBBBB), "a per-word mix: {a:x?}");
         assert!(a.iter().all(|&v| v == 0xAAAA || v == 0xBBBB));
         assert_ne!(a, drained(0xD5EED + 1), "and differs across seeds");
+    }
+
+    #[test]
+    fn crash_restart_drains_by_the_torn_lottery_before_disarming() {
+        // Disarming first would hand the drain a clean plan: every
+        // in-flight word would revert and the torn arm would test nothing.
+        let p = SharedPool::create("torn-restart", 1 << 20, 4).unwrap();
+        p.set_flush_model(FlushModel::Adr);
+        let off = p.alloc_raw(128).unwrap().next_multiple_of(64);
+        p.set_faults(FaultPlan::torn_at(8, 0xD5EED));
+        for w in 0..8 {
+            p.write_u64_stage(off + w * 8, 0xBBBB).unwrap();
+        }
+        assert!(p.write_u64_stage(off, 1).is_err(), "boundary 8 trips");
+        p.crash_restart();
+        assert!(!p.faults().is_enabled(), "recovery runs disarmed");
+        let landed = (0..8).filter(|w| p.read_u64(off + w * 8) == 0xBBBB).count();
+        assert!(landed > 0, "no in-flight word landed: the lottery never ran");
     }
 
     #[test]

@@ -5,40 +5,60 @@
 //!
 //! The log lives *inside the pool it protects*, so it survives crashes with
 //! the data: a reserved header slot points at a log area of
-//! `(offset, old value)` records plus an active flag. `begin` arms the log,
+//! `(offset, old value)` entries plus an active word. `begin` arms the log,
 //! every update logs the old word first (undo logging), `commit` disarms
 //! it, and [`UndoLog::recover`] rolls back a torn transaction after a
 //! crash.
 //!
-//! Write ordering *is* enforced by fences: every log-arming step ends with
-//! an [`AddressSpace::fence`]. Under the default eADR flush model those
-//! fences are free (every store is already durable); under
-//! [`crate::space::FlushModel::Adr`] they are what keeps recovery sound —
-//! a log entry is fenced durable *before* the count word publishes it, and
-//! the count is fenced *before* the caller's data write, so a torn
-//! power-loss drain can never leave a published entry with garbage bytes
-//! (see the DESIGN.md media-fault model section).
+//! **Epoch-tagged entries.** Each transaction gets a fresh *epoch* (the
+//! log's last epoch + 1); the active word holds it while the transaction is
+//! open (0 = idle). An entry is self-validating: its first word packs the
+//! target offset with a 32-bit check over `(epoch, offset, old value)`, so
+//! recovery replays the longest prefix of entries that validate under the
+//! open epoch and stops at the first that does not. No count word
+//! publishes entries, and epochs are never reused, so an earlier
+//! transaction's leftovers — or a half-drained entry — cannot validate.
+//!
+//! **One ordering point per first-touched word.** Under
+//! [`crate::space::FlushModel::Adr`] the undo image must be durable before
+//! the data store it protects can land; that is the single
+//! [`AddressSpace::fence`] each `log_word` issues, and nothing else in an
+//! append needs ordering. `begin` fences nothing: the first entry's fence
+//! carries the epoch and the active word with it, before any logged data
+//! store. `commit` fences the data, clears the active word and fences the
+//! disarm. Under the default eADR model the fences are free (see the
+//! DESIGN.md fault-model sections).
 
 use crate::addr::{PoolId, RelLoc};
 use crate::error::{HeapError, Result};
+use crate::faults::splitmix64;
 use crate::space::AddressSpace;
+use std::cell::Cell;
 
 /// Pool-header slot holding the log area's intra-pool offset (0 = no log).
 /// Slots 0x00–0x2f are used by the allocator (`crate::alloc`); 0x30 is
 /// reserved for the transaction log.
 const HDR_LOG_SLOT: u64 = 0x30;
 
+/// Epoch of the open transaction; 0 when idle.
 const LOG_ACTIVE: u64 = 0;
-const LOG_COUNT: u64 = 8;
+/// The last epoch handed out.
+const LOG_EPOCH: u64 = 8;
 const LOG_CAPACITY: u64 = 16;
 const LOG_ENTRIES: u64 = 24;
-/// Bytes per entry: target offset + old value.
+/// Bytes per entry: target offset | check, then the old value.
 const ENTRY_SIZE: u64 = 16;
 
+/// The 32-bit check an entry of transaction `epoch` carries above its
+/// target offset.
+fn entry_check(epoch: u64, offset: u64, old: u64) -> u64 {
+    splitmix64(old ^ splitmix64(epoch << 32 | offset)) >> 32
+}
+
 /// First word of a log *directory* area. A plain log's first word is its
-/// active flag (0 or 1), so the magic doubles as the format discriminator:
-/// whatever `HDR_LOG_SLOT` points at, reading one word tells us which shape
-/// we are looking at.
+/// active epoch (a small counter), so the magic doubles as the format
+/// discriminator: whatever `HDR_LOG_SLOT` points at, reading one word tells
+/// us which shape we are looking at.
 const DIR_MAGIC: u64 = u64::from_le_bytes(*b"UTPRLOGD");
 const DIR_NSLOTS: u64 = 8;
 const DIR_SLOTS: u64 = 16;
@@ -78,12 +98,17 @@ enum LogHeader {
 /// assert_eq!(space.read_u64(space.ra2va(acct)?)?, 40);
 /// # Ok::<(), utpr_heap::HeapError>(())
 /// ```
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct UndoLog {
     pool: PoolId,
     /// Intra-pool offset of the log area.
     base: u64,
     capacity: u64,
+    /// Epoch of the transaction this handle opened (0 = none). Volatile:
+    /// `log_word` never re-reads the pool's active word.
+    epoch: Cell<u64>,
+    /// Entries the open transaction has appended. Volatile.
+    count: Cell<u64>,
 }
 
 impl UndoLog {
@@ -141,7 +166,7 @@ impl UndoLog {
                     let base = Self::alloc_log(space, pool, capacity)?;
                     space.pool_write_u64(pool, HDR_LOG_SLOT, base)?;
                     space.fence();
-                    return Ok(UndoLog { pool, base, capacity });
+                    return Ok(Self::handle(pool, base, capacity));
                 }
                 LogHeader::Dir(_) => {}
             }
@@ -158,7 +183,11 @@ impl UndoLog {
         let base = Self::alloc_log(space, pool, capacity)?;
         space.pool_write_u64(pool, ptr_off, base)?;
         space.fence();
-        Ok(UndoLog { pool, base, capacity })
+        Ok(Self::handle(pool, base, capacity))
+    }
+
+    fn handle(pool: PoolId, base: u64, capacity: u64) -> UndoLog {
+        UndoLog { pool, base, capacity, epoch: Cell::new(0), count: Cell::new(0) }
     }
 
     /// Reads the header slot and classifies what it points at.
@@ -167,8 +196,8 @@ impl UndoLog {
         if hdr == 0 {
             return Ok(LogHeader::None);
         }
-        // A plain log's first word is its active flag (0/1); the magic
-        // cannot collide with it.
+        // A plain log's first word is its active epoch; the magic cannot
+        // collide with a counter.
         if space.pool_read_u64(pool, hdr)? == DIR_MAGIC {
             Ok(LogHeader::Dir(hdr))
         } else {
@@ -179,13 +208,13 @@ impl UndoLog {
     /// Builds a handle onto an existing log area at `base`.
     fn at(space: &AddressSpace, pool: PoolId, base: u64) -> Result<UndoLog> {
         let capacity = space.pool_read_u64(pool, base + LOG_CAPACITY)?;
-        Ok(UndoLog { pool, base, capacity })
+        Ok(Self::handle(pool, base, capacity))
     }
 
     /// Allocates and initializes a log area, returning its intra-pool
     /// offset — *without* publishing it anywhere.
     ///
-    /// Layout: `[active][count][capacity][entries...]`. Each init store is
+    /// Layout: `[active][epoch][capacity][entries...]`. Each init store is
     /// its own durable boundary; the init fields are fenced durable before
     /// the caller's publishing store, so a crash (or torn drain) mid-init
     /// leaves the pool without the new log rather than pointing at a
@@ -195,7 +224,7 @@ impl UndoLog {
         let loc = space.pmalloc(pool, bytes)?;
         let base = u64::from(loc.offset);
         space.pool_write_u64(pool, base + LOG_ACTIVE, 0)?;
-        space.pool_write_u64(pool, base + LOG_COUNT, 0)?;
+        space.pool_write_u64(pool, base + LOG_EPOCH, 0)?;
         space.pool_write_u64(pool, base + LOG_CAPACITY, capacity)?;
         space.fence();
         Ok(base)
@@ -264,9 +293,19 @@ impl UndoLog {
     }
 
     fn write(&self, space: &mut AddressSpace, off: u64, v: u64) -> Result<()> {
-        // Routed through the gated accessor: every log word — append, count
-        // bump, active flip — is an individually crashable boundary.
+        // Routed through the gated accessor: every log word — entry, epoch,
+        // active flip — is an individually crashable boundary.
         space.pool_write_u64(self.pool, self.base + off, v)
+    }
+
+    /// Entry `i` as `(target offset, old value)` when it validates under
+    /// `epoch`, `None` when it belongs to no transaction of that epoch.
+    fn entry(&self, space: &AddressSpace, i: u64, epoch: u64) -> Result<Option<(u64, u64)>> {
+        let slot = LOG_ENTRIES + i * ENTRY_SIZE;
+        let tagged = self.read(space, slot)?;
+        let old = self.read(space, slot + 8)?;
+        let offset = tagged & u64::from(u32::MAX);
+        Ok((tagged >> 32 == entry_check(epoch, offset, old)).then_some((offset, old)))
     }
 
     /// The log area's intra-pool offset (for address-level instrumentation).
@@ -286,24 +325,6 @@ impl UndoLog {
     /// Propagates pool lookup failures.
     pub fn is_active(&self, space: &AddressSpace) -> Result<bool> {
         Ok(self.read(space, LOG_ACTIVE)? != 0)
-    }
-
-    /// Number of logged words in the open transaction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pool lookup failures.
-    pub fn len(&self, space: &AddressSpace) -> Result<u64> {
-        self.read(space, LOG_COUNT)
-    }
-
-    /// True when no words are logged.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pool lookup failures.
-    pub fn is_empty(&self, space: &AddressSpace) -> Result<bool> {
-        Ok(self.len(space)? == 0)
     }
 
     /// Runs `body` inside a transaction: `begin`, then the closure, then
@@ -370,9 +391,14 @@ impl UndoLog {
         if self.is_active(space)? {
             return Err(HeapError::CorruptRegion("transaction already active"));
         }
-        self.write(space, LOG_COUNT, 0)?;
-        self.write(space, LOG_ACTIVE, 1)?;
-        space.fence();
+        let epoch = self.read(space, LOG_EPOCH)? + 1;
+        // No fence: the first entry's fence makes both words durable before
+        // any logged data store can land, and a transaction that logs
+        // nothing has nothing to roll back.
+        self.write(space, LOG_EPOCH, epoch)?;
+        self.write(space, LOG_ACTIVE, epoch)?;
+        self.epoch.set(epoch);
+        self.count.set(0);
         Ok(())
     }
 
@@ -387,23 +413,24 @@ impl UndoLog {
         if target.pool != self.pool {
             return Err(HeapError::NoSuchPool(target.pool));
         }
-        if !self.is_active(space)? {
+        let epoch = self.epoch.get();
+        if epoch == 0 {
             return Err(HeapError::CorruptRegion("log_word outside a transaction"));
         }
-        let count = self.read(space, LOG_COUNT)?;
+        let count = self.count.get();
         if count >= self.capacity {
             return Err(HeapError::OutOfMemory { requested: ENTRY_SIZE });
         }
-        let old = space.pool_read_u64(self.pool, u64::from(target.offset))?;
+        let offset = u64::from(target.offset);
+        let old = space.pool_read_u64(self.pool, offset)?;
         let slot = LOG_ENTRIES + count * ENTRY_SIZE;
-        self.write(space, slot, u64::from(target.offset))?;
+        self.write(space, slot, entry_check(epoch, offset, old) << 32 | offset)?;
         self.write(space, slot + 8, old)?;
-        // The entry must be durable before the count word publishes it —
-        // otherwise a torn drain could publish an entry with garbage bytes
-        // and recovery would "restore" garbage.
+        // The one ordering point: the undo image is durable before the
+        // caller's data store can land. A torn drain before it leaves an
+        // entry that fails its check, which ends the replayed prefix.
         space.fence();
-        self.write(space, LOG_COUNT, count + 1)?;
-        space.fence();
+        self.count.set(count + 1);
         Ok(())
     }
 
@@ -416,16 +443,16 @@ impl UndoLog {
     /// Returns [`HeapError::CorruptRegion`] when no transaction is open.
     #[doc(hidden)]
     pub fn commit(&self, space: &mut AddressSpace) -> Result<()> {
-        if !self.is_active(space)? {
+        if self.epoch.get() == 0 {
             return Err(HeapError::CorruptRegion("commit outside a transaction"));
         }
         // The transaction's data writes must be durable before the active
-        // flag clears — a cleared flag with drained-away data would be a
+        // word clears — a cleared word with drained-away data would be a
         // committed transaction that silently lost its writes.
         space.fence();
         self.write(space, LOG_ACTIVE, 0)?;
-        self.write(space, LOG_COUNT, 0)?;
         space.fence();
+        self.epoch.set(0);
         Ok(())
     }
 
@@ -436,7 +463,7 @@ impl UndoLog {
     /// Returns [`HeapError::CorruptRegion`] when no transaction is open.
     #[doc(hidden)]
     pub fn abort(&self, space: &mut AddressSpace) -> Result<()> {
-        if !self.is_active(space)? {
+        if self.epoch.get() == 0 {
             return Err(HeapError::CorruptRegion("abort outside a transaction"));
         }
         self.rollback(space)
@@ -475,32 +502,51 @@ impl UndoLog {
             if log.is_active(space)? {
                 log.rollback(space)?;
                 any = true;
+            } else {
+                log.burn_orphan_epoch(space)?;
             }
         }
         Ok(any)
     }
 
+    /// A transaction that died before its first fence can drain its first
+    /// entry without its epoch or active word. Such an entry validates
+    /// under the *next* epoch; burn that epoch, or the next transaction
+    /// would adopt the orphan as its own.
+    fn burn_orphan_epoch(&self, space: &mut AddressSpace) -> Result<()> {
+        let next = self.read(space, LOG_EPOCH)? + 1;
+        if self.entry(space, 0, next)?.is_some() {
+            self.write(space, LOG_EPOCH, next)?;
+            space.fence();
+        }
+        Ok(())
+    }
+
     fn rollback(&self, space: &mut AddressSpace) -> Result<()> {
-        let count = self.read(space, LOG_COUNT)?;
-        // A count the capacity cannot hold means the log words themselves
-        // are damaged (e.g. a torn or decayed count word that slipped past
-        // the CRC layer). Surface it rather than replaying garbage.
-        if count > self.capacity {
-            return Err(HeapError::CorruptRegion("log count exceeds capacity"));
+        let active = self.read(space, LOG_ACTIVE)?;
+        let mut valid = 0;
+        while valid < self.capacity && self.entry(space, valid, active)?.is_some() {
+            valid += 1;
         }
-        // Newest-first: later writes may overwrite earlier logged words.
-        for i in (0..count).rev() {
-            let slot = LOG_ENTRIES + i * ENTRY_SIZE;
-            let offset = self.read(space, slot)?;
-            let old = self.read(space, slot + 8)?;
-            space.pool_write_u64(self.pool, offset, old)?;
+        // Newest-first over the valid prefix: the oldest image of a word is
+        // the one that survives.
+        for i in (0..valid).rev() {
+            if let Some((offset, old)) = self.entry(space, i, active)? {
+                space.pool_write_u64(self.pool, offset, old)?;
+            }
         }
-        self.write(space, LOG_ACTIVE, 0)?;
-        self.write(space, LOG_COUNT, 0)?;
-        // Fence the restorations and the disarm together: without it, a
-        // second power loss right after recovery would drain the rollback
-        // itself away.
+        // Never hand this epoch out again, even when `begin`'s epoch store
+        // was lost: its entries would validate for the next transaction.
+        if self.read(space, LOG_EPOCH)? < active {
+            self.write(space, LOG_EPOCH, active)?;
+        }
+        // Restorations and epoch are durable before the disarm, and the
+        // disarm before we return: a second power loss right after recovery
+        // must not drain the rollback itself away.
         space.fence();
+        self.write(space, LOG_ACTIVE, 0)?;
+        space.fence();
+        self.epoch.set(0);
         Ok(())
     }
 }
@@ -776,16 +822,118 @@ mod tests {
         assert!(!UndoLog::recover(&mut space, pool).unwrap(), "second pass is a no-op");
     }
 
+    /// Eight words at `0, 8, ..` of a fresh block, holding `0..8`.
+    fn eight_words(space: &mut AddressSpace, pool: PoolId) -> Vec<RelLoc> {
+        let block = space.pmalloc(pool, 64).unwrap();
+        let words: Vec<RelLoc> =
+            (0..8).map(|i| RelLoc::new(pool, block.offset + i * 8)).collect();
+        for (i, w) in words.iter().enumerate() {
+            write(space, *w, i as u64);
+        }
+        words
+    }
+
+    fn crash(space: &mut AddressSpace, pool: PoolId) -> bool {
+        space.restart();
+        space.open_pool("txn").unwrap();
+        UndoLog::recover(space, pool).unwrap()
+    }
+
+    fn entry_word(log: &UndoLog, i: u64) -> u64 {
+        log.base + LOG_ENTRIES + i * ENTRY_SIZE
+    }
+
     #[test]
-    fn rollback_rejects_implausible_count_instead_of_replaying() {
-        let (mut space, pool, a, _b) = setup();
-        let log = UndoLog::ensure(&mut space, pool, 8).unwrap();
-        // Forge a mid-crash image whose count word decayed past the
-        // capacity — replaying it would scatter garbage over the pool.
-        space.pool_write_u64(pool, log.base + LOG_ACTIVE, 1).unwrap();
-        space.pool_write_u64(pool, log.base + LOG_COUNT, 99).unwrap();
-        let err = UndoLog::recover(&mut space, pool).unwrap_err();
-        assert!(matches!(err, HeapError::CorruptRegion("log count exceeds capacity")));
-        assert_eq!(read(&space, a), 100, "no replay happened");
+    fn replay_stops_at_the_first_entry_that_fails_its_check() {
+        let (mut space, pool, _, _) = setup();
+        let w = eight_words(&mut space, pool);
+        let log = UndoLog::ensure(&mut space, pool, 16).unwrap();
+        log.begin(&mut space).unwrap();
+        for &loc in &w[..3] {
+            log.log_word(&mut space, loc).unwrap();
+            write(&mut space, loc, 70);
+        }
+        // Entry 1 torn: its old-value word drained, its tagged word did not.
+        space.pool_write_u64(pool, entry_word(&log, 1) + 8, 0xBAD).unwrap();
+        assert!(crash(&mut space, pool));
+        let got: Vec<u64> = w[..3].iter().map(|&loc| read(&space, loc)).collect();
+        assert_eq!(got, [0, 70, 70], "only the prefix before the torn entry replays");
+
+        // A forged entry 0 — right offset, wrong check — replays nothing.
+        let log = UndoLog::open(&space, pool).unwrap();
+        log.begin(&mut space).unwrap();
+        log.log_word(&mut space, w[3]).unwrap();
+        write(&mut space, w[3], 70);
+        space.pool_write_u64(pool, entry_word(&log, 0), u64::from(w[3].offset)).unwrap();
+        assert!(crash(&mut space, pool));
+        assert_eq!(read(&space, w[3]), 70, "a forged entry is not an undo image");
+    }
+
+    #[test]
+    fn committed_eight_words_then_crashed_two_roll_back_exactly_two() {
+        let (mut space, pool, _, _) = setup();
+        let w = eight_words(&mut space, pool);
+        let log = UndoLog::ensure(&mut space, pool, 16).unwrap();
+        log.run(&mut space, |space, txn| {
+            for &loc in &w {
+                txn.log_word(space, loc)?;
+                write(space, loc, 100 + u64::from(loc.offset));
+            }
+            Ok(())
+        })
+        .unwrap();
+        log.begin(&mut space).unwrap();
+        for &loc in &w[..2] {
+            log.log_word(&mut space, loc).unwrap();
+            write(&mut space, loc, 0xDEAD);
+        }
+        // Entries 2..8 of the committed epoch still sit in the log.
+        assert!(crash(&mut space, pool));
+        for &loc in &w {
+            assert_eq!(read(&space, loc), 100 + u64::from(loc.offset), "word {:#x}", loc.offset);
+        }
+    }
+
+    #[test]
+    fn crash_recover_crash_never_replays_an_earlier_epoch() {
+        let (mut space, pool, _, _) = setup();
+        let w = eight_words(&mut space, pool);
+        let log = UndoLog::ensure(&mut space, pool, 16).unwrap();
+
+        // Epoch 1 dies with four entries after a drain that kept its active
+        // word but lost the epoch store.
+        log.begin(&mut space).unwrap();
+        for &loc in &w[..4] {
+            log.log_word(&mut space, loc).unwrap();
+            write(&mut space, loc, 70);
+        }
+        space.pool_write_u64(pool, log.base + LOG_EPOCH, 0).unwrap();
+        assert!(crash(&mut space, pool));
+        assert_eq!(space.pool_read_u64(pool, log.base + LOG_EPOCH).unwrap(), 1, "epoch raised");
+        for &loc in &w[..4] {
+            write(&mut space, loc, 80); // durable, outside any transaction
+        }
+
+        // Epoch 2 dies before logging anything: epoch 1's entries must not
+        // validate under it.
+        let log = UndoLog::open(&space, pool).unwrap();
+        log.begin(&mut space).unwrap();
+        assert!(crash(&mut space, pool));
+        assert!(w[..4].iter().all(|&loc| read(&space, loc) == 80), "epoch 1 replayed");
+
+        // Epoch 3 dies with only its first entry drained: recovery burns the
+        // epoch, so epoch 4 cannot adopt the orphan after its own crash.
+        let log = UndoLog::open(&space, pool).unwrap();
+        log.begin(&mut space).unwrap();
+        log.log_word(&mut space, w[5]).unwrap();
+        space.pool_write_u64(pool, log.base + LOG_ACTIVE, 0).unwrap();
+        space.pool_write_u64(pool, log.base + LOG_EPOCH, 2).unwrap();
+        assert!(!crash(&mut space, pool));
+        assert_eq!(space.pool_read_u64(pool, log.base + LOG_EPOCH).unwrap(), 3, "orphan burnt");
+        write(&mut space, w[5], 90);
+        let log = UndoLog::open(&space, pool).unwrap();
+        log.begin(&mut space).unwrap();
+        assert!(crash(&mut space, pool));
+        assert_eq!(read(&space, w[5]), 90, "the orphan of epoch 3 replayed");
     }
 }

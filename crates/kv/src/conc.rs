@@ -261,9 +261,9 @@ fn check_point<I: ConcurrentIndex>(
     }
     let torn = d.history.pending() > 0;
 
-    // Power failure: unflushed lines revert, tags die with the caches.
-    trial.set_faults(FaultPlan::disabled());
-    trial.power_cycle();
+    // Power failure: unflushed lines drain (by the torn lottery when the
+    // plan tears), tags die with the caches, then the gate disarms.
+    trial.crash_restart();
 
     // Restart: fresh shard adopts the image and audits everything.
     let mut rspace = AddressSpace::new(mix(spec.seed, 0x42EC ^ k));

@@ -24,10 +24,11 @@
 //!   Any failure replays from `(seed, crash point)` alone — the same
 //!   `UTPR_QC_SEED` contract as the property runner.
 //!
-//! Shared pools are eADR-only, so the sweeps here are clean-crash sweeps:
-//! the pool-wide gate counts durable writes across all threads like one
-//! machine-wide power failure (torn-write sweeps stay single-threaded in
-//! [`crate::faultsweep`]).
+//! The pool-wide gate counts durable writes across all threads like one
+//! machine-wide power failure. By default the base image is eADR and the
+//! crashes are clean; [`MtSweepSpec::torn`] switches to an ADR base image
+//! and [`FaultPlan::torn_at`] crashes, where the power cycle drains every
+//! unfenced line by the plan's seeded per-word lottery before recovery.
 
 use crate::faultsweep::SweepFailure;
 use crate::rng::mix;
@@ -37,7 +38,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use utpr_ds::{IndexCore, RbTree};
 use utpr_heap::{
-    select_points, AddressSpace, FaultPlan, HeapError, SharedPool, SlabId, TransStats, UndoLog,
+    select_points, AddressSpace, FaultPlan, FlushModel, HeapError, SharedPool, SlabId, TransStats,
+    UndoLog,
 };
 use utpr_ptr::{site, ExecEnv, Mode, NullSink, PtrStats};
 use utpr_qc::sched::{schedule, steps, Policy};
@@ -257,6 +259,8 @@ pub struct MtSweepSpec {
     pub samples: u64,
     /// Master seed: schedule, values, and sampling all derive from it.
     pub seed: u64,
+    /// Torn crashes on an ADR base image instead of clean eADR ones.
+    pub torn: bool,
 }
 
 impl MtSweepSpec {
@@ -270,7 +274,16 @@ impl MtSweepSpec {
             exhaustive_limit: u64::MAX,
             samples: 0,
             seed,
+            torn: false,
         }
+    }
+
+    /// Switches the sweep to torn-write crashes (`torn_at(k, seed ^ k)`)
+    /// over an ADR base image.
+    #[must_use]
+    pub fn torn(mut self) -> MtSweepSpec {
+        self.torn = true;
+        self
     }
 
     /// Bench scale: seeded-sampled crash points over a longer history.
@@ -283,6 +296,7 @@ impl MtSweepSpec {
             exhaustive_limit: 0,
             samples,
             seed,
+            torn: false,
         }
     }
 }
@@ -353,6 +367,10 @@ fn build_sweep_base(spec: &MtSweepSpec) -> Result<(Arc<SharedPool>, Vec<SlabId>)
         UndoLog::ensure_slot(env.space_mut(), pool, 1 << 16, t)?;
     }
     env.set_root(site!("mt.sweep-root", StackLocal), dir)?;
+    if spec.torn {
+        // Everything above is durable; from here on lines wait for fences.
+        sp.set_flush_model(FlushModel::Adr);
+    }
     Ok((sp, slabs))
 }
 
@@ -435,7 +453,11 @@ fn check_point(
 ) -> std::result::Result<bool, String> {
     let e2s = |e: HeapError| format!("harness error: {e}");
     let trial = base.snapshot();
-    trial.set_faults(FaultPlan::crash_at(k));
+    trial.set_faults(if spec.torn {
+        FaultPlan::torn_at(k, spec.seed ^ k)
+    } else {
+        FaultPlan::crash_at(k)
+    });
     let d = drive(&trial, slabs, spec, order).map_err(e2s)?;
     if let Some(e) = d.hard {
         return Err(format!("armed run died of a non-crash error: {e}"));
@@ -444,9 +466,11 @@ fn check_point(
         return Err("armed run completed without crashing".into());
     }
 
-    // "Restart": the workers' shards are gone; a fresh space adopts the
-    // crashed image with the gate cleared and rolls back every slot.
-    trial.set_faults(FaultPlan::disabled());
+    // Power loss while the plan is installed (its torn seed drives the
+    // drain), then "restart": the workers' shards are gone; a fresh space
+    // adopts the crashed image with the gate cleared and rolls back every
+    // slot.
+    trial.crash_restart();
     let mut rspace = AddressSpace::new(mix(spec.seed, 0x42EC ^ k));
     let rpool = rspace.adopt_shared(&trial).map_err(e2s)?;
     let rolled =

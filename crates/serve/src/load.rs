@@ -681,8 +681,9 @@ pub fn kill_arm(spec: &KillSpec) -> Result<KillReport> {
     }
 
     // Phase 3: recovery + oracles, the faultsweep battery over the wire's
-    // ack log.
-    pool.set_faults(FaultPlan::disabled());
+    // ack log. The power cycle runs under the armed plan, so recovery's own
+    // finds nothing left to drain.
+    pool.crash_restart();
     out.rolled_back = Server::recover(&pool)?;
     let mut view = DirectView::open(&pool, spec.cfg.shards)?;
     if let Err(e) = view.validate() {

@@ -27,6 +27,7 @@ use crate::event::{MemEvent, NullSink, TimingSink};
 use crate::ptr::{PtrFormat, UPtr};
 use crate::site::{Site, PC_DETERMINE_Y_HELPER, PC_PA_DETERMINE_X, PC_PA_DETERMINE_Y};
 use crate::stats::PtrStats;
+use std::collections::HashSet;
 use utpr_heap::addr::VirtAddr;
 use utpr_heap::{AddressSpace, FaultPlan, HeapError, PoolId, RelLoc};
 
@@ -158,6 +159,13 @@ pub struct ExecEnv<S: TimingSink = NullSink> {
     /// allocator would otherwise clobber the freed bytes and break undo
     /// rollback (the same reason PMDK defers frees to transaction end).
     txn_frees: Vec<UPtr>,
+    /// Intra-pool offsets the open transaction has logged: a word's first
+    /// undo image is the one rollback needs.
+    txn_logged: HashSet<u32>,
+    /// `[start, end)` offsets of blocks allocated inside the open
+    /// transaction. Their words need no undo image: rollback restores every
+    /// logged link to them, and a crash leaks them, as it always did.
+    txn_fresh: Vec<(u32, u32)>,
 }
 
 /// Builder for [`ExecEnv`] — the one construction path that names every
@@ -295,6 +303,8 @@ impl<S: TimingSink> ExecEnvBuilder<S> {
             txn_slot: self.txn_slot,
             txn: None,
             txn_frees: Vec::new(),
+            txn_logged: HashSet::new(),
+            txn_fresh: Vec::new(),
         }
     }
 }
@@ -802,6 +812,10 @@ impl<S: TimingSink> ExecEnv<S> {
             }
             (_, Placement::Pool(pool)) => {
                 let loc = self.space.pmalloc(pool, size)?;
+                if self.txn.as_ref().is_some_and(|log| log.pool() == pool) {
+                    let end = u32::try_from(u64::from(loc.offset) + size).unwrap_or(u32::MAX);
+                    self.txn_fresh.push((loc.offset, end));
+                }
                 let base = self.space.attachment(pool).map(|a| a.base).unwrap_or(VirtAddr::new(
                     utpr_heap::addr::NVM_BASE,
                 ));
@@ -878,8 +892,16 @@ impl<S: TimingSink> ExecEnv<S> {
         // simulated crash the env object outlives the "process"; any
         // deferred frees from the torn transaction are void — the crash
         // rolled their unlinking back.)
-        self.txn_frees.clear();
+        self.txn_forget();
         Ok(())
+    }
+
+    /// Drops the open transaction's volatile bookkeeping: deferred frees,
+    /// write set, fresh blocks.
+    fn txn_forget(&mut self) {
+        self.txn_frees.clear();
+        self.txn_logged.clear();
+        self.txn_fresh.clear();
     }
 
     /// Commits the open transaction.
@@ -893,6 +915,7 @@ impl<S: TimingSink> ExecEnv<S> {
         self.emit(MemEvent::Exec(4));
         // Apply the frees deferred during the transaction.
         let deferred = std::mem::take(&mut self.txn_frees);
+        self.txn_forget();
         for p in deferred {
             self.free_now(p)?;
         }
@@ -910,7 +933,7 @@ impl<S: TimingSink> ExecEnv<S> {
         self.emit(MemEvent::Exec(16));
         // Rolled back: the "freed" objects are back in the structure, so
         // the deferred frees are simply dropped.
-        self.txn_frees.clear();
+        self.txn_forget();
         Ok(())
     }
 
@@ -940,7 +963,7 @@ impl<S: TimingSink> ExecEnv<S> {
             Err(e) => {
                 if matches!(e, HeapError::CrashInjected { .. }) {
                     self.txn = None;
-                    self.txn_frees.clear();
+                    self.txn_forget();
                     // The worker is dead: abandon (leak) its arena leases
                     // rather than letting a later `bind_arena_slab` hand
                     // the remainder — whose carve state may hold unflushed
@@ -961,16 +984,21 @@ impl<S: TimingSink> ExecEnv<S> {
         self.txn.is_some()
     }
 
-    /// Undo-logs the NVM word at `dva` when a transaction is open; charges
-    /// the log-append traffic (one load of the old value, two log stores).
+    /// Undo-logs the NVM word at `dva` when a transaction is open and the
+    /// word needs an undo image — not yet logged, not in a block allocated
+    /// inside the transaction; charges the log-append traffic (one load of
+    /// the old value, two log stores) for the words it logs.
     fn txn_log(&mut self, dva: VirtAddr) -> Result<()> {
-        let Some(log) = self.txn else { return Ok(()) };
+        let Some(log) = &self.txn else { return Ok(()) };
         if !dva.is_nvm_region() {
             return Ok(());
         }
         let loc = self.space.va2ra(dva)?;
-        if loc.pool != log.pool() {
-            return Ok(()); // other pools are outside this transaction
+        if loc.pool != log.pool() // other pools are outside this transaction
+            || self.txn_fresh.iter().rev().any(|&(lo, hi)| (lo..hi).contains(&loc.offset))
+            || !self.txn_logged.insert(loc.offset)
+        {
+            return Ok(());
         }
         log.log_word(&mut self.space, loc)?;
         let log_va = self

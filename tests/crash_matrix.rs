@@ -173,7 +173,7 @@ fn torn_sweep_every_structure_recovers_or_detects() {
 
 /// A corrupted undo-log word at rest is *detected* at re-attach, not
 /// silently replayed into the data image: the page CRC sidecar fails
-/// verification before `UndoLog::recover` ever reads the damaged count.
+/// verification before `UndoLog::recover` ever reads the damaged word.
 #[test]
 fn torn_undo_log_word_is_detected_not_replayed() {
     let mut space = AddressSpace::new(77);
@@ -196,8 +196,8 @@ fn torn_undo_log_word_is_detected_not_replayed() {
     space.restart(); // seals every resident page
     space.set_faults(utpr::heap::FaultPlan::disabled());
 
-    // Retention error strikes the log's count word while the machine is
-    // off (offset 8 in the [active][count][capacity] layout).
+    // Retention error strikes the log's epoch word while the machine is
+    // off (offset 8 in the [active][epoch][capacity] layout).
     let img = space.pool_store_mut().peek_mut(pool).unwrap();
     assert!(img.data_mut().corrupt_bit(log_base + 8, 5), "log page must be resident");
 
@@ -277,6 +277,32 @@ fn concurrent_fault_sweep_every_crash_point_recovers() {
         }
         panic!(
             "mt: {} of {} crash points failed — replay with UTPR_QC_SEED={seed}",
+            report.failures.len(),
+            report.boundaries
+        );
+    }
+}
+
+/// The same concurrent sweep over an ADR base image with torn crashes: the
+/// in-flight write at each boundary lands, and the power cycle drains every
+/// unfenced line of every thread by the plan's seeded per-word lottery.
+/// Recovery must still restore each thread to a transaction boundary.
+#[test]
+fn concurrent_torn_sweep_every_crash_point_recovers() {
+    let seed = utpr_qc::runner::base_seed();
+    let spec = utpr::kv::mt::MtSweepSpec {
+        threads: 2,
+        ..utpr::kv::mt::MtSweepSpec::small(seed).torn()
+    };
+    let report = utpr::kv::mt::mt_crash_sweep(&spec).unwrap();
+    assert_eq!(report.tested, report.boundaries, "small scale must sweep every boundary");
+    assert!(report.rollbacks > 0, "no crash point ever tore a transaction");
+    if !report.failures.is_empty() {
+        for f in &report.failures {
+            eprintln!("FAIL mt torn: {f}");
+        }
+        panic!(
+            "mt torn: {} of {} crash points failed — replay with UTPR_QC_SEED={seed}",
             report.failures.len(),
             report.boundaries
         );
