@@ -51,7 +51,7 @@ fn main() {
         sweep_structure(*b, &spec).expect("sweep setup failed")
     });
 
-    println!("\n=== Crash-point sweep (seed {}) ===", spec.seed);
+    println!("\n=== Crash-point sweep (seed {}) ===", spec.points.seed);
     let mut table = utpr_bench::Table::new(&["bench", "crash points", "tested", "rollbacks", "failures"]);
     let mut failed = 0usize;
     for r in &reports {
@@ -70,7 +70,7 @@ fn main() {
     println!("{}", table.render());
 
     let mut report = BenchReport::new("faults", par::jobs(), t0.elapsed());
-    report.set_extra("seed", Json::U64(spec.seed));
+    report.set_extra("seed", Json::U64(spec.points.seed));
     report.set_extra("total_failures", Json::U64(failed as u64));
     for r in &reports {
         report.push_record(report_json(r));
@@ -78,7 +78,7 @@ fn main() {
     report.write();
 
     if failed > 0 {
-        eprintln!("{failed} crash point(s) failed — replay with UTPR_QC_SEED={}", spec.seed);
+        eprintln!("{failed} crash point(s) failed — replay with UTPR_QC_SEED={}", spec.points.seed);
         std::process::exit(1);
     }
 }

@@ -1,4 +1,4 @@
-//! Pre-decoded execution fast path: each [`Function`] is flattened into a
+//! Pre-decoded execution fast path: each [`Function`](crate::ir::Function) is flattened into a
 //! single cache-friendly op array executed by a tight indexed-dispatch loop
 //! (see `Interp::run_decoded`).
 //!

@@ -14,7 +14,7 @@
 //!   linked-list map and a fixed-fanout chained hash map built on it
 //!   ([`harris`] holds the shared core).
 //! * [`Striped`] — a lock-striped adapter lifting any sequential
-//!   [`IndexOps`] tree into the concurrent interface.
+//!   [`IndexOps`](crate::IndexOps) tree into the concurrent interface.
 //!
 //! ## Flush strategies
 //!

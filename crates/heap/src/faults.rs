@@ -36,10 +36,10 @@
 //!   errors injected *while the system runs*. The flip probability of a
 //!   sealed cold page is a seeded function of the page's age since its
 //!   last rewrite and a configurable decay rate (see
-//!   [`crate::retain::decay_draw`]); flips fire at modelled media-clock
-//!   ticks ([`AddressSpace::advance_media_clock`],
-//!   [`crate::shard::SharedPool::note_work`]) — not just at
-//!   [`crash_and_recover`].
+//!   [`crate::retain::decay_draw`]); flips fire at the modelled media-clock
+//!   ticks of a shared pool ([`crate::shard::SharedPool::note_work`]) —
+//!   not just at [`crash_and_recover`]. Owned pools have no run-time
+//!   media clock; they age only across a power-off ([`inject_bitflips`]).
 //!
 //! A *durable write boundary* is one hooked mutation of a pool: a data
 //! word/byte-range store, an undo-log append word, a root-pointer store,
@@ -153,9 +153,8 @@ impl FaultPlan {
         self
     }
 
-    /// Adds execution-time retention decay to the plan: while a media
-    /// clock advances ([`AddressSpace::advance_media_clock`] for local
-    /// pools, [`crate::shard::SharedPool::note_work`] for shared ones),
+    /// Adds execution-time retention decay to the plan: while a shared
+    /// pool's media clock advances ([`crate::shard::SharedPool::note_work`]),
     /// every sealed cold page rolls a seeded die per tick whose flip
     /// probability grows linearly with the page's age since last rewrite —
     /// `ppb` parts-per-billion per tick of age. Unlike

@@ -14,7 +14,7 @@
 //! - **Allocation plane** — `pmalloc` is served from a thread-private
 //!   *arena lease*: a block carved off the front of a slab (or of the
 //!   central free list) that the owning thread subdivides with
-//!   [`Region::carve_front`] without taking the central lock. Only lease
+//!   `Region::carve_front` without taking the central lock. Only lease
 //!   *refills* and frees touch the central allocator.
 //! - **Persistence plane** — one `PersistPlane` (fault gate, ADR pending
 //!   lines, FliT tags) serves the whole pool: the same code an
@@ -225,7 +225,7 @@ impl SharedPool {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::BadPoolSize`] for sizes the region format
+    /// Returns [`HeapError::BadPoolSize`](crate::HeapError::BadPoolSize) for sizes the region format
     /// rejects.
     pub fn create(name: &str, size: u64, stripes: usize) -> Result<Arc<SharedPool>> {
         let n = stripes.max(1).next_power_of_two();
@@ -377,7 +377,7 @@ impl SharedPool {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::CrashInjected`] when an armed fault point
+    /// Returns [`HeapError::CrashInjected`](crate::HeapError::CrashInjected) when an armed fault point
     /// fires; the write lands only on a torn boundary
     /// ([`FaultPlan::torn_at`]).
     pub fn write_u64_stage(&self, off: u64, value: u64) -> Result<()> {
@@ -397,7 +397,7 @@ impl SharedPool {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::CrashInjected`] when the gate fires on a
+    /// Returns [`HeapError::CrashInjected`](crate::HeapError::CrashInjected) when the gate fires on a
     /// would-succeed swap; the write lands only on a torn boundary.
     pub fn cas_u64(&self, off: u64, expected: u64, new: u64) -> Result<(bool, u64)> {
         let mut plane = self.plane();
@@ -542,7 +542,7 @@ impl SharedPool {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::OutOfMemory`] when the pool is exhausted.
+    /// Returns [`HeapError::OutOfMemory`](crate::HeapError::OutOfMemory) when the pool is exhausted.
     pub fn alloc_raw(&self, size: u64) -> Result<u64> {
         self.alloc_central(size)
     }
@@ -551,7 +551,7 @@ impl SharedPool {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::BadFree`] for offsets that are not live
+    /// Returns [`HeapError::BadFree`](crate::HeapError::BadFree) for offsets that are not live
     /// allocations.
     pub fn free_raw(&self, offset: u64) -> Result<()> {
         self.free_central(offset)
@@ -562,7 +562,7 @@ impl SharedPool {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::OutOfMemory`] when the pool cannot hold it.
+    /// Returns [`HeapError::OutOfMemory`](crate::HeapError::OutOfMemory) when the pool cannot hold it.
     pub fn carve_slab(&self, bytes: u64) -> Result<SlabId> {
         let payload = self.alloc_central(bytes)?;
         let (block, bsize) = self.region.block_of(&StripedWords(self), payload);
@@ -1083,7 +1083,7 @@ impl SharedPool {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::CorruptRegion`] describing the first violated
+    /// Returns [`HeapError::CorruptRegion`](crate::HeapError::CorruptRegion) describing the first violated
     /// invariant.
     pub fn validate(&self) -> Result<usize> {
         let _g = self.central.lock().unwrap();

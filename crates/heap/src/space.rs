@@ -9,14 +9,13 @@
 use crate::addr::{PoolId, RelLoc, VirtAddr, DRAM_BASE, NVM_BASE, NVM_END};
 use crate::alloc::{MemWords, Region};
 use crate::error::{HeapError, Result};
-use crate::faults::{splitmix64, FaultPlan};
+use crate::faults::FaultPlan;
 use crate::integrity::IntegrityMode;
 use crate::lookaside::TransCache;
 pub use crate::lookaside::TransStats;
-use crate::pagestore::{PageStore, PAGE_SIZE};
+use crate::pagestore::PageStore;
 use crate::persist::PersistPlane;
 use crate::pool::PoolStore;
-use crate::retain::decay_draw;
 use crate::shard::{Arena, SharedPool, SlabId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -126,14 +125,6 @@ pub struct AddressSpace {
     /// thread-private leaf of the llfree-style split (this space being one
     /// worker's shard).
     arenas: HashMap<PoolId, Arena>,
-    /// Media-clock tick for *local* pools (shared pools keep their own
-    /// clock in [`SharedPool::note_work`]). Advanced only by
-    /// [`AddressSpace::advance_media_clock`], never by wall time.
-    media_tick: u64,
-    /// When this clock first observed `(pool, page)` sealed — the local
-    /// pools' age approximation (they carry no wear table; see
-    /// [`AddressSpace::advance_media_clock`]).
-    seal_ticks: HashMap<(PoolId, u64), u64>,
 }
 
 impl AddressSpace {
@@ -169,8 +160,6 @@ impl AddressSpace {
             trans: TransCache::new(),
             shared: HashMap::new(),
             arenas: HashMap::new(),
-            media_tick: 0,
-            seal_ticks: HashMap::new(),
         }
     }
 
@@ -218,56 +207,6 @@ impl AddressSpace {
     /// Replaces the fault-injection gate (arm, start counting, disarm).
     pub fn set_faults(&mut self, plan: FaultPlan) {
         self.plane.faults = plan;
-    }
-
-    /// The local-pool media-clock tick (see
-    /// [`AddressSpace::advance_media_clock`]).
-    pub fn media_tick(&self) -> u64 {
-        self.media_tick
-    }
-
-    /// Advances the local-pool media clock by `ticks` and runs the decay
-    /// lottery of [`FaultPlan::with_decay`] over every sealed cold page of
-    /// every *local* pool — retention decay striking while the system
-    /// runs, not just at [`crate::faults::crash_and_recover`]. Adopted
-    /// shared pools are untouched; their clock is
-    /// [`SharedPool::note_work`]. Returns the number of flips injected
-    /// (each leaves the page's sealed checksum stale — silent until a
-    /// verify/scrub pass catches it).
-    ///
-    /// Age approximation (deliberate simplification, DESIGN.md §13):
-    /// local pools carry no wear table, so a page starts aging when this
-    /// clock first *observes* it sealed, and going dirty resets its
-    /// tracking. Ages are therefore lower bounds; the shared-pool plane is
-    /// the precise model.
-    pub fn advance_media_clock(&mut self, ticks: u64) -> u64 {
-        let Some((seed, ppb)) = self.plane.faults.decay() else {
-            self.media_tick += ticks;
-            return 0;
-        };
-        let mut injected = 0u64;
-        for _ in 0..ticks {
-            self.media_tick += 1;
-            let t = self.media_tick;
-            let ids: Vec<PoolId> = self.store.iter().map(|(id, _, _)| id).collect();
-            for id in ids {
-                let Ok(img) = self.store.peek_mut(id) else { continue };
-                for page in img.crcs().sealed_pages() {
-                    if img.data().is_dirty(page) {
-                        self.seal_ticks.remove(&(id, page));
-                        continue;
-                    }
-                    let born = *self.seal_ticks.entry((id, page)).or_insert(t);
-                    let pool_seed = seed ^ splitmix64(u64::from(id.raw()) << 1 | 1);
-                    if let Some((off, bit)) = decay_draw(pool_seed, page, t, t - born, ppb) {
-                        if img.data_mut().corrupt_bit(page * PAGE_SIZE + off, bit) {
-                            injected += 1;
-                        }
-                    }
-                }
-            }
-        }
-        injected
     }
 
     // ---- flush model -------------------------------------------------------
@@ -1194,6 +1133,7 @@ impl AddressSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pagestore::PAGE_SIZE;
 
     #[test]
     fn dram_heap_allocates_in_dram_half() {
@@ -1635,40 +1575,6 @@ mod tests {
         s.destroy_pool(p).unwrap();
         assert!(s.attachment(p).is_none());
         assert!(s.pool_store().get(p).is_err());
-    }
-
-    #[test]
-    fn media_clock_decays_sealed_local_pages_and_scrub_catches_it() {
-        use crate::integrity::PageVerdict;
-
-        let mut s = AddressSpace::new(11);
-        s.pool_store_mut().set_integrity(IntegrityMode::Crc);
-        let p = s.create_pool("decay", 1 << 20).unwrap();
-        let loc = s.pmalloc(p, 8192).unwrap();
-        let va = s.ra2va(loc).unwrap();
-        for i in 0..1024u64 {
-            s.write_u64(va.add(i * 8), i ^ 0x5a5a).unwrap();
-        }
-        s.pool_store_mut().seal_all();
-
-        // Without a decay law the clock advances but nothing flips.
-        assert_eq!(s.advance_media_clock(5), 0);
-        assert_eq!(s.media_tick(), 5);
-        assert!(s.pool_store_mut().scrub_all().corrupt.is_empty());
-
-        // With a hot law, sealed cold pages lose the lottery while the
-        // system runs — not just at crash_and_recover — and the patrol
-        // scrub detects every flip, quarantining the pool.
-        s.set_faults(FaultPlan::disabled().with_decay(0xD00D, 50_000_000));
-        let injected = s.advance_media_clock(40);
-        assert!(injected > 0, "hot decay law flips sealed pages");
-        assert_eq!(s.media_tick(), 45);
-        let report = s.pool_store_mut().scrub_all();
-        assert!(report.corrupt.iter().any(|(id, _)| *id == p));
-        assert!(report
-            .verdicts
-            .iter()
-            .any(|(id, _, v)| *id == p && *v == PageVerdict::Quarantined));
     }
 
     #[test]

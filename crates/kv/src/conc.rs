@@ -29,17 +29,20 @@
 //!    ([`utpr_qc::linear::check`]): the audited state must be a legal
 //!    cut of the crashed execution — completed operations durable,
 //!    pending ones included or dropped. Any refusal is a
-//!    [`SweepFailure`] carrying the replay seed.
+//!    [`crate::SweepFailure`] carrying the replay seed.
+//!
+//! Census, arming and the trial loop are the crate's one crash-point
+//! skeleton ([`crate::faultsweep`]); a trial whose crash left an operation
+//! pending counts as a [`SweepReport::rollbacks`].
 
-use crate::faultsweep::SweepFailure;
+use crate::faultsweep::{
+    census_shared, check_invariants, crash_shared, harness_error, run_sweep, CrashPoints, Driven,
+    SweepReport, Trial,
+};
 use crate::rng::mix;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use utpr_ds::concurrent::{ConcurrentIndex, FlushStrategy, Handle};
-use utpr_ds::{ConcHash, ConcList};
-use utpr_heap::{
-    select_points, AddressSpace, FaultPlan, FlushModel, HeapError, SharedPool, SlabId,
-};
+use utpr_heap::{AddressSpace, FaultPlan, FlushModel, HeapError, SharedPool, SlabId};
 use utpr_ptr::{site, ExecEnv, Mode};
 use utpr_qc::linear::{check, History, KvOp};
 use utpr_qc::sched::Turnstile;
@@ -52,7 +55,8 @@ const POOL_BYTES: u64 = 24 << 20;
 /// enumerable.
 pub const KEY_UNIVERSE: u64 = 8;
 
-/// Shape of one concurrent-history crash sweep.
+/// Shape of one concurrent-history crash sweep. Crashes are clean: the
+/// base image is ADR, so a crash still drops every unfenced line.
 #[derive(Clone, Copy, Debug)]
 pub struct ConcSweepSpec {
     /// Real OS threads under the turnstile.
@@ -63,12 +67,9 @@ pub struct ConcSweepSpec {
     pub prepopulate: u64,
     /// Flush strategy every handle follows.
     pub strategy: FlushStrategy,
-    /// Boundary counts up to this are swept exhaustively.
-    pub exhaustive_limit: u64,
-    /// Seeded sample size above the exhaustive limit.
-    pub samples: u64,
-    /// Master seed: schedule, op mix, values, sampling.
-    pub seed: u64,
+    /// Which boundaries to crash at; its seed also drives the schedule,
+    /// the op mix and the values.
+    pub points: CrashPoints,
 }
 
 impl ConcSweepSpec {
@@ -80,9 +81,7 @@ impl ConcSweepSpec {
             ops_per_thread: 4,
             prepopulate: 3,
             strategy,
-            exhaustive_limit: 0,
-            samples: 10,
-            seed,
+            points: CrashPoints::sampled(seed, 10),
         }
     }
 
@@ -94,28 +93,9 @@ impl ConcSweepSpec {
             ops_per_thread: 3,
             prepopulate: 2,
             strategy,
-            exhaustive_limit: u64::MAX,
-            samples: 0,
-            seed,
+            points: CrashPoints::every(seed),
         }
     }
-}
-
-/// What one concurrent sweep produced.
-#[derive(Clone, Debug)]
-pub struct ConcSweepReport {
-    /// Threads interleaved.
-    pub threads: u32,
-    /// Strategy swept.
-    pub strategy: FlushStrategy,
-    /// Durable-write boundaries the full schedule crosses.
-    pub boundaries: u64,
-    /// Crash points actually tested.
-    pub tested: u64,
-    /// Trials whose crash left at least one operation pending.
-    pub torn: u64,
-    /// Crash points whose recovered state failed an oracle.
-    pub failures: Vec<SweepFailure>,
 }
 
 fn prepop_key(i: u64) -> u64 {
@@ -142,19 +122,20 @@ fn build_base<I: ConcurrentIndex>(
     spec: &ConcSweepSpec,
     name: &str,
 ) -> Result<(Arc<SharedPool>, Vec<SlabId>)> {
+    let seed = spec.points.seed;
     let sp = SharedPool::create(name, POOL_BYTES, 8)?;
     sp.set_flush_model(FlushModel::Adr);
     let slabs: Vec<SlabId> = (0..spec.threads)
         .map(|_| sp.carve_slab(96 << 10))
         .collect::<Result<Vec<_>>>()?;
 
-    let mut space = AddressSpace::new(mix(spec.seed, 0xC5E7));
+    let mut space = AddressSpace::new(mix(seed, 0xC5E7));
     let pool = space.adopt_shared(&sp)?;
     let mut env = ExecEnv::builder(space).mode(Mode::Hw).pool(pool).build();
     let idx = I::create(&mut env)?;
     let mut h = Handle::new(&mut env, spec.strategy)?;
     for i in 0..spec.prepopulate {
-        idx.insert(&mut h, prepop_key(i), prepop_val(spec.seed, i))?;
+        idx.insert(&mut h, prepop_key(i), prepop_val(seed, i))?;
     }
     env.set_root(site!("conc.sweep-root", StackLocal), idx.descriptor())?;
     env.space_mut().fence();
@@ -168,35 +149,31 @@ fn seed_history(spec: &ConcSweepSpec) -> History {
     let mut hist = History::new();
     let mut model = std::collections::BTreeMap::new();
     for i in 0..spec.prepopulate {
-        let (k, v) = (prepop_key(i), prepop_val(spec.seed, i));
+        let (k, v) = (prepop_key(i), prepop_val(spec.points.seed, i));
         let id = hist.begin(u32::MAX, KvOp::Insert(k, v));
         hist.complete(id, model.insert(k, v));
     }
     hist
 }
 
-struct DriveOut {
-    history: History,
-    crashed: bool,
-    hard: Option<String>,
-}
-
-/// Runs the full turnstile schedule against `sp` with real threads.
+/// Runs the full turnstile schedule against `sp` with real threads,
+/// recording the invoke/response history.
 fn drive<I: ConcurrentIndex>(
     sp: &Arc<SharedPool>,
     slabs: &[SlabId],
     spec: &ConcSweepSpec,
-) -> Result<DriveOut> {
-    let ts = Arc::new(Turnstile::new(spec.threads as usize, spec.seed));
-    let hist = Arc::new(Mutex::new(seed_history(spec)));
-    let hard: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
+) -> Driven<History> {
+    let seed = spec.points.seed;
+    let ts = Turnstile::new(spec.threads as usize, seed);
+    let hist = Mutex::new(seed_history(spec));
+    let hard: Mutex<Option<HeapError>> = Mutex::new(None);
 
     std::thread::scope(|s| {
         for t in 0..spec.threads as usize {
-            let (sp, ts, hist, hard) = (sp, Arc::clone(&ts), Arc::clone(&hist), Arc::clone(&hard));
+            let (ts, hist, hard) = (&ts, &hist, &hard);
             s.spawn(move || {
                 let run = || -> Result<()> {
-                    let mut space = AddressSpace::new(mix(spec.seed, 0xD21 ^ (t as u64 + 1)));
+                    let mut space = AddressSpace::new(mix(seed, 0xD21 ^ (t as u64 + 1)));
                     let pool = space.adopt_shared(sp)?;
                     space.bind_arena_slab(pool, slabs[t])?;
                     let mut env = ExecEnv::builder(space).mode(Mode::Hw).pool(pool).build();
@@ -209,17 +186,14 @@ fn drive<I: ConcurrentIndex>(
                     let mut h =
                         Handle::new(&mut env, spec.strategy)?.with_yielder(&yielder);
                     for j in 0..spec.ops_per_thread {
-                        let op = op_of(spec.seed, t as u64, j);
+                        let op = op_of(seed, t as u64, j);
                         let id = hist.lock().expect("history").begin(t as u32, op);
-                        let result = match op {
+                        let r = match op {
                             KvOp::Insert(k, v) => idx.insert(&mut h, k, v),
                             KvOp::Remove(k) => idx.remove(&mut h, k),
                             KvOp::Get(k) => idx.get(&mut h, k),
-                        };
-                        match result {
-                            Ok(r) => hist.lock().expect("history").complete(id, r),
-                            Err(e) => return Err(e), // op stays pending
-                        }
+                        }?; // an error leaves the op pending
+                        hist.lock().expect("history").complete(id, r);
                     }
                     Ok(())
                 };
@@ -227,7 +201,7 @@ fn drive<I: ConcurrentIndex>(
                     Ok(()) => {}
                     Err(HeapError::CrashInjected { .. }) => ts.crash(),
                     Err(e) => {
-                        *hard.lock().expect("hard") = Some(format!("thread {t}: {e}"));
+                        *hard.lock().expect("hard") = Some(e);
                         ts.crash();
                     }
                 }
@@ -236,10 +210,11 @@ fn drive<I: ConcurrentIndex>(
         }
     });
 
-    let crashed = ts.crashed();
-    let history = Arc::try_unwrap(hist).expect("history refs").into_inner().expect("history");
-    let hard = Arc::try_unwrap(hard).expect("hard refs").into_inner().expect("hard");
-    Ok(DriveOut { history, crashed, hard })
+    Driven {
+        out: hist.into_inner().expect("history"),
+        crashed: ts.crashed(),
+        hard: hard.into_inner().expect("hard"),
+    }
 }
 
 /// Drives one armed trial, power-cycles, recovers, audits, checks.
@@ -248,47 +223,30 @@ fn check_point<I: ConcurrentIndex>(
     slabs: &[SlabId],
     spec: &ConcSweepSpec,
     k: u64,
-) -> std::result::Result<bool, String> {
-    let e2s = |e: HeapError| format!("harness error: {e}");
-    let trial = base.snapshot();
-    trial.set_faults(FaultPlan::crash_at(k));
-    let d = drive::<I>(&trial, slabs, spec).map_err(e2s)?;
-    if let Some(h) = d.hard {
-        return Err(format!("armed run died of a non-crash error: {h}"));
-    }
-    if !d.crashed {
-        return Err("armed run completed without crashing".into());
-    }
-    let torn = d.history.pending() > 0;
-
-    // Power failure: unflushed lines drain (by the torn lottery when the
-    // plan tears), tags die with the caches, then the gate disarms.
-    trial.crash_restart();
+) -> std::result::Result<Trial, String> {
+    let (image, mut history) =
+        crash_shared(base, FaultPlan::crash_at(k), |sp| Ok(drive::<I>(sp, slabs, spec)))?;
+    let cut = history.pending() > 0;
 
     // Restart: fresh shard adopts the image and audits everything.
-    let mut rspace = AddressSpace::new(mix(spec.seed, 0x42EC ^ k));
-    let rpool = rspace.adopt_shared(&trial).map_err(e2s)?;
-    trial.validate().map_err(|e| format!("allocator invariants violated: {e}"))?;
+    let mut rspace = AddressSpace::new(mix(spec.points.seed, 0x42EC ^ k));
+    let rpool = rspace.adopt_shared(&image).map_err(harness_error)?;
+    image.validate().map_err(|e| format!("allocator invariants violated: {e}"))?;
     let mut env = ExecEnv::builder(rspace).mode(Mode::Hw).pool(rpool).build();
-    let desc = env.root(site!("conc.sweep-check", KnownReturn)).map_err(e2s)?;
+    let desc = env.root(site!("conc.sweep-check", KnownReturn)).map_err(harness_error)?;
     let idx = I::open(desc);
-    match catch_unwind(AssertUnwindSafe(|| idx.validate(&mut env))) {
-        Ok(Ok(_)) => {}
-        Ok(Err(e)) => return Err(format!("validator errored: {e}")),
-        Err(_) => return Err("structure invariant violated after recovery".into()),
-    }
+    check_invariants(|| idx.validate(&mut env))?;
 
     // Append the recovered state as completed audit reads, then ask the
     // checker whether it is a legal cut of the crashed execution.
-    let mut history = d.history;
-    let mut h = Handle::new(&mut env, spec.strategy).map_err(e2s)?;
+    let mut h = Handle::new(&mut env, spec.strategy).map_err(harness_error)?;
     for key in 0..KEY_UNIVERSE {
         let id = history.begin(u32::MAX - 1, KvOp::Get(key));
-        let got = idx.get(&mut h, key).map_err(e2s)?;
+        let got = idx.get(&mut h, key).map_err(harness_error)?;
         history.complete(id, got);
     }
     check(&history).map_err(|detail| format!("durable linearizability refuted: {detail}"))?;
-    Ok(torn)
+    Ok(if cut { Trial::RolledBack } else { Trial::Intact })
 }
 
 /// Sweeps crash boundaries of an N-thread lock-free history under one
@@ -297,86 +255,48 @@ fn check_point<I: ConcurrentIndex>(
 /// # Errors
 ///
 /// Propagates setup failures (consistency findings land in
-/// [`ConcSweepReport::failures`]).
+/// [`SweepReport::failures`]).
 ///
 /// # Panics
 ///
 /// Panics when `spec.threads` is zero.
-pub fn conc_crash_sweep<I: ConcurrentIndex>(spec: &ConcSweepSpec) -> Result<ConcSweepReport> {
+pub fn conc_crash_sweep<I: ConcurrentIndex>(spec: &ConcSweepSpec) -> Result<SweepReport> {
     assert!(spec.threads > 0, "sweep over zero threads");
     let name = format!(
         "conc-sweep-{}-{}-{:x}",
         I::NAME,
         spec.strategy.label(),
-        mix(spec.seed, 0x5EED)
+        mix(spec.points.seed, 0x5EED)
     );
     let (base, slabs) = build_base::<I>(spec, &name)?;
-
-    // Count the schedule's durable-write boundaries.
-    let counting = base.snapshot();
-    counting.set_faults(FaultPlan::counting());
-    let d = drive::<I>(&counting, &slabs, spec)?;
-    if let Some(h) = d.hard {
-        return Err(HeapError::ModeDivergence {
-            benchmark: "conc-sweep-counting",
-            details: h,
-        });
-    }
-    debug_assert!(!d.crashed, "counting plan never trips");
-    let total = counting.faults().writes();
-
-    let points = select_points(total, spec.exhaustive_limit, spec.samples, spec.seed);
-    let mut report = ConcSweepReport {
-        threads: spec.threads,
-        strategy: spec.strategy,
-        boundaries: total,
-        tested: points.len() as u64,
-        torn: 0,
-        failures: Vec::new(),
-    };
-    for k in points {
-        match check_point::<I>(&base, &slabs, spec, k) {
-            Ok(true) => report.torn += 1,
-            Ok(false) => {}
-            Err(detail) => {
-                report.failures.push(SweepFailure { crash_point: k, seed: spec.seed, detail });
-            }
-        }
-    }
-    Ok(report)
-}
-
-/// Convenience: sweeps the hash map under every flush strategy.
-///
-/// # Errors
-///
-/// Propagates setup failures.
-pub fn conc_sweep_all_strategies(seed: u64) -> Result<Vec<ConcSweepReport>> {
-    FlushStrategy::ALL
-        .iter()
-        .map(|s| conc_crash_sweep::<ConcHash>(&ConcSweepSpec::small(seed, *s)))
-        .collect()
-}
-
-/// The list variant of [`conc_sweep_all_strategies`].
-///
-/// # Errors
-///
-/// Propagates setup failures.
-pub fn conc_sweep_list(seed: u64, strategy: FlushStrategy) -> Result<ConcSweepReport> {
-    conc_crash_sweep::<ConcList>(&ConcSweepSpec::small(seed, strategy))
+    let total = census_shared(&base, |sp| Ok(drive::<I>(sp, &slabs, spec)))?;
+    Ok(run_sweep(I::NAME, total, &spec.points, |k| check_point::<I>(&base, &slabs, spec, k)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use utpr_ds::{ConcHash, ConcList};
 
     #[test]
     fn conc_sweep_hash_all_strategies_is_clean() {
-        for r in conc_sweep_all_strategies(13).unwrap() {
-            assert!(r.boundaries > 0, "{:?}: schedule must cross durable writes", r.strategy);
-            assert_eq!(r.tested, 10.min(r.boundaries), "{:?} sample budget", r.strategy);
-            assert!(r.failures.is_empty(), "{:?}: {:?}", r.strategy, r.failures);
+        for s in FlushStrategy::ALL {
+            let r = conc_crash_sweep::<ConcHash>(&ConcSweepSpec::small(13, s)).unwrap();
+            assert!(r.boundaries > 0, "{s:?}: schedule must cross durable writes");
+            assert_eq!(r.tested, 10.min(r.boundaries), "{s:?} sample budget");
+            assert!(r.failures.is_empty(), "{s:?}: {:?}", r.failures);
+        }
+    }
+
+    /// Clean across seeds, not only the one above: several of these
+    /// histories linearize only after the checker has rejected another
+    /// candidate at the same search node.
+    #[test]
+    fn conc_sweep_hash_small_is_clean_across_seeds() {
+        for seed in 0..8 {
+            let spec = ConcSweepSpec::small(seed, FlushStrategy::Traverse);
+            let r = conc_crash_sweep::<ConcHash>(&spec).unwrap();
+            assert!(r.failures.is_empty(), "seed {seed}: {:?}", r.failures);
         }
     }
 
@@ -385,7 +305,7 @@ mod tests {
         let spec = ConcSweepSpec::exhaustive(7, FlushStrategy::Traverse);
         let r = conc_crash_sweep::<ConcList>(&spec).unwrap();
         assert_eq!(r.tested, r.boundaries, "exhaustive sweep hits every boundary");
-        assert!(r.torn > 0, "some crash points must cut an operation mid-flight");
+        assert!(r.rollbacks > 0, "some crash points must cut an operation mid-flight");
         assert!(r.failures.is_empty(), "{:?}", r.failures);
     }
 
@@ -395,7 +315,7 @@ mod tests {
         let a = conc_crash_sweep::<ConcHash>(&spec).unwrap();
         let b = conc_crash_sweep::<ConcHash>(&spec).unwrap();
         assert_eq!(a.boundaries, b.boundaries, "same seed, same schedule");
-        assert_eq!(a.torn, b.torn);
+        assert_eq!(a.rollbacks, b.rollbacks);
         assert_eq!(a.failures.len(), b.failures.len());
     }
 }

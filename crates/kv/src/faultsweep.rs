@@ -33,9 +33,17 @@
 //!   lost keys. With CRC off, the same flips measure the silent-wrong
 //!   rate the integrity layer exists to prevent.
 //!
-//! Everything derives from [`SweepSpec::seed`], so a failure reproduces
+//! Everything derives from [`CrashPoints::seed`], so a failure reproduces
 //! from `(seed, crash point)` alone — the two numbers every
 //! [`SweepFailure`] carries.
+//!
+//! The crash-point skeleton here is the one every sweep in the crate runs
+//! on: [`CrashPoints`] chooses the boundaries, [`FaultFlavor::plan`] arms
+//! each one, `run_sweep` tallies the trials into one [`SweepReport`], and
+//! `census_shared`/`crash_shared` count and crash a workload on a
+//! [`SharedPool`] snapshot for the multi-thread ([`crate::mt`]) and
+//! lock-free ([`crate::conc`]) sweeps. Each sweep supplies only its base
+//! image, workload, recovery and oracles.
 
 use crate::harness::Benchmark;
 use crate::rng::Rng;
@@ -43,12 +51,13 @@ use crate::store::KvStore;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use utpr_ds::{
     AvlTree, BPlusTree, HashMapIndex, IndexOps, LinkedList, RbTree, ScapegoatTree, SplayTree,
 };
 use utpr_heap::{
     crash_and_recover, select_points, AddressSpace, FaultPlan, FlushModel, HeapError,
-    IntegrityMode, PoolId, Region, SalvageStats,
+    IntegrityMode, PoolId, Region, SalvageStats, SharedPool,
 };
 use utpr_ptr::{site, ExecEnv, Mode, NullSink, UPtr};
 
@@ -58,6 +67,8 @@ pub type Result<T> = std::result::Result<T, HeapError>;
 /// Pool name every sweep uses.
 const POOL: &str = "faultsweep";
 const POOL_BYTES: u64 = 8 << 20;
+
+// ---- the sweep skeleton ----------------------------------------------------
 
 /// What kind of media fault the armed run injects at the crash boundary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,80 +80,52 @@ pub enum FaultFlavor {
     Torn,
 }
 
-/// Shape of one structure's sweep.
+impl FaultFlavor {
+    /// The plan that arms crash point `k` of a sweep seeded with `seed`.
+    #[must_use]
+    pub fn plan(self, seed: u64, k: u64) -> FaultPlan {
+        match self {
+            FaultFlavor::Crash => FaultPlan::crash_at(k),
+            FaultFlavor::Torn => {
+                FaultPlan::torn_at(k, seed ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            }
+        }
+    }
+
+    /// The persistence domain the armed run needs: a torn crash only has
+    /// unfenced lines to drain under ADR.
+    #[must_use]
+    pub fn flush_model(self) -> FlushModel {
+        match self {
+            FaultFlavor::Crash => FlushModel::Eadr,
+            FaultFlavor::Torn => FlushModel::Adr,
+        }
+    }
+}
+
+/// Which durable-write boundaries a sweep crashes at.
 #[derive(Clone, Copy, Debug)]
-pub struct SweepSpec {
-    /// Keys inserted before the gate is armed (the committed baseline).
-    pub prepopulate: u64,
-    /// Transaction-wrapped operations run while armed.
-    pub txn_ops: u64,
+pub struct CrashPoints {
     /// Boundary counts up to this are swept exhaustively.
     pub exhaustive_limit: u64,
     /// Seeded sample size above the exhaustive limit.
     pub samples: u64,
-    /// Master seed: workload, layout, and sampling all derive from it.
+    /// Master seed: workload, schedule, layout and sampling derive from it.
     pub seed: u64,
-    /// Whether crashes are clean or torn.
-    pub flavor: FaultFlavor,
 }
 
-impl SweepSpec {
-    /// Tier-1 scale: small enough that every boundary is swept.
-    pub fn small(seed: u64) -> SweepSpec {
-        SweepSpec {
-            prepopulate: 8,
-            txn_ops: 6,
-            exhaustive_limit: u64::MAX,
-            samples: 0,
-            seed,
-            flavor: FaultFlavor::Crash,
-        }
-    }
-
-    /// Bench scale: bigger workload, seeded-sampled crash points.
-    pub fn sampled(seed: u64, txn_ops: u64, samples: u64) -> SweepSpec {
-        SweepSpec {
-            prepopulate: 64,
-            txn_ops,
-            exhaustive_limit: 0,
-            samples,
-            seed,
-            flavor: FaultFlavor::Crash,
-        }
-    }
-
-    /// Switches the sweep to torn-write crashes under the ADR flush model.
+impl CrashPoints {
+    /// Every boundary, however many there are.
     #[must_use]
-    pub fn torn(mut self) -> SweepSpec {
-        self.flavor = FaultFlavor::Torn;
-        self
+    pub fn every(seed: u64) -> CrashPoints {
+        CrashPoints { exhaustive_limit: u64::MAX, samples: 0, seed }
     }
-}
 
-/// Arms the fault gate for crash point `k` according to the spec's flavor.
-fn arm(env: &mut ExecEnv<NullSink>, spec: &SweepSpec, k: u64) {
-    match spec.flavor {
-        FaultFlavor::Crash => env.space_mut().set_faults(FaultPlan::crash_at(k)),
-        FaultFlavor::Torn => {
-            // ADR: durable writes pend per cache line until a fence; the
-            // torn seed decides which pending words survive the drain.
-            env.space_mut().set_flush_model(FlushModel::Adr);
-            let tseed = spec.seed ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            env.space_mut().set_faults(FaultPlan::torn_at(k, tseed));
-        }
+    /// `n` seeded boundaries (always including the first and last).
+    #[must_use]
+    pub fn sampled(seed: u64, n: u64) -> CrashPoints {
+        CrashPoints { exhaustive_limit: 0, samples: n, seed }
     }
-}
-
-/// In torn mode a *typed* corruption error from recovery is an acceptable
-/// (detected, not silent) outcome; in clean-crash mode it is a bug.
-fn is_detected_corruption(spec: &SweepSpec, e: &HeapError) -> bool {
-    spec.flavor == FaultFlavor::Torn
-        && matches!(
-            e,
-            HeapError::MediaCorruption { .. }
-                | HeapError::BadPoolHeader { .. }
-                | HeapError::CorruptRegion(_)
-        )
 }
 
 /// One crash point that did not recover cleanly.
@@ -166,22 +149,207 @@ impl std::fmt::Display for SweepFailure {
     }
 }
 
-/// What sweeping one structure produced.
+/// What one crash sweep produced.
 #[derive(Clone, Debug)]
 pub struct SweepReport {
-    /// Table III name of the structure.
+    /// Name of the structure swept (paper Table III for the sequential
+    /// ones).
     pub benchmark: &'static str,
     /// Durable-write boundaries the armed workload crosses.
     pub boundaries: u64,
     /// Crash points actually tested (== `boundaries` when exhaustive).
     pub tested: u64,
-    /// Recoveries that rolled back a torn transaction.
+    /// Crash points that struck inside an operation: recovery rolled back
+    /// a transaction, or the crashed history left an operation pending.
     pub rollbacks: u64,
     /// Crash points where recovery surfaced a typed corruption error
     /// (torn flavor only — detected damage, not a silent wrong answer).
     pub detected: u64,
     /// Crash points that failed an oracle.
     pub failures: Vec<SweepFailure>,
+}
+
+/// How one crash point that passed every oracle went.
+pub(crate) enum Trial {
+    /// The crash fell between operations; nothing needed undoing.
+    Intact,
+    /// The crash struck inside an operation (see [`SweepReport::rollbacks`]).
+    RolledBack,
+    /// Recovery refused the image with a typed corruption error.
+    Detected,
+}
+
+/// The one crash-point loop: runs `trial` at every boundary `points`
+/// selects out of `total` and tallies the verdicts. An `Err` from a trial
+/// is an oracle failure, reported with the replay seed.
+pub(crate) fn run_sweep(
+    benchmark: &'static str,
+    total: u64,
+    points: &CrashPoints,
+    mut trial: impl FnMut(u64) -> std::result::Result<Trial, String>,
+) -> SweepReport {
+    let ks = select_points(total, points.exhaustive_limit, points.samples, points.seed);
+    let mut report = SweepReport {
+        benchmark,
+        boundaries: total,
+        tested: ks.len() as u64,
+        rollbacks: 0,
+        detected: 0,
+        failures: Vec::new(),
+    };
+    for k in ks {
+        match trial(k) {
+            Ok(Trial::Intact) => {}
+            Ok(Trial::RolledBack) => report.rollbacks += 1,
+            Ok(Trial::Detected) => report.detected += 1,
+            Err(detail) => {
+                report.failures.push(SweepFailure { crash_point: k, seed: points.seed, detail });
+            }
+        }
+    }
+    report
+}
+
+/// Failure detail for an error the harness itself hit while checking.
+pub(crate) fn harness_error(e: HeapError) -> String {
+    format!("harness error: {e}")
+}
+
+/// Oracle 1: a structure's own validator; a panic inside it is an
+/// invariant violation. Returns the element count.
+pub(crate) fn check_invariants(
+    validate: impl FnOnce() -> Result<u64>,
+) -> std::result::Result<u64, String> {
+    match catch_unwind(AssertUnwindSafe(validate)) {
+        Ok(Ok(n)) => Ok(n),
+        Ok(Err(e)) => Err(format!("validator errored: {e}")),
+        Err(panic) => Err(format!("invariant violated: {}", panic_message(&*panic))),
+    }
+}
+
+/// What driving a workload produced: the workload's own record
+/// (commits, a history) and how the run ended.
+pub(crate) struct Driven<T> {
+    /// The workload's record.
+    pub out: T,
+    /// Whether the armed gate tripped.
+    pub crashed: bool,
+    /// A non-crash error that killed the run (a harness bug).
+    pub hard: Option<HeapError>,
+}
+
+impl<T> Driven<T> {
+    /// A run that ran to the end.
+    pub fn done(out: T) -> Driven<T> {
+        Driven { out, crashed: false, hard: None }
+    }
+
+    /// A run stopped by `err`: the injected crash, or a hard error.
+    pub fn stopped(out: T, err: HeapError) -> Driven<T> {
+        let crashed = matches!(err, HeapError::CrashInjected { .. });
+        Driven { out, crashed, hard: (!crashed).then_some(err) }
+    }
+
+    /// A counting run's record; any error is the workload's own.
+    fn counted(self) -> Result<T> {
+        debug_assert!(!self.crashed, "counting plan never trips");
+        self.hard.map_or(Ok(self.out), Err)
+    }
+
+    /// An armed run's record, provided it died of the injected crash and
+    /// of nothing else.
+    fn crashed(self) -> std::result::Result<T, String> {
+        if let Some(e) = self.hard {
+            return Err(format!("armed run died of a non-crash error: {e}"));
+        }
+        if !self.crashed {
+            return Err("armed run completed without crashing".into());
+        }
+        Ok(self.out)
+    }
+}
+
+/// Counts the durable-write boundaries `drive` crosses on a snapshot of
+/// the shared base image.
+pub(crate) fn census_shared<T>(
+    base: &Arc<SharedPool>,
+    drive: impl FnOnce(&Arc<SharedPool>) -> Result<Driven<T>>,
+) -> Result<u64> {
+    let counting = base.snapshot();
+    counting.set_faults(FaultPlan::counting());
+    drive(&counting)?.counted()?;
+    Ok(counting.faults().writes())
+}
+
+/// Drives one armed trial on a snapshot of the shared base image, then
+/// power-cycles it under the plan (a torn seed drives the drain) and
+/// disarms the gate. Returns the crashed image and the workload's record.
+pub(crate) fn crash_shared<T>(
+    base: &Arc<SharedPool>,
+    plan: FaultPlan,
+    drive: impl FnOnce(&Arc<SharedPool>) -> Result<Driven<T>>,
+) -> std::result::Result<(Arc<SharedPool>, T), String> {
+    let image = base.snapshot();
+    image.set_faults(plan);
+    let out = drive(&image).map_err(harness_error)?.crashed()?;
+    image.crash_restart();
+    Ok((image, out))
+}
+
+// ---- the sequential sweep's shape --------------------------------------------
+
+/// Shape of one structure's sweep.
+#[derive(Clone, Copy, Debug)]
+pub struct SweepSpec {
+    /// Keys inserted before the gate is armed (the committed baseline).
+    pub prepopulate: u64,
+    /// Transaction-wrapped operations run while armed.
+    pub txn_ops: u64,
+    /// Which boundaries to crash at, and the master seed.
+    pub points: CrashPoints,
+    /// Whether crashes are clean or torn.
+    pub flavor: FaultFlavor,
+}
+
+impl SweepSpec {
+    /// Tier-1 scale: small enough that every boundary is swept.
+    pub fn small(seed: u64) -> SweepSpec {
+        SweepSpec {
+            prepopulate: 8,
+            txn_ops: 6,
+            points: CrashPoints::every(seed),
+            flavor: FaultFlavor::Crash,
+        }
+    }
+
+    /// Bench scale: bigger workload, seeded-sampled crash points.
+    pub fn sampled(seed: u64, txn_ops: u64, samples: u64) -> SweepSpec {
+        SweepSpec {
+            prepopulate: 64,
+            txn_ops,
+            points: CrashPoints::sampled(seed, samples),
+            flavor: FaultFlavor::Crash,
+        }
+    }
+
+    /// Switches the sweep to torn-write crashes under the ADR flush model.
+    #[must_use]
+    pub fn torn(mut self) -> SweepSpec {
+        self.flavor = FaultFlavor::Torn;
+        self
+    }
+}
+
+/// A *typed* corruption error: the CRC sidecar at re-attach, or the
+/// hardened allocator/header validation underneath it — detected damage,
+/// not a silent wrong answer.
+fn is_corruption(e: &HeapError) -> bool {
+    matches!(
+        e,
+        HeapError::MediaCorruption { .. }
+            | HeapError::BadPoolHeader { .. }
+            | HeapError::CorruptRegion(_)
+    )
 }
 
 /// Mixes the structure name into the master seed so each structure gets
@@ -508,23 +676,24 @@ fn keyspace_of(prepopulate: u64) -> u64 {
     (prepopulate * 2).max(4)
 }
 
-/// Runs `ops` each inside its own transaction; returns the number that
-/// committed and the error (if any) that killed the run.
+/// Runs `ops` each inside its own transaction; records how many
+/// committed before the run ended.
 fn run_ops<S: Subject>(
     env: &mut ExecEnv<NullSink>,
     subject: &mut S,
     ops: &[S::Op],
-) -> (usize, Option<HeapError>) {
+) -> Driven<usize> {
     for (i, op) in ops.iter().enumerate() {
         if let Err(e) = env.with_txn(|env| subject.step(env, *op)) {
-            return (i, Some(e));
+            return Driven::stopped(i, e);
         }
     }
-    (ops.len(), None)
+    Driven::done(ops.len())
 }
 
 fn sweep<S: Subject>(spec: &SweepSpec) -> Result<SweepReport> {
-    let sseed = structure_seed(spec.seed, S::NAME);
+    let seed = spec.points.seed;
+    let sseed = structure_seed(seed, S::NAME);
     let keyspace = keyspace_of(spec.prepopulate);
 
     // Base image: prepopulated structure, root set, undo log materialized
@@ -553,71 +722,28 @@ fn sweep<S: Subject>(spec: &SweepSpec) -> Result<SweepReport> {
         let mut env = fresh_env(base_space.clone(), pool);
         env.space_mut().set_faults(FaultPlan::counting());
         let mut subject = S::reopen(&mut env)?;
-        if let (_, Some(e)) = run_ops(&mut env, &mut subject, &ops) {
-            return Err(e);
-        }
+        run_ops(&mut env, &mut subject, &ops).counted()?;
         env.space().faults().writes()
     };
 
-    let points = select_points(total, spec.exhaustive_limit, spec.samples, spec.seed);
-    let mut report = SweepReport {
-        benchmark: S::NAME,
-        boundaries: total,
-        tested: points.len() as u64,
-        rollbacks: 0,
-        detected: 0,
-        failures: Vec::new(),
-    };
-
-    for k in points {
-        let mut fail = |detail: String| {
-            report.failures.push(SweepFailure { crash_point: k, seed: spec.seed, detail });
-        };
+    Ok(run_sweep(S::NAME, total, &spec.points, |k| {
         let mut env = fresh_env(base_space.clone(), pool);
-        arm(&mut env, spec, k);
-        let mut subject = S::reopen(&mut env)?;
-        let (committed, err) = run_ops(&mut env, &mut subject, &ops);
-        match err {
-            Some(HeapError::CrashInjected { .. }) => {}
-            Some(e) => {
-                fail(format!("armed run died of a non-crash error: {e}"));
-                continue;
-            }
-            None => {
-                fail("armed run completed without crashing".into());
-                continue;
-            }
-        }
+        env.space_mut().set_flush_model(spec.flavor.flush_model());
+        env.space_mut().set_faults(spec.flavor.plan(seed, k));
+        let mut subject = S::reopen(&mut env).map_err(harness_error)?;
+        let committed = run_ops(&mut env, &mut subject, &ops).crashed()?;
 
         let (mut space, _, _) = env.into_parts();
         let rec = match crash_and_recover(&mut space, POOL) {
             Ok(r) => r,
-            Err(e) if is_detected_corruption(spec, &e) => {
-                report.detected += 1;
-                continue;
+            Err(e) if spec.flavor == FaultFlavor::Torn && is_corruption(&e) => {
+                return Ok(Trial::Detected);
             }
-            Err(e) => {
-                fail(format!("recovery failed: {e}"));
-                continue;
-            }
+            Err(e) => return Err(format!("recovery failed: {e}")),
         };
-        report.rollbacks += u64::from(rec.rolled_back);
-
         let mut env = fresh_env(space, rec.pool);
-        let mut subject = S::reopen(&mut env)?;
-
-        // Oracle 1: the structure's own invariants.
-        let count = match catch_unwind(AssertUnwindSafe(|| subject.invariants(&mut env))) {
-            Ok(Ok(n)) => n,
-            Ok(Err(e)) => {
-                fail(format!("validator errored: {e}"));
-                continue;
-            }
-            Err(panic) => {
-                fail(format!("invariant violated: {}", panic_message(&panic)));
-                continue;
-            }
-        };
+        let mut subject = S::reopen(&mut env).map_err(harness_error)?;
+        let count = check_invariants(|| subject.invariants(&mut env))?;
 
         // Oracle 2: exact contents. The crashed op either rolled back
         // (state == models[committed]) or the crash struck its deferred
@@ -625,25 +751,24 @@ fn sweep<S: Subject>(spec: &SweepSpec) -> Result<SweepReport> {
         let mut matched = false;
         for j in [committed, (committed + 1).min(ops.len())] {
             if S::model_len(&models[j]) == count
-                && subject.matches(&mut env, &models[j], keyspace)?
+                && subject.matches(&mut env, &models[j], keyspace).map_err(harness_error)?
             {
                 matched = true;
                 break;
             }
         }
         if !matched {
-            fail(format!(
+            return Err(format!(
                 "recovered contents match no transaction boundary (committed {committed}, count {count})"
             ));
-            continue;
         }
 
         // Oracle 3: the recovered structure still works.
-        if !subject.probe(&mut env)? {
-            fail("post-recovery probe mutation not visible".into());
+        if !subject.probe(&mut env).map_err(harness_error)? {
+            return Err("post-recovery probe mutation not visible".into());
         }
-    }
-    Ok(report)
+        Ok(if rec.rolled_back { Trial::RolledBack } else { Trial::Intact })
+    }))
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
@@ -792,13 +917,7 @@ fn bitflip<S: Subject>(spec: &BitflipSpec) -> Result<BitflipReport> {
                     }
                 }
             }
-            Err(
-                HeapError::MediaCorruption { .. }
-                | HeapError::CorruptRegion(_)
-                | HeapError::BadPoolHeader { .. },
-            ) => {
-                // Typed detection: the CRC sidecar at re-attach, or the
-                // hardened allocator/header validation underneath it.
+            Err(e) if is_corruption(&e) => {
                 report.detected += 1;
                 salvage_and_probe::<S>(space, &model, keyspace, &mut report)?;
             }
@@ -826,15 +945,6 @@ pub fn bitflip_campaign(benchmark: Benchmark, spec: &BitflipSpec) -> Result<Bitf
     }
 }
 
-/// Runs the bit-flip campaign for the paper's six structures.
-///
-/// # Errors
-///
-/// Propagates setup failures from any structure.
-pub fn bitflip_all(spec: &BitflipSpec) -> Result<Vec<BitflipReport>> {
-    Benchmark::ALL.iter().map(|b| bitflip_campaign(*b, spec)).collect()
-}
-
 // ---- dispatch --------------------------------------------------------------
 
 /// Sweeps one structure; see the module docs for the oracle battery.
@@ -853,15 +963,6 @@ pub fn sweep_structure(benchmark: Benchmark, spec: &SweepSpec) -> Result<SweepRe
         Benchmark::Sg => sweep::<KvStore<ScapegoatTree>>(spec),
         Benchmark::Bplus => sweep::<KvStore<BPlusTree>>(spec),
     }
-}
-
-/// Sweeps the paper's six structures ([`Benchmark::ALL`]).
-///
-/// # Errors
-///
-/// Propagates setup failures from any structure.
-pub fn sweep_all(spec: &SweepSpec) -> Result<Vec<SweepReport>> {
-    Benchmark::ALL.iter().map(|b| sweep_structure(*b, spec)).collect()
 }
 
 #[cfg(test)]

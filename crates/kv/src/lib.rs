@@ -32,16 +32,14 @@ pub mod store;
 pub mod workload;
 pub mod ycsb;
 
-pub use conc::{
-    conc_crash_sweep, conc_sweep_all_strategies, conc_sweep_list, ConcSweepReport, ConcSweepSpec,
-};
+pub use conc::{conc_crash_sweep, ConcSweepSpec};
 pub use endurance::{endurance_soak, EnduranceReport, EnduranceSpec};
 pub use faultsweep::{
-    bitflip_all, bitflip_campaign, sweep_all, sweep_structure, BitflipReport, BitflipSpec,
-    FaultFlavor, SweepFailure, SweepReport, SweepSpec,
+    bitflip_campaign, sweep_structure, BitflipReport, BitflipSpec, CrashPoints, FaultFlavor,
+    SweepFailure, SweepReport, SweepSpec,
 };
 pub use harness::{run_all_modes, run_benchmark, verify_mode_agreement, BenchResult, Benchmark};
-pub use mt::{mt_crash_sweep, run_mt_ycsb, MtResult, MtSpec, MtSweepReport, MtSweepSpec, PARTITIONS};
+pub use mt::{mt_crash_sweep, run_mt_ycsb, MtResult, MtSpec, MtSweepSpec, PARTITIONS};
 pub use store::{KvStore, RunSummary};
 pub use workload::{generate, KeyStream, KeyUniverse, Op, Workload, WorkloadSpec, Zipfian};
 pub use ycsb::{generate_preset, Preset};

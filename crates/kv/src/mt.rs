@@ -16,31 +16,31 @@
 //!   bit-identical for a given `seed` across *all* thread counts.
 //! * [`mt_crash_sweep`] drives N **logical** threads serially in a
 //!   [`utpr_qc::sched::schedule`] interleaving, so an armed crash
-//!   boundary ([`FaultPlan::crash_at`]) lands at a reproducible point in
+//!   boundary ([`FaultFlavor::plan`]) lands at a reproducible point in
 //!   a genuinely interleaved multi-thread history. Recovery adopts the
 //!   crashed image in a fresh space and rolls back **every** thread's
 //!   undo-log slot ([`UndoLog::recover`] walks the whole slot
-//!   directory); the faultsweep oracle battery then runs per thread.
-//!   Any failure replays from `(seed, crash point)` alone — the same
+//!   directory); the faultsweep oracle battery then runs per thread, on
+//!   the crate's one crash-point loop ([`crate::faultsweep`]). Any
+//!   failure replays from `(seed, crash point)` alone — the same
 //!   `UTPR_QC_SEED` contract as the property runner.
 //!
 //! The pool-wide gate counts durable writes across all threads like one
 //! machine-wide power failure. By default the base image is eADR and the
 //! crashes are clean; [`MtSweepSpec::torn`] switches to an ADR base image
-//! and [`FaultPlan::torn_at`] crashes, where the power cycle drains every
-//! unfenced line by the plan's seeded per-word lottery before recovery.
+//! and torn crashes, where the power cycle drains every unfenced line by
+//! the plan's seeded per-word lottery before recovery.
 
-use crate::faultsweep::SweepFailure;
+use crate::faultsweep::{
+    census_shared, check_invariants, crash_shared, harness_error, run_sweep, CrashPoints, Driven,
+    FaultFlavor, SweepReport, Trial,
+};
 use crate::rng::mix;
 use crate::store::{KvStore, RunSummary};
 use crate::ycsb::{generate_preset, Preset};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use utpr_ds::{IndexCore, RbTree};
-use utpr_heap::{
-    select_points, AddressSpace, FaultPlan, FlushModel, HeapError, SharedPool, SlabId, TransStats,
-    UndoLog,
-};
+use utpr_heap::{AddressSpace, HeapError, SharedPool, SlabId, TransStats, UndoLog};
 use utpr_ptr::{site, ExecEnv, Mode, NullSink, PtrStats};
 use utpr_qc::sched::{schedule, steps, Policy};
 use utpr_sim::{Machine, RangeEntry, SimConfig};
@@ -253,14 +253,11 @@ pub struct MtSweepSpec {
     pub ops_per_thread: u64,
     /// Keys committed per thread before the gate is armed.
     pub prepopulate: u64,
-    /// Boundary counts up to this are swept exhaustively.
-    pub exhaustive_limit: u64,
-    /// Seeded sample size above the exhaustive limit.
-    pub samples: u64,
-    /// Master seed: schedule, values, and sampling all derive from it.
-    pub seed: u64,
-    /// Torn crashes on an ADR base image instead of clean eADR ones.
-    pub torn: bool,
+    /// Which boundaries to crash at; its seed also drives the schedule
+    /// and the values.
+    pub points: CrashPoints,
+    /// Clean crashes on an eADR base image, or torn ones on an ADR image.
+    pub flavor: FaultFlavor,
 }
 
 impl MtSweepSpec {
@@ -271,18 +268,15 @@ impl MtSweepSpec {
             threads: 3,
             ops_per_thread: 3,
             prepopulate: 3,
-            exhaustive_limit: u64::MAX,
-            samples: 0,
-            seed,
-            torn: false,
+            points: CrashPoints::every(seed),
+            flavor: FaultFlavor::Crash,
         }
     }
 
-    /// Switches the sweep to torn-write crashes (`torn_at(k, seed ^ k)`)
-    /// over an ADR base image.
+    /// Switches the sweep to torn-write crashes over an ADR base image.
     #[must_use]
     pub fn torn(mut self) -> MtSweepSpec {
-        self.torn = true;
+        self.flavor = FaultFlavor::Torn;
         self
     }
 
@@ -293,28 +287,10 @@ impl MtSweepSpec {
             threads,
             ops_per_thread,
             prepopulate: 4,
-            exhaustive_limit: 0,
-            samples,
-            seed,
-            torn: false,
+            points: CrashPoints::sampled(seed, samples),
+            flavor: FaultFlavor::Crash,
         }
     }
-}
-
-/// What one concurrent sweep produced.
-#[derive(Clone, Debug)]
-pub struct MtSweepReport {
-    /// Logical threads interleaved.
-    pub threads: u32,
-    /// Durable-write boundaries the interleaved workload crosses.
-    pub boundaries: u64,
-    /// Crash points actually tested.
-    pub tested: u64,
-    /// Recoveries that rolled back at least one torn transaction.
-    pub rollbacks: u64,
-    /// Crash points that failed an oracle (each one prints the replay
-    /// seed).
-    pub failures: Vec<SweepFailure>,
 }
 
 const SWEEP_POOL_BYTES: u64 = 24 << 20;
@@ -339,12 +315,12 @@ fn op_val(seed: u64, t: u64, j: u64) -> u64 {
 /// Builds the base image: one store + slab + undo-log slot per thread, a
 /// descriptor directory as the pool root.
 fn build_sweep_base(spec: &MtSweepSpec) -> Result<(Arc<SharedPool>, Vec<SlabId>)> {
-    let t64 = u64::from(spec.threads);
+    let (t64, seed) = (u64::from(spec.threads), spec.points.seed);
     let sp = SharedPool::create("mt-sweep", SWEEP_POOL_BYTES, 8)?;
     let slabs: Vec<SlabId> =
         (0..t64).map(|_| sp.carve_slab(192 << 10)).collect::<Result<Vec<_>>>()?;
 
-    let mut space = AddressSpace::new(mix(spec.seed, 0x5E7));
+    let mut space = AddressSpace::new(mix(seed, 0x5E7));
     let pool = space.adopt_shared(&sp)?;
     let mut env = ExecEnv::builder(space).mode(Mode::Hw).pool(pool).build();
     let dir = env.alloc(site!("mt.sweep-dir", StackLocal), t64 * 8)?;
@@ -353,7 +329,7 @@ fn build_sweep_base(spec: &MtSweepSpec) -> Result<(Arc<SharedPool>, Vec<SlabId>)
         let mut store: KvStore<RbTree> = KvStore::create(&mut env)?;
         store.set(&mut env, counter_key(t), 0)?;
         for i in 0..spec.prepopulate {
-            store.set(&mut env, prepop_key(t, i), prepop_val(spec.seed, t, i))?;
+            store.set(&mut env, prepop_key(t, i), prepop_val(seed, t, i))?;
         }
         env.write_ptr(
             site!("mt.sweep-slot", StackLocal),
@@ -367,37 +343,27 @@ fn build_sweep_base(spec: &MtSweepSpec) -> Result<(Arc<SharedPool>, Vec<SlabId>)
         UndoLog::ensure_slot(env.space_mut(), pool, 1 << 16, t)?;
     }
     env.set_root(site!("mt.sweep-root", StackLocal), dir)?;
-    if spec.torn {
-        // Everything above is durable; from here on lines wait for fences.
-        sp.set_flush_model(FlushModel::Adr);
-    }
+    // Everything above is durable; under ADR lines now wait for fences.
+    sp.set_flush_model(spec.flavor.flush_model());
     Ok((sp, slabs))
-}
-
-struct DriveOut {
-    /// Transactions the driver saw commit, per thread.
-    committed: Vec<u64>,
-    /// Whether the armed gate tripped.
-    crashed: bool,
-    /// A non-crash error that killed the run (a harness bug).
-    hard: Option<HeapError>,
 }
 
 /// Replays the interleaved schedule against `sp`: one logical env + store
 /// per thread, each transaction owned by exactly one thread's undo-log
 /// slot. Serial execution in schedule order is what makes the armed
-/// boundary land at the same instruction every replay.
+/// boundary land at the same instruction every replay. Records the
+/// transactions each thread saw commit.
 fn drive(
     sp: &Arc<SharedPool>,
     slabs: &[SlabId],
     spec: &MtSweepSpec,
     order: &[u32],
-) -> Result<DriveOut> {
-    let t64 = u64::from(spec.threads);
+) -> Result<Driven<Vec<u64>>> {
+    let seed = spec.points.seed;
     let mut envs: Vec<ExecEnv<NullSink>> = Vec::with_capacity(spec.threads as usize);
     let mut stores: Vec<KvStore<RbTree>> = Vec::with_capacity(spec.threads as usize);
-    for t in 0..t64 {
-        let mut space = AddressSpace::new(mix(spec.seed, 0xD21 ^ (t + 1)));
+    for t in 0..u64::from(spec.threads) {
+        let mut space = AddressSpace::new(mix(seed, 0xD21 ^ (t + 1)));
         let pool = space.adopt_shared(sp)?;
         space.bind_arena_slab(pool, slabs[t as usize])?;
         let mut env = ExecEnv::builder(space)
@@ -411,95 +377,64 @@ fn drive(
         envs.push(env);
     }
 
-    let mut out = DriveOut {
-        committed: vec![0; spec.threads as usize],
-        crashed: false,
-        hard: None,
-    };
+    let mut committed = vec![0; spec.threads as usize];
     for (t, j) in steps(order) {
         let ti = t as usize;
         let (env, store) = (&mut envs[ti], &mut stores[ti]);
-        let (key, val) = (op_key(u64::from(t), j), op_val(spec.seed, u64::from(t), j));
+        let (key, val) = (op_key(u64::from(t), j), op_val(seed, u64::from(t), j));
         let r = env.with_txn(|env| {
             store.set(env, key, val)?;
             store.set(env, counter_key(u64::from(t)), j + 1)?;
             Ok(())
         });
-        match r {
-            Ok(()) => out.committed[ti] += 1,
-            Err(HeapError::CrashInjected { .. }) => {
-                // A tripped gate is machine-wide: every thread stops here.
-                out.crashed = true;
-                break;
-            }
-            Err(e) => {
-                out.hard = Some(e);
-                break;
-            }
+        // A tripped gate is machine-wide: every thread stops here.
+        if let Err(e) = r {
+            return Ok(Driven::stopped(committed, e));
         }
+        committed[ti] += 1;
     }
-    Ok(out)
+    Ok(Driven::done(committed))
 }
 
 /// Drives one armed trial, recovers it, and runs the oracle battery.
-/// Returns whether recovery rolled anything back; an `Err` is the failure
-/// detail for the report.
 fn check_point(
     base: &Arc<SharedPool>,
     slabs: &[SlabId],
     spec: &MtSweepSpec,
     order: &[u32],
     k: u64,
-) -> std::result::Result<bool, String> {
-    let e2s = |e: HeapError| format!("harness error: {e}");
-    let trial = base.snapshot();
-    trial.set_faults(if spec.torn {
-        FaultPlan::torn_at(k, spec.seed ^ k)
-    } else {
-        FaultPlan::crash_at(k)
-    });
-    let d = drive(&trial, slabs, spec, order).map_err(e2s)?;
-    if let Some(e) = d.hard {
-        return Err(format!("armed run died of a non-crash error: {e}"));
-    }
-    if !d.crashed {
-        return Err("armed run completed without crashing".into());
-    }
+) -> std::result::Result<Trial, String> {
+    let seed = spec.points.seed;
+    let (image, committed) =
+        crash_shared(base, spec.flavor.plan(seed, k), |sp| drive(sp, slabs, spec, order))?;
 
-    // Power loss while the plan is installed (its torn seed drives the
-    // drain), then "restart": the workers' shards are gone; a fresh space
-    // adopts the crashed image with the gate cleared and rolls back every
-    // slot.
-    trial.crash_restart();
-    let mut rspace = AddressSpace::new(mix(spec.seed, 0x42EC ^ k));
-    let rpool = rspace.adopt_shared(&trial).map_err(e2s)?;
+    // "Restart": the workers' shards are gone; a fresh space adopts the
+    // crashed image and rolls back every slot.
+    let mut rspace = AddressSpace::new(mix(seed, 0x42EC ^ k));
+    let rpool = rspace.adopt_shared(&image).map_err(harness_error)?;
     let rolled =
         UndoLog::recover(&mut rspace, rpool).map_err(|e| format!("recovery failed: {e}"))?;
-    trial.validate().map_err(|e| format!("allocator invariants violated: {e}"))?;
+    image.validate().map_err(|e| format!("allocator invariants violated: {e}"))?;
 
     let mut env = ExecEnv::builder(rspace).mode(Mode::Hw).pool(rpool).build();
-    let dir = env.root(site!("mt.sweep-check", KnownReturn)).map_err(e2s)?;
+    let dir = env.root(site!("mt.sweep-check", KnownReturn)).map_err(harness_error)?;
     for t in 0..u64::from(spec.threads) {
         let desc = env
             .read_ptr(site!("mt.sweep-reopen", KnownReturn), dir, (t * 8) as i64)
-            .map_err(e2s)?;
+            .map_err(harness_error)?;
         let mut store: KvStore<RbTree> = KvStore::open(desc);
 
         // Oracle 1: the structure's own invariants.
-        let validated =
-            catch_unwind(AssertUnwindSafe(|| RbTree::open(desc).validate(&mut env)));
-        let count = match validated {
-            Ok(Ok(n)) => n,
-            Ok(Err(e)) => return Err(format!("thread {t}: validator errored: {e}")),
-            Err(_) => return Err(format!("thread {t}: invariant violated")),
-        };
+        let count = check_invariants(|| RbTree::open(desc).validate(&mut env))
+            .map_err(|e| format!("thread {t}: {e}"))?;
 
         // Oracle 2: exact contents against thread t's transaction-prefix
         // model. The counter key names the prefix; the crashed op either
         // rolled back (counter == committed) or its commit record landed
         // right at the boundary (counter == committed + 1).
-        let c = d.committed[t as usize];
-        let counter = store.get(&mut env, counter_key(t)).map_err(e2s)?.unwrap_or(u64::MAX);
+        let c = committed[t as usize];
+        let counter =
+            store.get(&mut env, counter_key(t)).map_err(harness_error)?.unwrap_or(u64::MAX);
         if counter != c && counter != c + 1 {
             return Err(format!(
                 "thread {t}: counter {counter} matches no transaction boundary (committed {c})"
@@ -512,8 +447,8 @@ fn check_point(
             ));
         }
         for j in 0..spec.ops_per_thread {
-            let got = store.get(&mut env, op_key(t, j)).map_err(e2s)?;
-            let want = (j < counter).then(|| op_val(spec.seed, t, j));
+            let got = store.get(&mut env, op_key(t, j)).map_err(harness_error)?;
+            let want = (j < counter).then(|| op_val(seed, t, j));
             if got != want {
                 return Err(format!(
                     "thread {t}: op key {j} read {got:?}, expected {want:?} at prefix {counter}"
@@ -521,8 +456,8 @@ fn check_point(
             }
         }
         for i in 0..spec.prepopulate {
-            if store.get(&mut env, prepop_key(t, i)).map_err(e2s)?
-                != Some(prepop_val(spec.seed, t, i))
+            if store.get(&mut env, prepop_key(t, i)).map_err(harness_error)?
+                != Some(prepop_val(seed, t, i))
             {
                 return Err(format!("thread {t}: prepopulated key {i} damaged"));
             }
@@ -530,13 +465,13 @@ fn check_point(
 
         // Oracle 3: the recovered store still works.
         let probe = u64::MAX - 1 - t;
-        store.set(&mut env, probe, 0xFEED).map_err(e2s)?;
-        if store.get(&mut env, probe).map_err(e2s)? != Some(0xFEED) {
+        store.set(&mut env, probe, 0xFEED).map_err(harness_error)?;
+        if store.get(&mut env, probe).map_err(harness_error)? != Some(0xFEED) {
             return Err(format!("thread {t}: post-recovery probe key not readable"));
         }
-        store.remove(&mut env, probe).map_err(e2s)?;
+        store.remove(&mut env, probe).map_err(harness_error)?;
     }
-    Ok(rolled)
+    Ok(if rolled { Trial::RolledBack } else { Trial::Intact })
 }
 
 /// Sweeps every (or a seeded sample of) crash boundary of an N-thread
@@ -545,41 +480,20 @@ fn check_point(
 /// # Errors
 ///
 /// Propagates setup failures (crash-consistency findings land in
-/// [`MtSweepReport::failures`]).
-pub fn mt_crash_sweep(spec: &MtSweepSpec) -> Result<MtSweepReport> {
+/// [`SweepReport::failures`]).
+///
+/// # Panics
+///
+/// Panics when `spec.threads` is zero.
+pub fn mt_crash_sweep(spec: &MtSweepSpec) -> Result<SweepReport> {
     assert!(spec.threads > 0, "sweep over zero threads");
     let (base, slabs) = build_sweep_base(spec)?;
     let counts = vec![spec.ops_per_thread; spec.threads as usize];
-    let order = schedule(Policy::Seeded(spec.seed), &counts);
-
-    // Count the interleaved workload's durable-write boundaries.
-    let counting = base.snapshot();
-    counting.set_faults(FaultPlan::counting());
-    let d = drive(&counting, &slabs, spec, &order)?;
-    if let Some(e) = d.hard {
-        return Err(e);
-    }
-    debug_assert!(!d.crashed, "counting plan never trips");
-    let total = counting.faults().writes();
-
-    let points = select_points(total, spec.exhaustive_limit, spec.samples, spec.seed);
-    let mut report = MtSweepReport {
-        threads: spec.threads,
-        boundaries: total,
-        tested: points.len() as u64,
-        rollbacks: 0,
-        failures: Vec::new(),
-    };
-    for k in points {
-        match check_point(&base, &slabs, spec, &order, k) {
-            Ok(true) => report.rollbacks += 1,
-            Ok(false) => {}
-            Err(detail) => {
-                report.failures.push(SweepFailure { crash_point: k, seed: spec.seed, detail });
-            }
-        }
-    }
-    Ok(report)
+    let order = schedule(Policy::Seeded(spec.points.seed), &counts);
+    let total = census_shared(&base, |sp| drive(sp, &slabs, spec, &order))?;
+    Ok(run_sweep(RbTree::NAME, total, &spec.points, |k| {
+        check_point(&base, &slabs, spec, &order, k)
+    }))
 }
 
 #[cfg(test)]
@@ -629,7 +543,6 @@ mod tests {
     #[test]
     fn mt_crash_sweep_four_threads_sampled_is_clean() {
         let r = mt_crash_sweep(&MtSweepSpec::sampled(11, 4, 4, 12)).unwrap();
-        assert_eq!(r.threads, 4);
         assert_eq!(r.tested, 12.min(r.boundaries), "sampled sweep hits the requested budget");
         assert!(r.failures.is_empty(), "{:?}", r.failures);
     }

@@ -1,6 +1,8 @@
-//! A small deterministic PRNG (xoshiro256**) used by the workload
-//! generators. Self-contained so workloads are reproducible bit-for-bit
-//! across platforms and runs.
+//! Deterministic randomness for the workload generators and sweeps: the
+//! harness's xoshiro256** ([`Rng`], re-exported from `utpr-qc` so there is
+//! one generator in the workspace) and a salted seed mixer.
+
+pub use utpr_qc::rng::Rng;
 
 /// Salted splitmix64-style finalizer: derives independent per-thread,
 /// per-op and per-trial values from one seed. Shared by the sweeps, the
@@ -12,121 +14,4 @@ pub fn mix(seed: u64, salt: u64) -> u64 {
     x ^= x >> 27;
     x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
-}
-
-/// xoshiro256** by Blackman & Vigna — fast, high-quality, deterministic.
-#[derive(Clone, Debug)]
-pub struct Rng {
-    s: [u64; 4],
-}
-
-impl Rng {
-    /// Seeds the generator (any seed is fine; zero is remapped).
-    pub fn new(seed: u64) -> Self {
-        // splitmix64 expansion of the seed into the state.
-        let mut x = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut next = || {
-            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        Rng { s: [next(), next(), next(), next()] }
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
-        result
-    }
-
-    /// Uniform in `[0, bound)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is zero.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0);
-        // Lemire-style rejection-free enough for simulation purposes.
-        ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
-    }
-
-    /// Uniform float in `[0, 1)`.
-    pub fn f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Standard normal via Box–Muller.
-    pub fn gaussian(&mut self) -> f64 {
-        let u1 = self.f64().max(1e-12);
-        let u2 = self.f64();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn deterministic_for_same_seed() {
-        let mut a = Rng::new(12);
-        let mut b = Rng::new(12);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
-    fn different_seeds_diverge() {
-        let mut a = Rng::new(1);
-        let mut b = Rng::new(2);
-        let same = (0..32).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn below_respects_bound() {
-        let mut r = Rng::new(7);
-        for _ in 0..10_000 {
-            assert!(r.below(17) < 17);
-        }
-    }
-
-    #[test]
-    fn f64_in_unit_interval_and_spread() {
-        let mut r = Rng::new(3);
-        let mut sum = 0.0;
-        for _ in 0..10_000 {
-            let v = r.f64();
-            assert!((0.0..1.0).contains(&v));
-            sum += v;
-        }
-        let mean = sum / 10_000.0;
-        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn gaussian_moments() {
-        let mut r = Rng::new(9);
-        let n = 20_000;
-        let (mut sum, mut sq) = (0.0, 0.0);
-        for _ in 0..n {
-            let g = r.gaussian();
-            sum += g;
-            sq += g * g;
-        }
-        let mean = sum / n as f64;
-        let var = sq / n as f64 - mean * mean;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.1, "var {var}");
-    }
 }

@@ -172,8 +172,6 @@ pub fn check(history: &History) -> Result<Vec<usize>, String> {
     let mut memo: HashSet<(u128, u64)> = HashSet::new();
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     let mut order: Vec<usize> = Vec::with_capacity(n);
-    // Undo values for backtracking: what the key held before the op.
-    let mut undo: Vec<(u64, Option<u64>)> = Vec::with_capacity(n);
     let mut best_placed = 0usize;
     let mut blocked_at: Option<usize> = None;
 
@@ -184,7 +182,6 @@ pub fn check(history: &History) -> Result<Vec<usize>, String> {
         model: &mut BTreeMap<u64, u64>,
         memo: &mut HashSet<(u128, u64)>,
         order: &mut Vec<usize>,
-        undo: &mut Vec<(u64, Option<u64>)>,
         best_placed: &mut usize,
         blocked_at: &mut Option<usize>,
     ) -> bool {
@@ -218,7 +215,6 @@ pub fn check(history: &History) -> Result<Vec<usize>, String> {
             };
             if consistent {
                 order.push(i);
-                undo.push((key, before));
                 if order.len() > *best_placed {
                     *best_placed = order.len();
                     *blocked_at = None;
@@ -230,25 +226,21 @@ pub fn check(history: &History) -> Result<Vec<usize>, String> {
                     model,
                     memo,
                     order,
-                    undo,
                     best_placed,
                     blocked_at,
                 ) {
                     return true;
                 }
                 order.pop();
-                let (k, prev) = undo.pop().expect("undo underflow");
-                match prev {
-                    Some(v) => {
-                        model.insert(k, v);
-                    }
-                    None => {
-                        model.remove(&k);
-                    }
-                }
             } else if order.len() == *best_placed && blocked_at.is_none() {
                 *blocked_at = Some(i);
             }
+            // Undo the candidate, accepted or not: the next one is judged
+            // against the state this node was entered with.
+            match before {
+                Some(v) => model.insert(key, v),
+                None => model.remove(&key),
+            };
         }
         false
     }
@@ -260,7 +252,6 @@ pub fn check(history: &History) -> Result<Vec<usize>, String> {
         &mut model,
         &mut memo,
         &mut order,
-        &mut undo,
         &mut best_placed,
         &mut blocked_at,
     ) {

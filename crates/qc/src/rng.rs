@@ -1,7 +1,7 @@
-//! Deterministic PRNG for the harness: xoshiro256** seeded through
-//! splitmix64, the same construction the workload generators use. The
-//! harness carries its own copy so `utpr-qc` depends on nothing — not even
-//! other workspace crates — and can be lifted out wholesale.
+//! Deterministic PRNG for the harness and the workload generators
+//! (`utpr_kv::rng` re-exports it): xoshiro256** seeded through splitmix64.
+//! It lives here because `utpr-qc` depends on nothing — not even other
+//! workspace crates — and can be lifted out wholesale.
 
 /// xoshiro256** by Blackman & Vigna — fast, high-quality, deterministic.
 #[derive(Clone, Debug)]
@@ -65,6 +65,11 @@ impl Rng {
         assert!(bound > 0, "Rng::below(0)");
         ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
     }
+
+    /// Uniform float in `[0, 1)`.
+    pub fn f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
 }
 
 #[cfg(test)]
@@ -96,5 +101,18 @@ mod tests {
                 assert!(r.below(bound) < bound);
             }
         }
+    }
+
+    #[test]
+    fn f64_in_unit_interval_and_spread() {
+        let mut r = Rng::new(3);
+        let mut sum = 0.0;
+        for _ in 0..10_000 {
+            let v = r.f64();
+            assert!((0.0..1.0).contains(&v));
+            sum += v;
+        }
+        let mean = sum / 10_000.0;
+        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
     }
 }

@@ -1,4 +1,4 @@
-//! The property runner: drives a [`Gen`](crate::gen::Gen) through `cases`
+//! The property runner: drives a [`Gen`] through `cases`
 //! random cases, and on the first failure greedily shrinks the input before
 //! reporting.
 //!

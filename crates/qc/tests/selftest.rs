@@ -196,6 +196,43 @@ fn checker_accepts_generated_sequential_histories() {
     );
 }
 
+/// Histories with real overlap that are linearizable by construction:
+/// results come from running the ops sequentially on the model, then each
+/// op's invocation is moved earlier and its response later (never past
+/// its own sequential slot), ties broken in a generated shuffled order.
+/// The sequential order stays a legal witness, so the checker must accept.
+#[test]
+fn checker_accepts_generated_overlapping_histories() {
+    let gen = collection::vec((op_gen(), any::<u64>(), any::<u64>(), any::<u64>()), 1..16);
+    for_all("selftest::linear-overlap", Config::cases(128), gen, |steps| {
+        let n = steps.len();
+        let mut model = BTreeMap::new();
+        let results: Vec<Option<u64>> =
+            steps.iter().map(|(op, ..)| model_apply(&mut model, *op)).collect();
+        // Op i is invoked at slot begin[i] <= i and responds at slot
+        // end[i] >= i, so slot i lies inside its interval.
+        let begin: Vec<usize> =
+            (0..n).map(|i| i - (steps[i].1 % (i as u64 + 1)) as usize).collect();
+        let end: Vec<usize> = (0..n).map(|i| i + (steps[i].2 % (n - i) as u64) as usize).collect();
+        let mut hist = History::new();
+        let mut ids = vec![0; n];
+        for slot in 0..n {
+            let mut starting: Vec<usize> = (0..n).filter(|&i| begin[i] == slot).collect();
+            starting.sort_by_key(|&i| steps[i].3);
+            for i in starting {
+                ids[i] = hist.begin((i % 3) as u32, steps[i].0);
+            }
+            let mut ending: Vec<usize> = (0..n).filter(|&i| end[i] == slot).collect();
+            ending.sort_by_key(|&i| steps[i].3);
+            for i in ending {
+                hist.complete(ids[i], results[i]);
+            }
+        }
+        prop_assert!(check(&hist).is_ok(), "overlapping history refused: {:?}", check(&hist));
+        Ok(())
+    });
+}
+
 /// Corrupting one completed op's recorded result must flip the verdict.
 /// Vacuity guard: the corruption is skipped (and the case discarded as
 /// trivially passing) unless it changes the result another value could
@@ -264,4 +301,18 @@ fn checker_known_good_and_known_bad_fixed_points() {
     let r = bad.begin(1, KvOp::Get(1));
     bad.complete(r, Some(99));
     assert!(check(&bad).is_err(), "phantom read accepted");
+}
+
+/// A candidate the search rejects must leave the model as it found it.
+/// B = `Insert(1, 20) -> Some(10)` is invoked first, then A =
+/// `Insert(1, 10) -> None`; both overlap. B cannot go first, and A must
+/// then be judged against the empty map, not against B's rejected effect.
+#[test]
+fn checker_restores_the_model_after_a_rejected_candidate() {
+    let mut h = History::new();
+    let b = h.begin(1, KvOp::Insert(1, 20));
+    let a = h.begin(0, KvOp::Insert(1, 10));
+    h.complete(a, None);
+    h.complete(b, Some(10));
+    assert_eq!(check(&h), Ok(vec![a, b]));
 }

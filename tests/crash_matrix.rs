@@ -333,6 +333,29 @@ fn fault_sweep_is_deterministic() {
     assert_eq!(a.failures.len(), b.failures.len());
 }
 
+/// What the sweeps test is pinned: at seed 7, each sweep's boundary
+/// count, crash points tried and crash points that struck inside an
+/// operation. A change to the sweeps must not move these silently.
+#[test]
+fn sweep_census_is_pinned() {
+    for (bench, want) in [
+        (Benchmark::Ll, (98, 98, 85)),
+        (Benchmark::Hash, (58, 58, 44)),
+        (Benchmark::Rb, (100, 100, 88)),
+        (Benchmark::Splay, (238, 238, 225)),
+        (Benchmark::Avl, (94, 94, 81)),
+        (Benchmark::Sg, (36, 36, 23)),
+    ] {
+        let r = sweep_structure(bench, &SweepSpec::small(7)).unwrap();
+        assert_eq!((r.boundaries, r.tested, r.rollbacks), want, "{}", bench.name());
+    }
+    let r = utpr::kv::mt::mt_crash_sweep(&utpr::kv::mt::MtSweepSpec::small(7)).unwrap();
+    assert_eq!((r.boundaries, r.tested, r.rollbacks), (288, 288, 270), "mt");
+    let spec = utpr::kv::conc::ConcSweepSpec::exhaustive(7, FlushStrategy::Traverse);
+    let r = utpr::kv::conc::conc_crash_sweep::<ConcList>(&spec).unwrap();
+    assert_eq!((r.boundaries, r.tested, r.rollbacks), (10, 10, 10), "conc list");
+}
+
 // ---------------------------------------------------------------------------
 // Quarantine escape hatches racing concurrent readers.
 //

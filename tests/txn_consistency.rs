@@ -32,7 +32,7 @@ fn committed_library_call_is_durable() {
     env.space_mut().restart();
     let pool = env.space_mut().open_pool("txn-kv").unwrap();
     assert!(!UndoLog::recover(env.space_mut(), pool).unwrap());
-    let mut tree = RbTree::open(env.root(site!("txn.load", KnownReturn)).unwrap());
+    let tree = RbTree::open(env.root(site!("txn.load", KnownReturn)).unwrap());
     assert_eq!(tree.get(&mut env, 9999).unwrap(), Some(1));
     assert_eq!(tree.validate(&mut env).unwrap(), keys.len() as u64 + 1);
 }
@@ -52,7 +52,7 @@ fn crash_mid_library_call_rolls_back_to_consistent_tree() {
     let pool = env.space_mut().open_pool("txn-kv").unwrap();
     assert!(UndoLog::recover(env.space_mut(), pool).unwrap(), "torn txn rolled back");
 
-    let mut tree = RbTree::open(env.root(site!("txn.load2", KnownReturn)).unwrap());
+    let tree = RbTree::open(env.root(site!("txn.load2", KnownReturn)).unwrap());
     // The insert vanished; every invariant and every old key intact.
     assert_eq!(tree.get(&mut env, 9999).unwrap(), None);
     assert_eq!(tree.len(&mut env).unwrap(), len_before);
