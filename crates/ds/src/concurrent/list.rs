@@ -27,7 +27,8 @@
 
 use utpr_ptr::{site, ExecEnv, TimingSink, UPtr};
 
-use super::{harris, ConcurrentIndex, Handle};
+use super::harris::{self, Link, Op};
+use super::{ConcurrentIndex, Handle};
 use crate::index::{IndexCore, Result};
 
 /// Lock-free sorted-list map; the value is just the descriptor pointer,
@@ -58,7 +59,19 @@ impl IndexCore for ConcList {
     }
 
     fn validate<S: TimingSink>(&self, env: &mut ExecEnv<S>) -> Result<u64> {
-        harris::validate_chain(env, self.desc, 0)
+        harris::validate_chain(env, self.head(), |_, _| {})
+    }
+}
+
+impl ConcList {
+    fn head(&self) -> Link {
+        Link::slot(self.desc, 0)
+    }
+
+    fn run<S: TimingSink>(&self, h: &mut Handle<'_, S>, key: u64, op: Op) -> Result<Option<u64>> {
+        let (out, _) = harris::run(h, self.head(), key, 0, op)?;
+        h.op_persist();
+        Ok(out)
     }
 }
 
@@ -69,19 +82,21 @@ impl ConcurrentIndex for ConcList {
         key: u64,
         value: u64,
     ) -> Result<Option<u64>> {
-        harris::insert(h, self.desc, 0, key, value)
+        self.run(h, key, Op::Insert(value))
     }
 
     fn get<S: TimingSink>(&self, h: &mut Handle<'_, S>, key: u64) -> Result<Option<u64>> {
-        harris::get(h, self.desc, 0, key)
+        self.run(h, key, Op::Get)
     }
 
     fn remove<S: TimingSink>(&self, h: &mut Handle<'_, S>, key: u64) -> Result<Option<u64>> {
-        harris::remove(h, self.desc, 0, key)
+        self.run(h, key, Op::Remove)
     }
 
     fn len<S: TimingSink>(&self, h: &mut Handle<'_, S>) -> Result<u64> {
-        harris::count_live(h, self.desc, 0)
+        let live = harris::count_live(h, self.head())?;
+        h.op_persist();
+        Ok(live)
     }
 }
 

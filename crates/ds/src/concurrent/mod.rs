@@ -11,8 +11,9 @@
 //!   (each worker re-opens it from the same descriptor in its own
 //!   address-space shard; all stored links are pool-relative).
 //! * [`ConcList`] / [`ConcHash`] — a Harris-style lock-free sorted
-//!   linked-list map and a fixed-fanout chained hash map built on it
-//!   ([`harris`] holds the shared core).
+//!   linked-list map, and a hash map that keeps one such chain in hash
+//!   order behind a growing directory of fingers ([`harris`] holds the
+//!   shared core).
 //! * [`Striped`] — a lock-striped adapter lifting any sequential
 //!   [`IndexOps`](crate::IndexOps) tree into the concurrent interface.
 //!

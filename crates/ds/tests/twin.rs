@@ -23,11 +23,11 @@ enum Op {
     Get(u64),
 }
 
-fn op_gen() -> OneOf<Op> {
+fn op_gen(keys: u64) -> OneOf<Op> {
     one_of![
-        3 => (0u64..24, 0u64..1_000_000).prop_map(|(k, v)| Op::Insert(k, v)),
-        2 => (0u64..24).prop_map(Op::Get),
-        1 => (0u64..24).prop_map(Op::Remove),
+        3 => (0..keys, 0u64..1_000_000).prop_map(|(k, v)| Op::Insert(k, v)),
+        2 => (0..keys).prop_map(Op::Get),
+        1 => (0..keys).prop_map(Op::Remove),
     ]
 }
 
@@ -100,6 +100,11 @@ fn twin_run<C: ConcurrentIndex, T: IndexCore + IndexOps>(
         return Err(format!("final len diverged: {clen} vs {slen} vs {}", model.len()));
     }
     ts.finish(0);
+    drop(h);
+    let live = cidx.validate(&mut cenv).map_err(|e| e.to_string())?;
+    if live != clen {
+        return Err(format!("validate counts {live} live keys, len {clen}"));
+    }
     Ok(())
 }
 
@@ -112,8 +117,10 @@ fn h_seq_reborrow<S: utpr_ptr::TimingSink>(env: &mut ExecEnv<S>) -> &mut ExecEnv
 props! {
     #![cases(24)]
 
+    // 4 096 keys and up to 1 500 operations: the directory grows several
+    // levels mid-run.
     #[test]
-    fn conc_hash_twins_hashmap_under_one_thread(ops in collection::vec(op_gen(), 1..120)) {
+    fn conc_hash_twins_hashmap_under_one_thread(ops in collection::vec(op_gen(4096), 1..1500)) {
         for strategy in FlushStrategy::ALL {
             if let Err(d) = twin_run::<ConcHash, HashMapIndex>(&ops, strategy) {
                 prop_assert!(false, "{} twin: {d}", strategy.label());
@@ -122,7 +129,7 @@ props! {
     }
 
     #[test]
-    fn conc_list_twins_avl_under_one_thread(ops in collection::vec(op_gen(), 1..60)) {
+    fn conc_list_twins_avl_under_one_thread(ops in collection::vec(op_gen(24), 1..60)) {
         for strategy in FlushStrategy::ALL {
             if let Err(d) = twin_run::<ConcList, AvlTree>(&ops, strategy) {
                 prop_assert!(false, "{} twin: {d}", strategy.label());

@@ -276,7 +276,7 @@ pub fn conc_crash_sweep<I: ConcurrentIndex>(spec: &ConcSweepSpec) -> Result<Swee
 #[cfg(test)]
 mod tests {
     use super::*;
-    use utpr_ds::{ConcHash, ConcList};
+    use utpr_ds::{ConcHash, ConcList, IndexCore};
 
     #[test]
     fn conc_sweep_hash_all_strategies_is_clean() {
@@ -307,6 +307,62 @@ mod tests {
         assert_eq!(r.tested, r.boundaries, "exhaustive sweep hits every boundary");
         assert!(r.rollbacks > 0, "some crash points must cut an operation mid-flight");
         assert!(r.failures.is_empty(), "{:?}", r.failures);
+    }
+
+    /// `ConcHash`'s descriptor is `[head, level, segments…]`.
+    fn directory_level(sp: &Arc<SharedPool>) -> u64 {
+        let mut space = AddressSpace::new(0x1e7e1);
+        let pool = space.adopt_shared(sp).unwrap();
+        let mut env = ExecEnv::builder(space).mode(Mode::Hw).pool(pool).build();
+        let desc = env.root(site!("conc.test-root", KnownReturn)).unwrap();
+        env.read_u64(site!("conc.test-level", Param), desc, 8).unwrap()
+    }
+
+    /// Adds `n` keys outside the audited universe, in descending order of
+    /// `ConcHash`'s chain key (`key · 0x9e37_79b9_7f4a_7c15`): each lands
+    /// at the head, so no walk while building is long and the base image
+    /// keeps a one-bucket directory over a long chain.
+    fn add_ballast(sp: &Arc<SharedPool>, n: u64) {
+        let mut space = AddressSpace::new(0xba11);
+        let pool = space.adopt_shared(sp).unwrap();
+        let mut env = ExecEnv::builder(space).mode(Mode::Hw).pool(pool).build();
+        let idx = ConcHash::open(env.root(site!("conc.test-root", KnownReturn)).unwrap());
+        let mut keys: Vec<u64> = (KEY_UNIVERSE..KEY_UNIVERSE + n).collect();
+        keys.sort_by_key(|k| std::cmp::Reverse(k.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+        let mut h = Handle::new(&mut env, FlushStrategy::Eager).unwrap();
+        for k in keys {
+            idx.insert(&mut h, k, k).unwrap();
+        }
+        drop(h);
+        env.space_mut().fence();
+    }
+
+    /// The armed window of this sweep grows `ConcHash`'s directory, so its
+    /// level, segment and finger writes are among the crash points, and
+    /// every one of them recovers.
+    #[test]
+    fn conc_sweep_hash_growing_its_directory_is_clean() {
+        for s in FlushStrategy::ALL {
+            let spec = ConcSweepSpec::exhaustive(7, s);
+            let (base, slabs) =
+                build_base::<ConcHash>(&spec, &format!("conc-grow-{}", s.label())).unwrap();
+            add_ballast(&base, 48);
+            assert_eq!(directory_level(&base), 0, "{s:?}: the base image must not have grown");
+
+            let census = base.snapshot();
+            census.set_faults(FaultPlan::counting());
+            let run = drive::<ConcHash>(&census, &slabs, &spec);
+            assert!(run.hard.is_none() && !run.crashed, "{s:?}: census run failed");
+            assert!(directory_level(&census) >= 2, "{s:?}: the window must grow the directory");
+
+            let total =
+                census_shared(&base, |sp| Ok(drive::<ConcHash>(sp, &slabs, &spec))).unwrap();
+            let r = run_sweep(ConcHash::NAME, total, &spec.points, |k| {
+                check_point::<ConcHash>(&base, &slabs, &spec, k)
+            });
+            assert_eq!(r.tested, r.boundaries, "{s:?}: exhaustive");
+            assert!(r.failures.is_empty(), "{s:?}: {:?}", r.failures);
+        }
     }
 
     #[test]

@@ -354,6 +354,8 @@ fn sweep_census_is_pinned() {
     let spec = utpr::kv::conc::ConcSweepSpec::exhaustive(7, FlushStrategy::Traverse);
     let r = utpr::kv::conc::conc_crash_sweep::<ConcList>(&spec).unwrap();
     assert_eq!((r.boundaries, r.tested, r.rollbacks), (10, 10, 10), "conc list");
+    let r = utpr::kv::conc::conc_crash_sweep::<ConcHash>(&spec).unwrap();
+    assert_eq!((r.boundaries, r.tested, r.rollbacks), (10, 10, 10), "conc hash");
 }
 
 // ---------------------------------------------------------------------------
