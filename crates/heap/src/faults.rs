@@ -65,16 +65,7 @@ use crate::error::{HeapError, Result};
 use crate::pagestore::PAGE_SIZE;
 use crate::space::AddressSpace;
 use crate::txn::UndoLog;
-
-/// One splitmix64 step — the deterministic hash used for torn-word
-/// lotteries and bit-flip placement.
-#[inline]
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use utpr_qc::rng::splitmix64;
 
 /// Verdict of consulting the gate for a *tearable* data write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -12,21 +12,26 @@
 //! - CRCs are *sealed* at quiesce points — [`crate::AddressSpace::restart`]
 //!   (power cycle) and [`crate::AddressSpace::detach`] — and *verified* on
 //!   re-attach, so corruption is caught before any read returns garbage;
-//! - a [`scrub`](crate::pool::PoolStore::scrub) pass re-verifies sealed
-//!   pages on demand, the background patrol read of real devices;
+//! - a scrub pass re-verifies sealed pages on demand, the background
+//!   patrol read of real devices;
 //! - the pool header itself is versioned (magic, format version, size,
 //!   header CRC) and validated by [`crate::alloc::Region::open`].
 //!
-//! Detection degrades gracefully instead of panicking: a failed page
-//! quarantines its pool ([`crate::pool::PoolStore::quarantine`]) so normal
-//! access returns [`crate::HeapError::MediaCorruption`], while the salvage
-//! path ([`crate::alloc::Region::salvage`]) re-walks allocator block
+//! This module holds the pieces — the checksum, the sidecar, the verdict
+//! kernel. The mechanism that seals, verifies, scrubs and names the bad
+//! pages is the media plane (`media.rs::MediaPlane`), one implementation
+//! that owned pools ([`crate::pool::PoolStore`]) and shared pools
+//! ([`crate::shard::SharedPool`]) both run.
+//!
+//! Detection degrades gracefully instead of panicking: the first bad page
+//! the plane reports quarantines its pool, so normal access returns
+//! [`crate::HeapError::MediaCorruption`], while the salvage path
+//! ([`crate::alloc::Region::salvage`]) re-walks allocator block
 //! headers/footers to enumerate what is still intact.
 //!
 //! The CRC32 is hand-rolled (reflected polynomial `0xEDB88320`, the
 //! IEEE/zlib one) per the workspace's zero-dependency policy.
 
-use crate::addr::PoolId;
 use std::collections::HashMap;
 
 /// Current on-media pool format version, stored in the pool header and
@@ -144,9 +149,9 @@ pub enum PageVerdict {
 }
 
 /// Classifies sealed pages against their sidecar checksums — the single
-/// verdict kernel shared by [`crate::pool::PoolStore::scrub`] and the
-/// online scrubber ([`crate::scrub::Scrubber`]), so both paths agree on
-/// what "clean / repaired / quarantined" means.
+/// verdict kernel of every scrub, offline ([`crate::pool::PoolStore::scrub`])
+/// or online ([`crate::scrub::Scrubber`]), so all paths agree on what
+/// "clean / repaired / quarantined" means.
 ///
 /// `pages` yields `(page_number, sealed_crc, page_bytes)` — `None` bytes
 /// mean the page was never materialized and verifies as all-zero.
@@ -188,29 +193,6 @@ pub struct PoolScrub {
     pub corrupt_page: Option<u64>,
     /// Per-page verdict of every sealed page visited, in page order.
     pub verdicts: Vec<(u64, PageVerdict)>,
-}
-
-/// Result of scrubbing a whole pool store.
-#[derive(Clone, Debug, Default)]
-pub struct ScrubReport {
-    /// Pools visited.
-    pub pools: u64,
-    /// Sealed pages verified across all pools.
-    pub pages_scanned: u64,
-    /// Bytes covered by the scan.
-    pub bytes_scanned: u64,
-    /// Every `(pool, page)` that failed verification; those pools are now
-    /// quarantined.
-    pub corrupt: Vec<(PoolId, u64)>,
-    /// Per-page verdicts across all pools, in (pool, page) order.
-    pub verdicts: Vec<(PoolId, u64, PageVerdict)>,
-}
-
-impl ScrubReport {
-    /// True when every verified page matched its sealed checksum.
-    pub fn is_clean(&self) -> bool {
-        self.corrupt.is_empty()
-    }
 }
 
 #[cfg(test)]

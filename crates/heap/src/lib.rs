@@ -37,6 +37,7 @@ pub mod error;
 pub mod faults;
 pub mod integrity;
 pub mod lookaside;
+mod media;
 pub mod pagestore;
 mod persist;
 pub mod pool;
@@ -50,7 +51,7 @@ pub use addr::{PoolId, RelLoc, VirtAddr};
 pub use alloc::{Region, SalvageBlock, SalvageReport, SalvageStats};
 pub use error::{HeapError, Result};
 pub use faults::{crash_and_recover, inject_bitflips, select_points, FaultPlan, GateVerdict, Recovery};
-pub use integrity::{classify_pages, crc32, IntegrityMode, PageVerdict, PoolScrub, ScrubReport, FORMAT_VERSION};
+pub use integrity::{classify_pages, crc32, IntegrityMode, PageVerdict, PoolScrub, FORMAT_VERSION};
 pub use retain::{decay_draw, PageWear, RetentionConfig, WearStats, WearTable, DECAY_SCALE};
 pub use scrub::{ScrubConfig, ScrubStats, Scrubber};
 pub use pagestore::PageStore;

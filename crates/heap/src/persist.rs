@@ -15,9 +15,10 @@
 
 use crate::addr::PoolId;
 use crate::error::Result;
-use crate::faults::{splitmix64, FaultPlan, GateVerdict};
+use crate::faults::{FaultPlan, GateVerdict};
 use crate::space::{FlushModel, LINE_SIZE};
 use std::collections::BTreeMap;
+use utpr_qc::rng::splitmix64;
 
 /// The durable bytes of one cache line.
 type Line = [u8; LINE_SIZE as usize];
@@ -379,6 +380,10 @@ mod tests {
         assert_eq!(torn, drain(FaultPlan::torn_at(0, 7)), "lottery replays");
         assert!(torn.iter().all(|(_, off, b)| b.len() == 8 && (128..192).contains(off)));
         assert_ne!(torn, drain(FaultPlan::torn_at(0, 8)), "and differs across seeds");
+        // Recorded outcome: the words of line 128 whose durable bytes the
+        // seed-7 lottery restored. Torn sweeps replay from this draw.
+        let reverted: Vec<u64> = torn.iter().map(|(_, off, _)| *off).collect();
+        assert_eq!(reverted, vec![136, 144, 160]);
     }
 
     #[test]

@@ -9,10 +9,9 @@
 use crate::addr::{PoolId, MAX_POOL_ID};
 use crate::alloc::Region;
 use crate::error::{HeapError, Result};
-use crate::integrity::{
-    classify_pages, crc32, IntegrityMode, PageCrcs, PageVerdict, PoolScrub, ScrubReport,
-};
-use crate::pagestore::{PageStore, PAGE_SIZE};
+use crate::integrity::{IntegrityMode, PageCrcs, PoolScrub};
+use crate::media::MediaPlane;
+use crate::pagestore::PageStore;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Maximum pool size: intra-pool offsets must fit in 32 bits.
@@ -25,9 +24,11 @@ pub struct PoolImage {
     size: u64,
     data: PageStore,
     region: Region,
-    /// Per-page CRC sidecar ([`crate::integrity`]): the out-of-band
-    /// checksum area a controller would keep. Empty when integrity is off.
-    crcs: PageCrcs,
+    /// The media plane over `data`: the per-page CRC sidecar, the
+    /// out-of-band checksum area a controller would keep. Empty when
+    /// integrity is off. No media clock: an owned pool ages only across a
+    /// power-off.
+    media: MediaPlane,
 }
 
 impl PoolImage {
@@ -60,49 +61,7 @@ impl PoolImage {
 
     /// The pool's sealed CRC sidecar.
     pub fn crcs(&self) -> &PageCrcs {
-        &self.crcs
-    }
-
-    /// Checksums every dirty page into the sidecar and clears the dirty
-    /// set — the quiesce-point seal.
-    fn seal(&mut self) {
-        for page in self.data.dirty_pages() {
-            if let Some(bytes) = self.data.page_bytes(page) {
-                self.crcs.seal(page, crc32(bytes));
-            }
-        }
-        self.data.clear_dirty();
-    }
-
-    /// Re-verifies every sealed, non-dirty page (a dirty page has
-    /// legitimate unsealed writes, so its sealed checksum is stale by
-    /// design). Returns the first page whose bytes no longer match their
-    /// sealed checksum.
-    pub fn verify_sealed(&self) -> Option<u64> {
-        let dirty = self.data.dirty_pages();
-        for page in self.crcs.sealed_pages() {
-            if dirty.binary_search(&page).is_ok() {
-                continue;
-            }
-            if let Some(bytes) = self.data.page_bytes(page) {
-                if crc32(bytes) != self.crcs.get(page).expect("sealed page has a crc") {
-                    return Some(page);
-                }
-            }
-        }
-        None
-    }
-
-    /// Recomputes the whole sidecar from the current bytes, accepting any
-    /// damage as the new sealed state (the salvage path's last step).
-    fn reseal(&mut self) {
-        self.crcs.clear();
-        for page in self.data.resident_page_numbers() {
-            if let Some(bytes) = self.data.page_bytes(page) {
-                self.crcs.seal(page, crc32(bytes));
-            }
-        }
-        self.data.clear_dirty();
+        self.media.crcs()
     }
 }
 
@@ -177,7 +136,7 @@ impl PoolStore {
         for img in self.slots.iter_mut().flatten() {
             img.data.set_dirty_tracking(on);
             if !on {
-                img.crcs.clear();
+                img.media = MediaPlane::default();
             }
         }
     }
@@ -208,8 +167,8 @@ impl PoolStore {
         if idx >= self.slots.len() {
             self.slots.resize_with(idx + 1, || None);
         }
-        self.slots[idx] =
-            Some(PoolImage { name: name.to_string(), size, data, region, crcs: PageCrcs::new() });
+        let media = MediaPlane::default();
+        self.slots[idx] = Some(PoolImage { name: name.to_string(), size, data, region, media });
         self.by_name.insert(name.to_string(), id);
         Ok(id)
     }
@@ -346,30 +305,31 @@ impl PoolStore {
     /// Returns [`HeapError::NoSuchPool`] when the id is unknown.
     pub fn seal(&mut self, id: PoolId) -> Result<()> {
         let img = self.peek_mut(id)?;
-        if img.data.dirty_tracking() {
-            img.seal();
-        }
+        img.media.seal(&mut img.data, false);
         Ok(())
     }
 
     /// Seals every pool on the device.
     pub fn seal_all(&mut self) {
         for img in self.slots.iter_mut().flatten() {
-            if img.data.dirty_tracking() {
-                img.seal();
-            }
+            img.media.seal(&mut img.data, false);
         }
     }
 
-    /// Verifies pool `id` against its sealed checksums without side
-    /// effects. Returns the first corrupt page, or `None` when clean
-    /// (always `None` with integrity off).
+    /// Verifies pool `id`'s sealed cold pages against their checksums.
+    /// Returns the corrupt pages in page order (always none with integrity
+    /// off); the first one quarantines the pool.
     ///
     /// # Errors
     ///
     /// Returns [`HeapError::NoSuchPool`] when the id is unknown.
-    pub fn verify(&self, id: PoolId) -> Result<Option<u64>> {
-        Ok(self.peek(id)?.verify_sealed())
+    pub fn verify(&mut self, id: PoolId) -> Result<Vec<u64>> {
+        let img = self.peek_mut(id)?;
+        let bad = img.media.verify(&mut img.data);
+        if let Some(&page) = bad.first() {
+            self.quarantine(id, page);
+        }
+        Ok(bad)
     }
 
     /// Recomputes pool `id`'s entire sidecar from its current bytes,
@@ -381,22 +341,15 @@ impl PoolStore {
     /// Returns [`HeapError::NoSuchPool`] when the id is unknown.
     pub fn reseal(&mut self, id: PoolId) -> Result<()> {
         let img = self.peek_mut(id)?;
-        if img.data.dirty_tracking() {
-            img.reseal();
-        }
+        img.media.reseal(&mut img.data);
         Ok(())
     }
 
-    /// Scrubs pool `id`: re-verifies every sealed cold page (the patrol
-    /// read), reporting a per-page [`PageVerdict`] through the same
-    /// classification kernel the online scrubber uses
-    /// ([`classify_pages`]). Dirty pages have legitimate unsealed writes —
-    /// their sealed checksums are stale by design — and are skipped. On a
-    /// mismatch the pool is quarantined and the report names the page.
-    ///
-    /// The device has no wear table, so no page is ever refresh-due here:
-    /// verdicts are `Clean` or `Quarantined`; `Repaired` is issued only by
-    /// the age-aware online scrubber ([`crate::scrub::Scrubber`]).
+    /// Scrubs pool `id`: the media plane's patrol pass over every sealed
+    /// cold page, one [`crate::integrity::PageVerdict`] each. The device
+    /// has no media clock, so no page is ever refresh-due here: verdicts
+    /// are `Clean` or `Quarantined`. On a mismatch the pool is quarantined
+    /// and the report names the page.
     ///
     /// # Errors
     ///
@@ -404,49 +357,12 @@ impl PoolStore {
     /// corruption is reported, not raised — scrubbing a damaged pool is
     /// exactly the point.
     pub fn scrub(&mut self, id: PoolId) -> Result<PoolScrub> {
-        let verdicts = {
-            let img = self.peek(id)?;
-            let dirty = img.data.dirty_pages();
-            let cells = img.crcs.sealed_pages().into_iter().filter_map(|page| {
-                if dirty.binary_search(&page).is_ok() {
-                    return None;
-                }
-                let sealed = img.crcs.get(page).expect("sealed page has a crc");
-                Some((page, sealed, img.data.page_bytes(page)))
-            });
-            classify_pages(cells, |_| false)
-        };
-        let scrub = PoolScrub {
-            pages_scanned: verdicts.len() as u64,
-            bytes_scanned: verdicts.len() as u64 * PAGE_SIZE,
-            corrupt_page: verdicts
-                .iter()
-                .find(|(_, v)| *v == PageVerdict::Quarantined)
-                .map(|(p, _)| *p),
-            verdicts,
-        };
+        let img = self.peek_mut(id)?;
+        let scrub = img.media.scrub(&mut img.data, usize::MAX, u64::MAX);
         if let Some(page) = scrub.corrupt_page {
             self.quarantine(id, page);
         }
         Ok(scrub)
-    }
-
-    /// Scrubs every pool on the device, quarantining any that fail; the
-    /// report carries every page's verdict in `(pool, page)` order.
-    pub fn scrub_all(&mut self) -> ScrubReport {
-        let mut report = ScrubReport::default();
-        let ids: Vec<PoolId> = self.entries().map(|(id, _)| id).collect();
-        for id in ids {
-            let scrub = self.scrub(id).expect("pool enumerated from the device");
-            report.pools += 1;
-            report.pages_scanned += scrub.pages_scanned;
-            report.bytes_scanned += scrub.bytes_scanned;
-            if let Some(page) = scrub.corrupt_page {
-                report.corrupt.push((id, page));
-            }
-            report.verdicts.extend(scrub.verdicts.into_iter().map(|(p, v)| (id, p, v)));
-        }
-        report
     }
 
     // ---- quarantine --------------------------------------------------------
@@ -515,6 +431,8 @@ impl PoolStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::integrity::PageVerdict;
+    use crate::pagestore::PAGE_SIZE;
 
     #[test]
     fn create_and_lookup() {
@@ -586,14 +504,15 @@ mod tests {
         let id = s.create("p", 1 << 16).unwrap();
         s.get_mut(id).unwrap().data_mut().write_u64(256, 0xBEEF);
         s.seal(id).unwrap();
-        assert_eq!(s.verify(id).unwrap(), None);
+        assert!(s.verify(id).unwrap().is_empty());
         // A legitimate (dirty) write does not trip verification...
         s.get_mut(id).unwrap().data_mut().write_u64(264, 1);
-        assert_eq!(s.verify(id).unwrap(), None, "dirty pages are exempt");
+        assert!(s.verify(id).unwrap().is_empty(), "dirty pages are exempt");
         s.seal(id).unwrap();
-        // ...but a silent flip under a sealed page does.
+        // ...but a silent flip under a sealed page does, and quarantines.
         assert!(s.peek_mut(id).unwrap().data_mut().corrupt_bit(256, 0));
-        assert_eq!(s.verify(id).unwrap(), Some(0));
+        assert_eq!(s.verify(id).unwrap(), vec![0]);
+        assert_eq!(s.quarantine_info(id), Some(0));
     }
 
     #[test]
@@ -603,20 +522,18 @@ mod tests {
         let ok = s.create("ok", 1 << 16).unwrap();
         s.seal_all();
         s.peek_mut(id).unwrap().data_mut().corrupt_bit(8, 3);
-        let report = s.scrub_all();
-        assert_eq!(report.pools, 2);
-        assert_eq!(report.corrupt, vec![(id, 0)]);
-        assert_eq!(report.verdicts.len() as u64, report.pages_scanned, "every page gets a verdict");
-        assert!(report.verdicts.contains(&(id, 0, PageVerdict::Quarantined)));
-        assert!(
-            report.verdicts.iter().all(|&(p, pg, v)| {
-                v == if (p, pg) == (id, 0) { PageVerdict::Quarantined } else { PageVerdict::Clean }
-            }),
-            "exactly the flipped page is condemned: {:?}",
-            report.verdicts
-        );
-        assert!(report.pages_scanned >= 2);
-        assert_eq!(report.bytes_scanned, report.pages_scanned * PAGE_SIZE);
+        let (bad, good) = (s.scrub(id).unwrap(), s.scrub(ok).unwrap());
+        assert_eq!((bad.corrupt_page, good.corrupt_page), (Some(0), None));
+        for (scrub, pool) in [(&bad, id), (&good, ok)] {
+            assert_eq!(scrub.verdicts.len() as u64, scrub.pages_scanned, "a verdict per page");
+            assert_eq!(scrub.bytes_scanned, scrub.pages_scanned * PAGE_SIZE);
+            for &(page, v) in &scrub.verdicts {
+                let flipped = (pool, page) == (id, 0);
+                let want = if flipped { PageVerdict::Quarantined } else { PageVerdict::Clean };
+                assert_eq!(v, want, "exactly the flipped page is condemned: {:?}", scrub.verdicts);
+            }
+        }
+        assert!(bad.pages_scanned + good.pages_scanned >= 2);
         assert!(s.is_quarantined(id));
         assert!(!s.is_quarantined(ok));
         assert!(matches!(s.get(id), Err(HeapError::MediaCorruption { page: 0, .. })));
@@ -639,11 +556,11 @@ mod tests {
         s.seal_all();
         assert!(s.peek(id).unwrap().crcs().is_empty());
         s.peek_mut(id).unwrap().data_mut().corrupt_bit(128, 1);
-        assert_eq!(s.verify(id).unwrap(), None, "decay is silent without CRC");
+        assert!(s.verify(id).unwrap().is_empty(), "decay is silent without CRC");
         // Turning integrity back on re-arms tracking for existing pools.
         s.set_integrity(IntegrityMode::Crc);
         s.seal(id).unwrap();
         assert!(!s.peek(id).unwrap().crcs().is_empty());
-        assert_eq!(s.verify(id).unwrap(), None);
+        assert!(s.verify(id).unwrap().is_empty());
     }
 }

@@ -35,21 +35,23 @@
 //! `plane` mutex guards the persistence plane (the gate,
 //! [`SharedPool::write_u64_stage`], [`SharedPool::cas_u64`],
 //! flush/fence/tag bookkeeping) and is never held across an allocator
-//! call. The `media` mutex guards the retention plane (media clock, wear
-//! table, CRC sidecar, decay books — see [`crate::retain`] and
-//! DESIGN.md §13); routines holding it may briefly take stripe locks to
-//! read or seal pages, never the reverse.
+//! call. The `media` mutex guards the pool's media plane (`media.rs`: the
+//! CRC sidecar, and once retention is configured the media clock, wear
+//! table and decay books — DESIGN.md §13). The plane reaches the stripes
+//! one lock at a time while it is held, never the reverse, and the first
+//! bad page it reports is CASed into the quarantine word under it; shards
+//! read that word without any lock.
 
 use crate::addr::PoolId;
 use crate::alloc::{MemWords, Region, SalvageReport};
 use crate::error::Result;
 use crate::faults::FaultPlan;
-use crate::integrity::{classify_pages, crc32, PageCrcs, PageVerdict};
+use crate::integrity::PageVerdict;
+use crate::media::{MediaClock, MediaPages, MediaPlane};
 use crate::pagestore::{PageStore, PAGE_SIZE};
 use crate::persist::PersistPlane;
-use crate::retain::{decay_draw, RetentionConfig, WearStats, WearTable};
+use crate::retain::{RetentionConfig, WearStats};
 use crate::space::FlushModel;
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -122,37 +124,6 @@ impl Arena {
 /// use theirs; it only ever holds this one pool.
 const PLANE_KEY: PoolId = PoolId::from_raw_trusted(0);
 
-/// Retention-plane state of one shared pool, present once
-/// [`SharedPool::configure_retention`] has run: the media clock, the
-/// llfree-style compact page-state table, the pool-wide CRC sidecar, and
-/// the decay-flip books. It lives *alongside* the stripes, never inside
-/// them — like the sidecar, it models controller metadata, not pool bytes.
-#[derive(Clone, Debug)]
-struct MediaState {
-    cfg: RetentionConfig,
-    wear: WearTable,
-    crcs: PageCrcs,
-    /// Modelled work units accumulated on the media clock.
-    work: u64,
-    /// The share of `work` attributed to scrub/maintenance traffic.
-    scrub_work: u64,
-    /// Decay flips injected into sealed cold pages so far.
-    flips_injected: u64,
-    /// Injected flips that a verify path has since caught. Two strikes on
-    /// the same `(page, offset, bit)` annihilate — the CRC matches again
-    /// and the pair is undetectable *by construction* — so zero silent
-    /// corruption means `injected == detected + cancelled` once the final
-    /// full verify has run.
-    flips_detected: u64,
-    /// Flips retired by pairwise annihilation (always even).
-    flips_cancelled: u64,
-    /// Outstanding flipped bits per page: `(offset-in-pool, bit)` of every
-    /// injected-but-undetected strike.
-    pending_flips: BTreeMap<u64, BTreeSet<(u64, u8)>>,
-    /// Distinct pages the lottery has ever struck (monotone).
-    pages_struck: BTreeSet<u64>,
-}
-
 /// One persistent pool shared by many address-space shards. See the
 /// module docs for the layering and lock order.
 #[derive(Debug)]
@@ -176,10 +147,11 @@ pub struct SharedPool {
     /// *durable* image. Head of the lock order; taken only on gated
     /// writes, flushes, fences and tag bookkeeping.
     plane: Mutex<PersistPlane>,
-    /// Retention plane; `None` until [`SharedPool::configure_retention`].
-    media: Mutex<Option<MediaState>>,
-    /// Fast-path mirror of `media.is_some()`: one relaxed load keeps the
-    /// hot write path free of the media mutex when retention is off.
+    /// The media plane: the CRC sidecar, plus the media clock once
+    /// [`SharedPool::configure_retention`] has run.
+    media: Mutex<MediaPlane>,
+    /// Fast-path mirror of "the media clock runs": one relaxed load keeps
+    /// the hot write path free of the media mutex when retention is off.
     media_on: AtomicBool,
     /// First page whose sealed checksum failed verification
     /// ([`NO_QUARANTINE`] when none): shards refuse guarded access until
@@ -219,6 +191,20 @@ impl MemWords for StripedWords<'_> {
     }
 }
 
+/// The stripe array as the media plane's page source: page `p` lives in
+/// its stripe's store, locked one at a time under the `media` lock.
+impl MediaPages for StripedWords<'_> {
+    fn with_page<R>(&mut self, page: u64, f: impl FnOnce(&mut PageStore) -> R) -> R {
+        f(&mut self.0.stripe_for(page * PAGE_SIZE).lock().unwrap())
+    }
+
+    fn each_store(&mut self, mut f: impl FnMut(&mut PageStore)) {
+        for stripe in self.0.stripes.iter() {
+            f(&mut stripe.lock().unwrap());
+        }
+    }
+}
+
 impl SharedPool {
     /// Creates and formats a shared pool of `size` bytes with `stripes`
     /// page-lock stripes (rounded up to a power of two, min 1).
@@ -241,7 +227,7 @@ impl SharedPool {
             central: Mutex::new(()),
             slabs: Mutex::new(Vec::new()),
             plane: Mutex::new(PersistPlane::default()),
-            media: Mutex::new(None),
+            media: Mutex::new(MediaPlane::default()),
             media_on: AtomicBool::new(false),
             quarantine: AtomicU64::new(NO_QUARANTINE),
             wear_level: AtomicBool::new(false),
@@ -507,7 +493,7 @@ impl SharedPool {
         // lock, then walk the free list scoring against the copy — scoring
         // inside the walk would re-take `media` per page.
         let counts = if self.wear_level.load(Ordering::Relaxed) {
-            self.media.lock().unwrap().as_ref().map(|m| m.wear.write_counts())
+            self.media().clock().map(|c| c.wear.write_counts())
         } else {
             None
         };
@@ -661,6 +647,25 @@ impl SharedPool {
 
     // ---- media/retention plane --------------------------------------------
 
+    fn media(&self) -> MutexGuard<'_, MediaPlane> {
+        self.media.lock().unwrap()
+    }
+
+    /// Reads the media clock, or `R::default()` while retention is off.
+    fn with_clock<R: Default>(&self, f: impl FnOnce(&MediaClock) -> R) -> R {
+        self.media().clock().map_or_else(R::default, f)
+    }
+
+    /// Quarantines the pool on `page` unless an earlier detection already
+    /// did (the first bad page wins). Callers hold the `media` lock, so a
+    /// repair cannot release the pool between detection and quarantine.
+    fn quarantine_first(&self, page: Option<u64>) {
+        if let Some(page) = page {
+            let (ok, seen) = (Ordering::AcqRel, Ordering::Acquire);
+            let _ = self.quarantine.compare_exchange(NO_QUARANTINE, page, ok, seen);
+        }
+    }
+
     /// Turns the retention plane on: builds the wear table from the pool
     /// geometry, enables per-stripe dirty tracking (already-resident pages
     /// start dirty — their checksums are unknown), and starts the media
@@ -671,18 +676,7 @@ impl SharedPool {
         for stripe in self.stripes.iter() {
             stripe.lock().unwrap().set_dirty_tracking(true);
         }
-        *self.media.lock().unwrap() = Some(MediaState {
-            cfg,
-            wear: WearTable::new(pages),
-            crcs: PageCrcs::new(),
-            work: 0,
-            scrub_work: 0,
-            flips_injected: 0,
-            flips_detected: 0,
-            flips_cancelled: 0,
-            pending_flips: BTreeMap::new(),
-            pages_struck: BTreeSet::new(),
-        });
+        *self.media() = MediaPlane::with_retention(cfg, pages);
         self.media_on.store(true, Ordering::Release);
     }
 
@@ -702,55 +696,13 @@ impl SharedPool {
         self.wear_level.store(on, Ordering::Relaxed);
     }
 
-    /// Write-path hook: wear accounting plus the *cold-write verify*.
-    /// Mutating a sealed, clean page first patrol-reads it, so a decayed
-    /// cell cannot be silently re-blessed when the overwritten page is
-    /// eventually resealed. Detection is infallible bookkeeping
-    /// (quarantine + flip accounting); the write itself proceeds and the
-    /// *next* guarded shard operation surfaces the error.
+    /// Write-path hook: wear accounting plus the plane's cold-write verify
+    /// (`MediaPlane::note_write`). Detection is infallible bookkeeping;
+    /// the write itself proceeds and the *next* guarded shard operation
+    /// surfaces the error.
     fn media_note_write(&self, offset: u64, len: u64) {
-        let mut guard = self.media.lock().unwrap();
-        let Some(m) = guard.as_mut() else { return };
-        let first = offset / PAGE_SIZE;
-        let last = (offset + len - 1) / PAGE_SIZE;
-        for page in first..=last {
-            if let Some(sealed) = m.crcs.get(page) {
-                let stripe = self.stripe_for(page * PAGE_SIZE).lock().unwrap();
-                let cold = !stripe.is_dirty(page);
-                let clean = stripe.page_bytes(page).map_or(true, |b| crc32(b) == sealed);
-                drop(stripe);
-                if cold && !clean {
-                    Self::note_detection(&self.quarantine, m, page);
-                }
-            }
-            m.wear.note_write(page);
-        }
-    }
-
-    /// Books one decay strike at `(page, off, bit)`. A strike on a bit
-    /// that is already flipped annihilates the pair: the page's CRC
-    /// matches again, so neither flip can ever be detected — they are
-    /// retired to the `cancelled` column instead.
-    fn note_strike(m: &mut MediaState, page: u64, off: u64, bit: u8) {
-        m.flips_injected += 1;
-        m.pages_struck.insert(page);
-        let bits = m.pending_flips.entry(page).or_default();
-        if bits.remove(&(off, bit)) {
-            m.flips_cancelled += 2;
-            if bits.is_empty() {
-                m.pending_flips.remove(&page);
-            }
-        } else {
-            bits.insert((off, bit));
-        }
-    }
-
-    /// Books one detected corruption: flips on `page` move from the
-    /// undetected to the detected column and the pool quarantines on the
-    /// first bad page (later detections keep the original).
-    fn note_detection(quarantine: &AtomicU64, m: &mut MediaState, page: u64) {
-        m.flips_detected += m.pending_flips.remove(&page).map_or(0, |bits| bits.len() as u64);
-        let _ = quarantine.compare_exchange(NO_QUARANTINE, page, Ordering::AcqRel, Ordering::Acquire);
+        let mut m = self.media();
+        self.quarantine_first(m.note_write(&mut StripedWords(self), offset, len));
     }
 
     /// Advances the media clock by `units` of modelled mutator work.
@@ -775,104 +727,18 @@ impl SharedPool {
         // Copy the decay law out first: `plane` precedes `media` in the
         // lock order and must never be taken underneath it.
         let decay = self.plane().faults.decay();
-        let mut guard = self.media.lock().unwrap();
-        let Some(m) = guard.as_mut() else { return 0 };
-        m.work += units;
-        if scrub {
-            m.scrub_work += units;
-        }
-        let target = m.work / m.cfg.work_per_tick;
-        while m.wear.tick() < target {
-            let t = m.wear.tick() + 1;
-            m.wear.advance_to(t);
-            self.seal_cold_pages(m);
-            if let Some((seed, ppb)) = decay {
-                self.inject_decay(m, seed, ppb);
-            }
-        }
-        m.wear.tick()
+        self.media().advance(&mut StripedWords(self), units, scrub, decay)
     }
 
-    /// Seals every dirty page that has quiesced for `seal_lag` ticks:
-    /// checksum into the sidecar, dirty bit cleared. Sealing is *not* a
-    /// reprogram — the cells keep the age of their last write.
-    fn seal_cold_pages(&self, m: &mut MediaState) {
-        let now = m.wear.tick();
-        for stripe in self.stripes.iter() {
-            let mut ps = stripe.lock().unwrap();
-            for page in ps.dirty_pages() {
-                if now.saturating_sub(m.wear.wear(page).last_rewrite) < m.cfg.seal_lag {
-                    continue;
-                }
-                if let Some(bytes) = ps.page_bytes(page) {
-                    let crc = crc32(bytes);
-                    m.crcs.seal(page, crc);
-                    ps.clear_dirty_page(page);
-                }
-            }
-        }
-    }
-
-    /// The per-tick decay lottery over sealed cold pages: a page of age
-    /// `a` flips a pseudorandom bit with probability `a × ppb / 1e9`.
-    /// Flips bypass dirty tracking — silent until a verify path catches
-    /// them.
-    fn inject_decay(&self, m: &mut MediaState, seed: u64, ppb: u64) {
-        let t = m.wear.tick();
-        for page in m.crcs.sealed_pages() {
-            let age = m.wear.age(page);
-            let Some((off, bit)) = decay_draw(seed, page, t, age, ppb) else {
-                continue;
-            };
-            let mut ps = self.stripe_for(page * PAGE_SIZE).lock().unwrap();
-            if ps.is_dirty(page) {
-                continue; // re-dirtied since sealing: modelled as freshly hot
-            }
-            if ps.corrupt_bit(page * PAGE_SIZE + off, bit) {
-                Self::note_strike(m, page, off, bit);
-            }
-        }
-    }
-
-    /// One patrol-scrub batch: visits up to `limit` sealed cold pages
-    /// oldest-first, verifies each against its sealed checksum, rewrites
-    /// (reprograms in place, resetting its decay age) any clean page whose
-    /// age has reached `refresh_age`, and quarantines on mismatch. Returns
-    /// the per-page verdicts, sharing the verdict kernel
-    /// ([`classify_pages`]) with [`crate::pool::PoolStore::scrub`].
+    /// One patrol-scrub batch (`MediaPlane::scrub`): up to `limit` sealed
+    /// cold pages oldest-first, refreshing clean pages whose age has reached
+    /// `refresh_age` and quarantining on mismatch. Returns the per-page
+    /// verdicts.
     pub fn scrub_batch(&self, limit: usize, refresh_age: u64) -> Vec<(u64, PageVerdict)> {
-        let mut guard = self.media.lock().unwrap();
-        let Some(m) = guard.as_mut() else { return Vec::new() };
-        let mut pages = m.crcs.sealed_pages();
-        m.wear.oldest_first(&mut pages);
-        let mut cells: Vec<(u64, u32, Option<Vec<u8>>)> = Vec::new();
-        for page in pages {
-            if cells.len() >= limit {
-                break;
-            }
-            let sealed = m.crcs.get(page).expect("sealed page has a crc");
-            let ps = self.stripe_for(page * PAGE_SIZE).lock().unwrap();
-            if ps.is_dirty(page) {
-                continue; // went hot again; the next seal re-covers it
-            }
-            cells.push((page, sealed, ps.page_bytes(page).map(<[u8]>::to_vec)));
-        }
-        let verdicts = {
-            let wear = &m.wear;
-            classify_pages(cells.iter().map(|(p, c, b)| (*p, *c, b.as_deref())), |p| {
-                wear.age(p) >= refresh_age
-            })
-        };
-        for (page, v) in &verdicts {
-            match v {
-                // Reprogram in place: same bytes, fresh cells — the decay
-                // age resets and the endurance wear accrues.
-                PageVerdict::Repaired => m.wear.note_write(*page),
-                PageVerdict::Quarantined => Self::note_detection(&self.quarantine, m, *page),
-                PageVerdict::Clean => {}
-            }
-        }
-        verdicts
+        let mut m = self.media();
+        let scrub = m.scrub(&mut StripedWords(self), limit, refresh_age);
+        self.quarantine_first(scrub.corrupt_page);
+        scrub.verdicts
     }
 
     /// Verifies every sealed cold page against its sidecar checksum,
@@ -880,22 +746,9 @@ impl SharedPool {
     /// pages. This is the full patrol pass the repair flow runs *before*
     /// resealing, so no stale flip can be blessed.
     pub fn verify_all(&self) -> Vec<u64> {
-        let mut guard = self.media.lock().unwrap();
-        let Some(m) = guard.as_mut() else { return Vec::new() };
-        let mut bad = Vec::new();
-        for page in m.crcs.sealed_pages() {
-            let sealed = m.crcs.get(page).expect("sealed page has a crc");
-            let ps = self.stripe_for(page * PAGE_SIZE).lock().unwrap();
-            if ps.is_dirty(page) {
-                continue;
-            }
-            let clean = ps.page_bytes(page).map_or(true, |b| crc32(b) == sealed);
-            drop(ps);
-            if !clean {
-                Self::note_detection(&self.quarantine, m, page);
-                bad.push(page);
-            }
-        }
+        let mut m = self.media();
+        let bad = m.verify(&mut StripedWords(self));
+        self.quarantine_first(bad.first().copied());
         bad
     }
 
@@ -904,40 +757,15 @@ impl SharedPool {
     /// decay never strikes dirty pages, and a flip predating the page's
     /// re-dirtying was already caught by the cold-write verify.
     pub fn seal_all_now(&self) {
-        let mut guard = self.media.lock().unwrap();
-        let Some(m) = guard.as_mut() else { return };
-        for stripe in self.stripes.iter() {
-            let mut ps = stripe.lock().unwrap();
-            for page in ps.dirty_pages() {
-                if let Some(bytes) = ps.page_bytes(page) {
-                    let crc = crc32(bytes);
-                    m.crcs.seal(page, crc);
-                    ps.clear_dirty_page(page);
-                }
-            }
-        }
+        self.media().seal(&mut StripedWords(self), false);
     }
 
     /// Re-checksums every resident page at its *current* contents and
-    /// clears all dirty state — the post-salvage blessing that makes the
-    /// repaired image the new ground truth. Each page counts as one
-    /// reprogram (full-pool rewrite) in the wear table. Call only after
-    /// [`SharedPool::verify_all`] has routed every stale flip through
-    /// detection; resealing first would hide them.
+    /// clears all dirty state (`MediaPlane::reseal`) — the post-salvage
+    /// blessing. Call only after [`SharedPool::verify_all`] has routed
+    /// every stale flip through detection; resealing first would hide them.
     pub fn reseal_all(&self) {
-        let mut guard = self.media.lock().unwrap();
-        let Some(m) = guard.as_mut() else { return };
-        for stripe in self.stripes.iter() {
-            let mut ps = stripe.lock().unwrap();
-            for page in ps.resident_page_numbers() {
-                if let Some(bytes) = ps.page_bytes(page) {
-                    let crc = crc32(bytes);
-                    m.crcs.seal(page, crc);
-                    ps.clear_dirty_page(page);
-                    m.wear.note_write(page);
-                }
-            }
-        }
+        self.media().reseal(&mut StripedWords(self));
     }
 
     /// Best-effort block enumeration over the (possibly damaged) pool —
@@ -966,24 +794,17 @@ impl SharedPool {
     /// zero-silent-corruption invariant (`injected == detected`) covers
     /// hand-planted corruption too.
     pub fn corrupt_bit(&self, offset: u64, bit: u8) -> bool {
-        let mut guard = self.media.lock().unwrap();
-        let flipped = self.stripe_for(offset).lock().unwrap().corrupt_bit(offset, bit);
-        if flipped {
-            if let Some(m) = guard.as_mut() {
-                Self::note_strike(m, offset / PAGE_SIZE, offset % PAGE_SIZE, bit);
-            }
-        }
-        flipped
+        self.media().corrupt_bit(&mut StripedWords(self), offset, bit)
     }
 
     /// Current media-clock tick (0 when the retention plane is off).
     pub fn media_tick(&self) -> u64 {
-        self.media.lock().unwrap().as_ref().map_or(0, |m| m.wear.tick())
+        self.with_clock(|c| c.wear.tick())
     }
 
     /// `(total, scrub)` modelled work units on the media clock.
     pub fn media_work(&self) -> (u64, u64) {
-        self.media.lock().unwrap().as_ref().map_or((0, 0), |m| (m.work, m.scrub_work))
+        self.with_clock(|c| (c.work, c.scrub_work))
     }
 
     /// `(injected, detected, cancelled)` decay-flip counters. Cancelled
@@ -991,16 +812,12 @@ impl SharedPool {
     /// the zero-silent invariant is `injected == detected + cancelled`
     /// after a final full verify.
     pub fn media_flips(&self) -> (u64, u64, u64) {
-        self.media
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map_or((0, 0, 0), |m| (m.flips_injected, m.flips_detected, m.flips_cancelled))
+        self.with_clock(|c| (c.flips_injected, c.flips_detected, c.flips_cancelled))
     }
 
     /// Sealed pages currently covered by the sidecar.
     pub fn sealed_pages(&self) -> u64 {
-        self.media.lock().unwrap().as_ref().map_or(0, |m| m.crcs.len() as u64)
+        self.media().crcs().len() as u64
     }
 
     /// Resident (materialized) pages across all stripes — the set a
@@ -1015,7 +832,7 @@ impl SharedPool {
 
     /// Distinct pages the decay lottery has struck so far.
     pub fn flipped_pages(&self) -> u64 {
-        self.media.lock().unwrap().as_ref().map_or(0, |m| m.pages_struck.len() as u64)
+        self.with_clock(|c| c.pages_struck.len() as u64)
     }
 
     /// Debug view of still-undetected flips: for each page with pending
@@ -1024,16 +841,16 @@ impl SharedPool {
     /// final verify — anything left here names the page a silent flip is
     /// hiding on.
     pub fn pending_flip_debug(&self) -> Vec<(u64, usize, bool, bool, bool)> {
-        let guard = self.media.lock().unwrap();
-        let Some(m) = guard.as_ref() else { return Vec::new() };
-        m.pending_flips
+        let m = self.media();
+        let Some(c) = m.clock() else { return Vec::new() };
+        c.pending_flips
             .iter()
             .map(|(page, bits)| {
                 let ps = self.stripe_for(page * PAGE_SIZE).lock().unwrap();
                 (
                     *page,
                     bits.len(),
-                    m.crcs.get(*page).is_some(),
+                    m.crcs().get(*page).is_some(),
                     ps.is_dirty(*page),
                     ps.page_bytes(*page).is_some(),
                 )
@@ -1043,7 +860,7 @@ impl SharedPool {
 
     /// Wear-histogram summary over written pages.
     pub fn wear_stats(&self) -> WearStats {
-        self.media.lock().unwrap().as_ref().map_or_else(WearStats::default, |m| m.wear.stats())
+        self.with_clock(|c| c.wear.stats())
     }
 
     // ---- roots, stats, maintenance ---------------------------------------
@@ -1112,7 +929,7 @@ impl SharedPool {
             central: Mutex::new(()),
             slabs: Mutex::new(self.slabs.lock().unwrap().clone()),
             plane: Mutex::new(self.plane().clone()),
-            media: Mutex::new(self.media.lock().unwrap().clone()),
+            media: Mutex::new(self.media().clone()),
             media_on: AtomicBool::new(self.media_on.load(Ordering::Acquire)),
             quarantine: AtomicU64::new(self.quarantine.load(Ordering::Acquire)),
             wear_level: AtomicBool::new(self.wear_level.load(Ordering::Relaxed)),

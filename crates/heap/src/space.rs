@@ -555,11 +555,11 @@ impl AddressSpace {
         if let Some(a) = self.attach_by_pool.get(&id) {
             return Ok(*a);
         }
-        let img = self.store.get(id)?; // quarantine-guarded
-        if let Some(page) = img.verify_sealed() {
-            self.store.quarantine(id, page);
-            return Err(HeapError::MediaCorruption { pool: id, page });
+        self.store.get(id)?; // quarantine-guarded
+        if let Some(&page) = self.store.verify(id)?.first() {
+            return Err(HeapError::MediaCorruption { pool: id, page }); // now quarantined
         }
+        let img = self.store.get(id)?;
         Region::open(img.data())?;
         let size = img.size();
         let base = self.pick_base(size)?;

@@ -31,9 +31,9 @@
 
 use crate::addr::{PoolId, RelLoc};
 use crate::error::{HeapError, Result};
-use crate::faults::splitmix64;
 use crate::space::AddressSpace;
 use std::cell::Cell;
+use utpr_qc::rng::splitmix64;
 
 /// Pool-header slot holding the log area's intra-pool offset (0 = no log).
 /// Slots 0x00–0x2f are used by the allocator (`crate::alloc`); 0x30 is

@@ -10,8 +10,10 @@ pub struct Rng {
 }
 
 /// One splitmix64 step; also used to mix seeds and case indices into
-/// independent streams.
+/// independent streams, and the hash behind every fault lottery of
+/// `utpr-heap` (torn words, decay draws, bit-flip placement).
 #[must_use]
+#[inline]
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -15,7 +15,8 @@
 #   --faults       additionally run a crash-point fault-sweep smoke: one
 #                  structure, small scale, exhaustive; check BENCH_faults.json
 #                  is emitted and reports zero failures
-#   --corruption   additionally run the media-fault campaign smoke (torn
+#   --corruption   additionally run the media-plane tests and the twin-pool
+#                  property, then the media-fault campaign smoke (torn
 #                  sweeps + bit-flip trials + CRC overhead, small scale);
 #                  check BENCH_corruption.json is emitted, reports zero
 #                  oracle failures, and CRC write-path overhead <= 15%
@@ -40,7 +41,9 @@
 #                  the 4-thread YCSB-A-style runs (hash and list)
 #   --endurance    additionally run the endurance smoke: the kv soak
 #                  tests (replay, hard gates, scrub-off loss, read-only
-#                  eADR), then the endurance bench at small scale; check
+#                  eADR), the scrubber and media-plane tests and the
+#                  twin-pool property, then the endurance bench at small
+#                  scale; check
 #                  BENCH_endurance.json is emitted with zero gate
 #                  failures, scrub overhead at the realistic decay rate
 #                  <= 10%, the scrub-off hot arm demonstrably losing
@@ -67,6 +70,18 @@
 #   UTPR_QC_SEED  override the property-test base seed (decimal or 0x-hex)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Every flag block's temp dir, removed by the one EXIT trap: a trap per
+# block would replace the previous one and leak all but the last dir.
+tmp_dirs=()
+trap 'rm -rf "${tmp_dirs[@]}"' EXIT
+# mktemp_dir VAR: creates a temp dir, registers it, stores its path in VAR.
+mktemp_dir() {
+    local dir
+    dir=$(mktemp -d)
+    tmp_dirs+=("$dir")
+    printf -v "$1" '%s' "$dir"
+}
 
 echo "== tier-1: cargo build --release =="
 cargo build --release --offline
@@ -112,8 +127,7 @@ wall_ms() {
 
 if [[ "$run_smoke" == 1 ]]; then
     echo "== extra: parallel-runner smoke (fig11, small scale) =="
-    smoke_dir=$(mktemp -d)
-    trap 'rm -rf "$smoke_dir"' EXIT
+    mktemp_dir smoke_dir
 
     UTPR_BENCH_SCALE=small UTPR_JOBS=1 UTPR_BENCH_OUT="$smoke_dir/serial" \
         cargo bench -q -p utpr-bench --bench fig11 --offline > /dev/null
@@ -148,8 +162,7 @@ fi
 
 if [[ "$run_faults" == 1 ]]; then
     echo "== extra: crash-point fault-sweep smoke (RB, small scale) =="
-    faults_dir=$(mktemp -d)
-    trap 'rm -rf "$faults_dir"' EXIT
+    mktemp_dir faults_dir
 
     UTPR_BENCH_SCALE=small UTPR_FAULTS_ONLY=RB UTPR_BENCH_OUT="$faults_dir" \
         cargo bench -q -p utpr-bench --bench faults --offline
@@ -167,8 +180,11 @@ fi
 
 if [[ "$run_corruption" == 1 ]]; then
     echo "== extra: media-fault campaign smoke (small scale) =="
-    corr_dir=$(mktemp -d)
-    trap 'rm -rf "$corr_dir"' EXIT
+    # The media plane's own tests and the twin-pool property: owned and
+    # shared pools seal, verify, scrub and quarantine identically.
+    cargo test -q --offline -p utpr-heap media
+    cargo test -q --offline --test heap_props one_media_plane
+    mktemp_dir corr_dir
 
     # The bench itself exits nonzero on any oracle failure (silent wrong
     # answer, undetected flip, failed recovery) — set -e propagates that.
@@ -193,8 +209,7 @@ fi
 
 if [[ "$run_hotpath" == 1 ]]; then
     echo "== extra: software-lookaside smoke (small scale) =="
-    hp_dir=$(mktemp -d)
-    trap 'rm -rf "$hp_dir"' EXIT
+    mktemp_dir hp_dir
 
     # The bench exits nonzero itself when any cached-vs-uncached divergence
     # is observed — set -e propagates that.
@@ -224,8 +239,7 @@ fi
 
 if [[ "$run_interp" == 1 ]]; then
     echo "== extra: interpreter fast-path smoke (small scale) =="
-    in_dir=$(mktemp -d)
-    trap 'rm -rf "$in_dir"' EXIT
+    mktemp_dir in_dir
 
     # The bench exits nonzero itself when the differential grid diverges
     # (results, checksums, fuel, or counters) — set -e propagates that.
@@ -260,8 +274,7 @@ if [[ "$run_mt" == 1 ]]; then
     cargo test -q --offline --test crash_matrix concurrent_fault_sweep
     cargo test -q --offline -p utpr-bench --test par_determinism mt_ycsb
 
-    mt_dir=$(mktemp -d)
-    trap 'rm -rf "$mt_dir"' EXIT
+    mktemp_dir mt_dir
 
     # The bench exits nonzero itself when the MT checksums diverge across
     # thread counts — set -e propagates that.
@@ -295,8 +308,7 @@ if [[ "$run_concurrent" == 1 ]]; then
     cargo test -q --offline -p utpr-kv conc
     cargo test -q --offline -p utpr-ds --test twin
 
-    cc_dir=$(mktemp -d)
-    trap 'rm -rf "$cc_dir"' EXIT
+    mktemp_dir cc_dir
 
     # The bench exits nonzero itself when the audit checksum varies with
     # flush strategy or thread count — set -e propagates that.
@@ -330,9 +342,10 @@ if [[ "$run_endurance" == 1 ]]; then
     # read-only eADR arm.
     cargo test -q --offline -p utpr-kv endurance
     cargo test -q --offline -p utpr-heap scrub
+    cargo test -q --offline -p utpr-heap media
+    cargo test -q --offline --test heap_props one_media_plane
 
-    end_dir=$(mktemp -d)
-    trap 'rm -rf "$end_dir"' EXIT
+    mktemp_dir end_dir
 
     # The bench exits nonzero itself on any gate failure (undetected
     # flip, silent audit mismatch, a too-gentle scrub-off arm, or wear
@@ -370,8 +383,7 @@ if [[ "$run_serve" == 1 ]]; then
     # kill-mid-load recovery oracles).
     cargo test -q --offline -p utpr-serve
 
-    srv_dir=$(mktemp -d)
-    trap 'rm -rf "$srv_dir"' EXIT
+    mktemp_dir srv_dir
 
     # The bench exits nonzero itself when a gate fails (amortization
     # < 2x, checksum divergence across windows/modes, or a kill-arm
