@@ -29,6 +29,7 @@ use utpr_kv::ycsb::{generate_preset, Preset};
 use utpr_kv::KvStore;
 use utpr_ptr::{ExecEnv, Mode, PtrStats};
 use utpr_qc::bench::Bench;
+use utpr_qc::rng::Rng;
 use utpr_sim::{Machine, RangeEntry, SimConfig};
 
 /// A space with `pools` attached pools, each holding one 64-byte object.
@@ -152,25 +153,17 @@ fn bench_epoch_churn(c: &mut Bench) {
     });
 }
 
-/// Deterministic xorshift for probe generation.
-fn xorshift(state: &mut u64) -> u64 {
-    *state ^= *state << 13;
-    *state ^= *state >> 7;
-    *state ^= *state << 17;
-    *state
-}
-
 /// Cached and uncached translation must agree on every probe — successes
 /// *and* errors — including across detach/re-attach churn.
 fn check_equivalence() -> bool {
     let (mut space, objs) = build_space(8);
     let mut ok = true;
     let assert_agree = |space: &AddressSpace, label: &str, ok: &mut bool| {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rng = Rng::new(0x9e37_79b9_7f4a_7c15);
         for _ in 0..2_000 {
-            let (pool, _, va) = objs[(xorshift(&mut state) as usize) % objs.len()];
+            let (pool, _, va) = objs[rng.below(objs.len() as u64) as usize];
             // In-range, out-of-range, and wildly foreign virtual addresses.
-            let delta = xorshift(&mut state) % (1 << 22);
+            let delta = rng.below(1 << 22);
             let probe_va = va.add(delta);
             let a = space.va2ra(probe_va);
             let b = space.va2ra_uncached(probe_va);
@@ -180,7 +173,7 @@ fn check_equivalence() -> bool {
             }
             // In-range and out-of-pool relative locations, plus a pool id
             // that was never created.
-            let off = (xorshift(&mut state) % (1 << 21)) as u32;
+            let off = rng.below(1 << 21) as u32;
             for loc in
                 [RelLoc::new(pool, off), RelLoc::new(PoolId::new(977), off & 0xffff)]
             {
@@ -204,9 +197,9 @@ fn check_equivalence() -> bool {
     for &(pool, _, _) in objs.iter().step_by(2) {
         space.attach(pool).expect("re-attach");
     }
-    let mut state = 0xdead_beefu64;
+    let mut rng = Rng::new(0xdead_beef);
     for _ in 0..2_000 {
-        let (pool, loc, _) = objs[(xorshift(&mut state) as usize) % objs.len()];
+        let (pool, loc, _) = objs[rng.below(objs.len() as u64) as usize];
         let a = space.ra2va(loc);
         let b = space.ra2va_uncached(loc);
         if a != b {

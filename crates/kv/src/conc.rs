@@ -300,6 +300,18 @@ mod tests {
         }
     }
 
+    /// A history longer than 128 operations: 3 × 48 ops, 3 prepopulated
+    /// inserts and the 8-key audit make 155, checked key by key.
+    #[test]
+    fn conc_sweep_hash_long_history_is_clean() {
+        for s in FlushStrategy::ALL {
+            let spec = ConcSweepSpec { ops_per_thread: 48, ..ConcSweepSpec::small(13, s) };
+            let r = conc_crash_sweep::<ConcHash>(&spec).unwrap();
+            assert_eq!(r.tested, 10.min(r.boundaries), "{s:?} sample budget");
+            assert!(r.failures.is_empty(), "{s:?}: {:?}", r.failures);
+        }
+    }
+
     #[test]
     fn conc_sweep_list_exhaustive_two_threads_is_clean() {
         let spec = ConcSweepSpec::exhaustive(7, FlushStrategy::Traverse);

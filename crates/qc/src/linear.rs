@@ -2,12 +2,15 @@
 //!
 //! A history is a set of operations, each with an *invocation* stamp, an
 //! optional *response* stamp + result, and the thread that issued it.
-//! [`check`] runs a Wing & Gong-style search: it tries to order the
-//! operations into a legal sequential execution of a `BTreeMap` model
-//! such that
+//! Every [`KvOp`] touches exactly one key, and linearizability is *local*
+//! (Herlihy & Wing): a history is linearizable iff each key's
+//! sub-history is. So [`check`] splits the history by key and runs one
+//! Wing & Gong-style search per key, ordering that key's operations into
+//! a legal sequential execution of a single register (empty, or holding
+//! one value) such that
 //!
 //! * every **completed** operation's recorded result matches what the
-//!   model returns at its chosen linearization point,
+//!   register returns at its chosen linearization point,
 //! * the order respects real time — if `a` responded before `b` was
 //!   invoked, `a` linearizes before `b`,
 //! * **pending** operations (invoked, never responded — e.g. cut off by
@@ -18,19 +21,14 @@
 //! the crashed history: recovered reads are ordinary completed
 //! operations whose invocations follow every pre-crash response, so the
 //! search accepts the history iff the surviving state is a legal cut of
-//! the crashed execution.
+//! the crashed execution. Durable linearizability is local too, which is
+//! what makes the per-key split sound for crashed histories.
 //!
-//! The search memoizes failed `(linearized-set, model-state)` pairs, the
-//! standard Wing & Gong pruning; histories here are bounded by the
-//! seeded schedules that produce them (≤ [`MAX_OPS`] operations), where
-//! the exponential worst case is irrelevant.
+//! Each search memoizes failed `(placed set, register)` pairs exactly, the
+//! standard Wing & Gong pruning. The placed set is a growable bitset, so
+//! a history has no size cap; the exponential worst case is per key.
 
 use std::collections::{BTreeMap, HashSet};
-use std::hash::{Hash, Hasher};
-
-/// Hard cap on checkable history size (the linearized set is a `u128`
-/// bit mask).
-pub const MAX_OPS: usize = 128;
 
 /// One key→value operation kind with its arguments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,6 +39,14 @@ pub enum KvOp {
     Remove(u64),
     /// Lookup; returns the current value.
     Get(u64),
+}
+
+impl KvOp {
+    fn key(self) -> u64 {
+        match self {
+            KvOp::Insert(k, _) | KvOp::Remove(k) | KvOp::Get(k) => k,
+        }
+    }
 }
 
 /// One operation record in a history.
@@ -131,176 +137,167 @@ impl History {
     }
 }
 
-fn apply(model: &mut BTreeMap<u64, u64>, op: KvOp) -> Option<u64> {
+/// The sequential specification of one key: applies `op` to the register
+/// and returns what the op returns.
+fn apply(register: &mut Option<u64>, op: KvOp) -> Option<u64> {
     match op {
-        KvOp::Insert(k, v) => model.insert(k, v),
-        KvOp::Remove(k) => model.remove(&k),
-        KvOp::Get(k) => model.get(&k).copied(),
+        KvOp::Insert(_, v) => register.replace(v),
+        KvOp::Remove(_) => register.take(),
+        KvOp::Get(_) => *register,
     }
 }
 
-fn state_hash(model: &BTreeMap<u64, u64>) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for (k, v) in model {
-        k.hash(&mut h);
-        v.hash(&mut h);
-    }
-    h.finish()
+/// The Wing & Gong search over one key's sub-history.
+struct KeySearch {
+    /// `(history index, record)` of the key's ops, in history order.
+    ops: Vec<(usize, OpRecord)>,
+    /// Bitset over `ops`: the ops linearized so far.
+    placed: Vec<u64>,
+    register: Option<u64>,
+    /// Nodes known to have no extension.
+    memo: HashSet<(Vec<u64>, Option<u64>)>,
+    /// History indices in linearized order.
+    order: Vec<usize>,
+    best_placed: usize,
+    blocked_at: Option<usize>,
 }
 
-/// Checks a history for (durable) linearizability against the
-/// `BTreeMap` sequential specification.
-///
-/// On success returns one witness linearization: the op indices in
-/// linearized order (dropped pending ops are absent). On failure returns
-/// a diagnostic naming the first operation no extension could place.
-///
-/// # Errors
-///
-/// `Err(report)` when no legal linearization exists.
-///
-/// # Panics
-///
-/// Panics when the history exceeds [`MAX_OPS`].
-pub fn check(history: &History) -> Result<Vec<usize>, String> {
-    let ops = history.ops();
-    let n = ops.len();
-    assert!(n <= MAX_OPS, "history of {n} ops exceeds MAX_OPS={MAX_OPS}");
-    let completed_mask: u128 =
-        ops.iter().enumerate().filter(|(_, o)| !o.is_pending()).fold(0, |m, (i, _)| m | 1 << i);
-
-    let mut memo: HashSet<(u128, u64)> = HashSet::new();
-    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut best_placed = 0usize;
-    let mut blocked_at: Option<usize> = None;
-
-    fn dfs(
-        ops: &[OpRecord],
-        completed_mask: u128,
-        mask: u128,
-        model: &mut BTreeMap<u64, u64>,
-        memo: &mut HashSet<(u128, u64)>,
-        order: &mut Vec<usize>,
-        best_placed: &mut usize,
-        blocked_at: &mut Option<usize>,
-    ) -> bool {
-        if mask & completed_mask == completed_mask {
-            return true; // every completed op placed; pending rest dropped
+impl KeySearch {
+    fn new(ops: Vec<(usize, OpRecord)>) -> KeySearch {
+        KeySearch {
+            placed: vec![0; ops.len().div_ceil(64)],
+            ops,
+            register: None,
+            memo: HashSet::new(),
+            order: Vec::new(),
+            best_placed: 0,
+            blocked_at: None,
         }
-        if !memo.insert((mask, state_hash(model))) {
-            return false;
-        }
+    }
+
+    fn is_placed(&self, j: usize) -> bool {
+        self.placed[j / 64] & 1 << (j % 64) != 0
+    }
+
+    /// Places op `j`, or takes it back.
+    fn flip(&mut self, j: usize) {
+        self.placed[j / 64] ^= 1 << (j % 64);
+    }
+
+    fn dfs(&mut self) -> bool {
         // Earliest response among unplaced ops bounds who may go next.
-        let min_ret = ops
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) == 0)
-            .map(|(_, o)| o.ret)
+        let min_ret = (0..self.ops.len())
+            .filter(|&j| !self.is_placed(j))
+            .map(|j| self.ops[j].1.ret)
             .min()
             .unwrap_or(u64::MAX);
-        for i in 0..ops.len() {
-            if mask & (1 << i) != 0 || ops[i].invoke > min_ret {
+        if min_ret == u64::MAX {
+            return true; // only pending ops are unplaced: drop them
+        }
+        if !self.memo.insert((self.placed.clone(), self.register)) {
+            return false;
+        }
+        for j in 0..self.ops.len() {
+            let (i, o) = self.ops[j];
+            if self.is_placed(j) || o.invoke > min_ret {
                 continue;
             }
-            let o = &ops[i];
-            let key = match o.op {
-                KvOp::Insert(k, _) | KvOp::Remove(k) | KvOp::Get(k) => k,
-            };
-            let before = model.get(&key).copied();
-            let got = apply(model, o.op);
-            let consistent = match o.result {
-                Some(expected) => got == expected,
-                None => true, // pending: any effect is acceptable
-            };
-            if consistent {
-                order.push(i);
-                if order.len() > *best_placed {
-                    *best_placed = order.len();
-                    *blocked_at = None;
+            let before = self.register;
+            let got = apply(&mut self.register, o.op);
+            // A pending op may take any effect.
+            if o.result.is_none_or(|expected| got == expected) {
+                self.flip(j);
+                self.order.push(i);
+                if self.order.len() > self.best_placed {
+                    self.best_placed = self.order.len();
+                    self.blocked_at = None;
                 }
-                if dfs(
-                    ops,
-                    completed_mask,
-                    mask | 1 << i,
-                    model,
-                    memo,
-                    order,
-                    best_placed,
-                    blocked_at,
-                ) {
+                if self.dfs() {
                     return true;
                 }
-                order.pop();
-            } else if order.len() == *best_placed && blocked_at.is_none() {
-                *blocked_at = Some(i);
+                self.order.pop();
+                self.flip(j);
+            } else if self.order.len() == self.best_placed && self.blocked_at.is_none() {
+                self.blocked_at = Some(i);
             }
             // Undo the candidate, accepted or not: the next one is judged
             // against the state this node was entered with.
-            match before {
-                Some(v) => model.insert(key, v),
-                None => model.remove(&key),
-            };
+            self.register = before;
         }
         false
     }
+}
 
-    if dfs(
-        ops,
-        completed_mask,
-        0,
-        &mut model,
-        &mut memo,
-        &mut order,
-        &mut best_placed,
-        &mut blocked_at,
-    ) {
-        Ok(order)
-    } else {
-        let culprit = blocked_at
-            .map(|i| {
-                let o = &ops[i];
-                format!(
-                    "op {i} (thread {}, {:?} -> {:?}, invoke {}, ret {}) fits no extension",
-                    o.thread,
-                    o.op,
-                    o.result,
-                    o.invoke,
-                    if o.ret == u64::MAX { "pending".into() } else { o.ret.to_string() },
-                )
-            })
-            .unwrap_or_else(|| "no operation can linearize first".into());
-        Err(format!(
-            "history of {} ops ({} pending) is not linearizable: placed {best_placed}, then {culprit}",
-            ops.len(),
-            history.pending(),
-        ))
+/// Checks a history for (durable) linearizability: each key's
+/// sub-history against a register.
+///
+/// On success returns one witness linearization: each key's op indices in
+/// linearized order, keys ascending (dropped pending ops are absent). On
+/// failure returns a diagnostic naming the failing key, its sub-history
+/// and the first of its operations no extension could place.
+///
+/// # Errors
+///
+/// `Err(report)` when some key has no legal linearization.
+pub fn check(history: &History) -> Result<Vec<usize>, String> {
+    let mut by_key: BTreeMap<u64, Vec<(usize, OpRecord)>> = BTreeMap::new();
+    for (i, o) in history.ops().iter().enumerate() {
+        by_key.entry(o.op.key()).or_default().push((i, *o));
     }
+    let mut witness = Vec::with_capacity(history.ops().len());
+    for (key, ops) in by_key {
+        let mut search = KeySearch::new(ops);
+        if !search.dfs() {
+            let culprit = search
+                .blocked_at
+                .map(|i| {
+                    let o = &history.ops()[i];
+                    format!(
+                        "op {i} (thread {}, {:?} -> {:?}, invoke {}, ret {}) fits no extension",
+                        o.thread,
+                        o.op,
+                        o.result,
+                        o.invoke,
+                        if o.ret == u64::MAX { "pending".into() } else { o.ret.to_string() },
+                    )
+                })
+                .unwrap_or_else(|| "no operation can linearize first".into());
+            return Err(format!(
+                "key {key}: history of {} ops ({} pending) is not linearizable: placed {}, then {culprit}",
+                search.ops.len(),
+                search.ops.iter().filter(|(_, o)| o.is_pending()).count(),
+                search.best_placed,
+            ));
+        }
+        witness.append(&mut search.order);
+    }
+    Ok(witness)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
-    /// Sequential executions are trivially linearizable.
+    /// Sequential executions are trivially linearizable, and each key's
+    /// part of the witness is its sequential order.
     #[test]
     fn sequential_history_passes() {
         let mut h = History::new();
-        let mut model = BTreeMap::new();
-        for (op, _) in [
-            (KvOp::Insert(1, 10), 0),
-            (KvOp::Insert(2, 20), 0),
-            (KvOp::Get(1), 0),
-            (KvOp::Remove(1), 0),
-            (KvOp::Get(1), 0),
-            (KvOp::Insert(2, 21), 0),
+        let mut registers: HashMap<u64, Option<u64>> = HashMap::new();
+        for op in [
+            KvOp::Insert(1, 10),
+            KvOp::Insert(2, 20),
+            KvOp::Get(1),
+            KvOp::Remove(1),
+            KvOp::Get(1),
+            KvOp::Insert(2, 21),
         ] {
             let id = h.begin(0, op);
-            h.complete(id, apply(&mut model, op));
+            h.complete(id, apply(registers.entry(op.key()).or_default(), op));
         }
         let order = check(&h).expect("sequential history must pass");
-        assert_eq!(order.len(), 6);
-        assert!(order.windows(2).all(|w| w[0] < w[1]), "sequential order is the witness");
+        assert_eq!(order, vec![0, 2, 3, 4, 1, 5], "per-key sequential orders, keys ascending");
     }
 
     /// Two overlapping ops may linearize in either order.

@@ -196,38 +196,48 @@ fn checker_accepts_generated_sequential_histories() {
     );
 }
 
-/// Histories with real overlap that are linearizable by construction:
-/// results come from running the ops sequentially on the model, then each
-/// op's invocation is moved earlier and its response later (never past
-/// its own sequential slot), ties broken in a generated shuffled order.
-/// The sequential order stays a legal witness, so the checker must accept.
+/// A history with real overlap that is linearizable by construction. Each
+/// step is `(op, early, late, tie)`: results come from running the ops
+/// sequentially on the model, then op i's invocation is moved up to
+/// `widen` slots earlier (`early` picks how far) and its response up to
+/// `widen` slots later (`late`), never past either end, ties broken by
+/// `tie`. Slot i stays inside op i's interval, so the sequential order is
+/// a legal witness. The first `pending` ops in `tie` order never respond.
+fn overlapping_history(steps: &[(KvOp, u64, u64, u64)], widen: u64, pending: usize) -> History {
+    let n = steps.len();
+    let mut model = BTreeMap::new();
+    let results: Vec<Option<u64>> =
+        steps.iter().map(|(op, ..)| model_apply(&mut model, *op)).collect();
+    let mut by_tie: Vec<usize> = (0..n).collect();
+    by_tie.sort_by_key(|&i| steps[i].3);
+    let (mut starts, mut ends) = (vec![Vec::new(); n], vec![Vec::new(); n]);
+    for (rank, &i) in by_tie.iter().enumerate() {
+        let (_, early, late, _) = steps[i];
+        starts[i - (early % ((i as u64).min(widen) + 1)) as usize].push(i);
+        if rank >= pending {
+            ends[i + (late % (((n - 1 - i) as u64).min(widen) + 1)) as usize].push(i);
+        }
+    }
+    let mut hist = History::new();
+    let mut ids = vec![0; n];
+    for slot in 0..n {
+        for &i in &starts[slot] {
+            ids[i] = hist.begin((i % 3) as u32, steps[i].0);
+        }
+        for &i in &ends[slot] {
+            hist.complete(ids[i], results[i]);
+        }
+    }
+    hist
+}
+
+/// Generated overlapping histories, stretched without bound, are always
+/// accepted.
 #[test]
 fn checker_accepts_generated_overlapping_histories() {
     let gen = collection::vec((op_gen(), any::<u64>(), any::<u64>(), any::<u64>()), 1..16);
     for_all("selftest::linear-overlap", Config::cases(128), gen, |steps| {
-        let n = steps.len();
-        let mut model = BTreeMap::new();
-        let results: Vec<Option<u64>> =
-            steps.iter().map(|(op, ..)| model_apply(&mut model, *op)).collect();
-        // Op i is invoked at slot begin[i] <= i and responds at slot
-        // end[i] >= i, so slot i lies inside its interval.
-        let begin: Vec<usize> =
-            (0..n).map(|i| i - (steps[i].1 % (i as u64 + 1)) as usize).collect();
-        let end: Vec<usize> = (0..n).map(|i| i + (steps[i].2 % (n - i) as u64) as usize).collect();
-        let mut hist = History::new();
-        let mut ids = vec![0; n];
-        for slot in 0..n {
-            let mut starting: Vec<usize> = (0..n).filter(|&i| begin[i] == slot).collect();
-            starting.sort_by_key(|&i| steps[i].3);
-            for i in starting {
-                ids[i] = hist.begin((i % 3) as u32, steps[i].0);
-            }
-            let mut ending: Vec<usize> = (0..n).filter(|&i| end[i] == slot).collect();
-            ending.sort_by_key(|&i| steps[i].3);
-            for i in ending {
-                hist.complete(ids[i], results[i]);
-            }
-        }
+        let hist = overlapping_history(&steps, u64::MAX, 0);
         prop_assert!(check(&hist).is_ok(), "overlapping history refused: {:?}", check(&hist));
         Ok(())
     });
@@ -315,4 +325,242 @@ fn checker_restores_the_model_after_a_rejected_candidate() {
     h.complete(a, None);
     h.complete(b, Some(10));
     assert_eq!(check(&h), Ok(vec![a, b]));
+}
+
+/// How far the wide and differential histories below stretch each op's
+/// invocation and response, in slots.
+const WIDEN: u64 = 8;
+
+/// 10 000 ops over 64 keys from a seeded sequential run, stretched by up
+/// to [`WIDEN`] slots each way.
+fn ten_thousand_ops() -> History {
+    let mut rng = Rng::new(0x10_000);
+    let steps: Vec<(KvOp, u64, u64, u64)> = (0..10_000)
+        .map(|_| {
+            let k = rng.below(64);
+            let op = match rng.below(4) {
+                0 | 1 => KvOp::Insert(k, rng.below(1_000)),
+                2 => KvOp::Get(k),
+                _ => KvOp::Remove(k),
+            };
+            (op, rng.next_u64(), rng.next_u64(), rng.next_u64())
+        })
+        .collect();
+    overlapping_history(&steps, WIDEN, 0)
+}
+
+/// The checker has no size cap: the 10 000-op history is accepted with
+/// every op in the witness.
+#[test]
+fn checker_accepts_a_ten_thousand_op_history() {
+    let witness = check(&ten_thousand_ops()).expect("widened sequential history refused");
+    assert_eq!(witness.len(), 10_000);
+}
+
+/// One planted result among 10 000 ops is refuted, and the report names
+/// the key it was planted on.
+#[test]
+fn checker_refutes_one_planted_result_among_ten_thousand_ops() {
+    let mut hist = ten_thousand_ops();
+    let victim = 6_173;
+    let (KvOp::Insert(key, _) | KvOp::Remove(key) | KvOp::Get(key)) = hist.ops()[victim].op;
+    hist.corrupt_result(victim, Some(0xBAD_0000));
+    let err = check(&hist).expect_err("planted result went undetected");
+    assert!(err.contains(&format!("key {key}:")), "{err}");
+}
+
+/// The whole-history search the per-key checker replaced, kept verbatim as
+/// a test-only oracle. `OpRecord::is_pending` is private to the library,
+/// so a local trait supplies it.
+mod whole_history {
+    use super::model_apply as apply;
+    use std::collections::{BTreeMap, HashSet};
+    use std::hash::{Hash, Hasher};
+    use utpr_qc::linear::{History, KvOp, OpRecord};
+
+    /// Hard cap on checkable history size (the linearized set is a `u128`
+    /// bit mask).
+    pub const MAX_OPS: usize = 128;
+
+    trait Pending {
+        fn is_pending(&self) -> bool;
+    }
+
+    impl Pending for OpRecord {
+        fn is_pending(&self) -> bool {
+            self.result.is_none()
+        }
+    }
+
+    fn state_hash(model: &BTreeMap<u64, u64>) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        for (k, v) in model {
+            k.hash(&mut h);
+            v.hash(&mut h);
+        }
+        h.finish()
+    }
+
+    pub fn check(history: &History) -> Result<Vec<usize>, String> {
+        let ops = history.ops();
+        let n = ops.len();
+        assert!(n <= MAX_OPS, "history of {n} ops exceeds MAX_OPS={MAX_OPS}");
+        let completed_mask: u128 =
+            ops.iter().enumerate().filter(|(_, o)| !o.is_pending()).fold(0, |m, (i, _)| m | 1 << i);
+
+        let mut memo: HashSet<(u128, u64)> = HashSet::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        let mut best_placed = 0usize;
+        let mut blocked_at: Option<usize> = None;
+
+        #[allow(clippy::too_many_arguments)]
+        fn dfs(
+            ops: &[OpRecord],
+            completed_mask: u128,
+            mask: u128,
+            model: &mut BTreeMap<u64, u64>,
+            memo: &mut HashSet<(u128, u64)>,
+            order: &mut Vec<usize>,
+            best_placed: &mut usize,
+            blocked_at: &mut Option<usize>,
+        ) -> bool {
+            if mask & completed_mask == completed_mask {
+                return true; // every completed op placed; pending rest dropped
+            }
+            if !memo.insert((mask, state_hash(model))) {
+                return false;
+            }
+            // Earliest response among unplaced ops bounds who may go next.
+            let min_ret = ops
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) == 0)
+                .map(|(_, o)| o.ret)
+                .min()
+                .unwrap_or(u64::MAX);
+            for i in 0..ops.len() {
+                if mask & (1 << i) != 0 || ops[i].invoke > min_ret {
+                    continue;
+                }
+                let o = &ops[i];
+                let key = match o.op {
+                    KvOp::Insert(k, _) | KvOp::Remove(k) | KvOp::Get(k) => k,
+                };
+                let before = model.get(&key).copied();
+                let got = apply(model, o.op);
+                let consistent = match o.result {
+                    Some(expected) => got == expected,
+                    None => true, // pending: any effect is acceptable
+                };
+                if consistent {
+                    order.push(i);
+                    if order.len() > *best_placed {
+                        *best_placed = order.len();
+                        *blocked_at = None;
+                    }
+                    if dfs(
+                        ops,
+                        completed_mask,
+                        mask | 1 << i,
+                        model,
+                        memo,
+                        order,
+                        best_placed,
+                        blocked_at,
+                    ) {
+                        return true;
+                    }
+                    order.pop();
+                } else if order.len() == *best_placed && blocked_at.is_none() {
+                    *blocked_at = Some(i);
+                }
+                // Undo the candidate, accepted or not: the next one is judged
+                // against the state this node was entered with.
+                match before {
+                    Some(v) => model.insert(key, v),
+                    None => model.remove(&key),
+                };
+            }
+            false
+        }
+
+        if dfs(
+            ops,
+            completed_mask,
+            0,
+            &mut model,
+            &mut memo,
+            &mut order,
+            &mut best_placed,
+            &mut blocked_at,
+        ) {
+            Ok(order)
+        } else {
+            let culprit = blocked_at
+                .map(|i| {
+                    let o = &ops[i];
+                    format!(
+                        "op {i} (thread {}, {:?} -> {:?}, invoke {}, ret {}) fits no extension",
+                        o.thread,
+                        o.op,
+                        o.result,
+                        o.invoke,
+                        if o.ret == u64::MAX { "pending".into() } else { o.ret.to_string() },
+                    )
+                })
+                .unwrap_or_else(|| "no operation can linearize first".into());
+            Err(format!(
+                "history of {} ops ({} pending) is not linearizable: placed {best_placed}, then {culprit}",
+                ops.len(),
+                history.pending(),
+            ))
+        }
+    }
+}
+
+/// The per-key checker and the whole-history search it replaced agree on
+/// every small history: overlapping histories stretched by up to
+/// [`WIDEN`] slots (the whole-history search is exponential in the
+/// overlap), 0–3 ops left pending, and half the cases with one completed
+/// result overwritten. Values and planted results come from the same
+/// small range, so a plant is sometimes still explainable and both
+/// verdicts occur (non-vacuity).
+#[test]
+fn checker_agrees_with_the_whole_history_search() {
+    let (accepted, refused) = (AtomicU32::new(0), AtomicU32::new(0));
+    let small_op = (0u64..4, 0u64..6, 0u64..4).prop_map(|(kind, k, v)| match kind {
+        0 | 1 => KvOp::Insert(k, v),
+        2 => KvOp::Get(k),
+        _ => KvOp::Remove(k),
+    });
+    let gen = (
+        collection::vec((small_op, any::<u64>(), any::<u64>(), any::<u64>()), 1..25),
+        0usize..4,
+        (any::<bool>(), any::<u64>(), 0u64..5),
+    );
+    for_all(
+        "selftest::linear-differential",
+        Config::cases(256),
+        gen,
+        |(steps, pending, (plant, victim, value))| {
+            let mut hist = overlapping_history(&steps, WIDEN, pending);
+            let completed: Vec<usize> =
+                (0..hist.ops().len()).filter(|&id| hist.ops()[id].result.is_some()).collect();
+            if plant && !completed.is_empty() {
+                let id = completed[(victim % completed.len() as u64) as usize];
+                hist.corrupt_result(id, (value < 4).then_some(value));
+            }
+            let verdict = check(&hist);
+            prop_assert_eq!(
+                verdict.is_ok(),
+                whole_history::check(&hist).is_ok(),
+                "verdicts differ; per-key: {verdict:?}"
+            );
+            if verdict.is_ok() { &accepted } else { &refused }.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        },
+    );
+    assert!(accepted.load(Ordering::Relaxed) >= 1, "non-vacuity: no history accepted");
+    assert!(refused.load(Ordering::Relaxed) >= 1, "non-vacuity: no history refused");
 }
