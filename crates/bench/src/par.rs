@@ -84,16 +84,6 @@ where
     slots.into_iter().map(|r| r.expect("worker delivered every index")).collect()
 }
 
-/// [`par_map`] with the worker count taken from the environment ([`jobs`]).
-pub fn par_map_auto<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map(items, jobs(), f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

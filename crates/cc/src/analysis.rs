@@ -180,14 +180,6 @@ impl InferenceReport {
             kept as f64 / max as f64
         }
     }
-
-    /// Per-function static residual-check fractions, sorted by name.
-    pub fn per_function_fractions(&self) -> Vec<(&str, f64)> {
-        self.functions
-            .iter()
-            .map(|(name, f)| (name.as_str(), f.static_check_fraction()))
-            .collect()
-    }
 }
 
 fn operand_fact(state: &[Fact], op: Operand) -> Fact {

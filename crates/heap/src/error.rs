@@ -17,6 +17,9 @@ pub enum HeapError {
     /// The pool exists in the persistent store but is not currently attached
     /// to the address space, so it has no base virtual address.
     PoolDetached(PoolId),
+    /// The id names an adopted (or lapsed) shared pool: this space holds
+    /// none of its pages, so it cannot destroy it.
+    NotOwned(PoolId),
     /// A pool with this name already exists in the persistent store.
     PoolExists(String),
     /// No pool with this name exists in the persistent store.
@@ -87,6 +90,7 @@ impl fmt::Display for HeapError {
             HeapError::Unmapped(a) => write!(f, "access to unmapped address {a}"),
             HeapError::NoSuchPool(p) => write!(f, "no such pool {p}"),
             HeapError::PoolDetached(p) => write!(f, "{p} is detached"),
+            HeapError::NotOwned(p) => write!(f, "{p} is a shared pool this space does not own"),
             HeapError::PoolExists(n) => write!(f, "pool named {n:?} already exists"),
             HeapError::NoSuchPoolName(n) => write!(f, "no pool named {n:?}"),
             HeapError::OffsetOutOfPool { pool, offset, size } => {

@@ -4,15 +4,18 @@
 //! A pool is a named, fixed-size persistent region with its own allocator
 //! (paper §II). Pools outlive processes: the [`PoolStore`] plays the role of
 //! the NVM device, so pool contents survive [`crate::AddressSpace::restart`]
-//! while everything in DRAM is lost.
+//! while everything in DRAM is lost. Its table doubles as the address
+//! space's POTB, where adopted [`SharedPool`]s take ids too.
 
-use crate::addr::{PoolId, MAX_POOL_ID};
+use crate::addr::{PoolId, VirtAddr, MAX_POOL_ID};
 use crate::alloc::Region;
 use crate::error::{HeapError, Result};
 use crate::integrity::{IntegrityMode, PageCrcs, PoolScrub};
 use crate::media::MediaPlane;
 use crate::pagestore::PageStore;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use crate::shard::{Arena, SharedPool};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Maximum pool size: intra-pool offsets must fit in 32 bits.
 pub const MAX_POOL_SIZE: u64 = u32::MAX as u64 + 1;
@@ -20,8 +23,6 @@ pub const MAX_POOL_SIZE: u64 = u32::MAX as u64 + 1;
 /// A pool image as it exists on the simulated NVM device.
 #[derive(Clone, Debug)]
 pub struct PoolImage {
-    name: String,
-    size: u64,
     data: PageStore,
     region: Region,
     /// The media plane over `data`: the per-page CRC sidecar, the
@@ -29,17 +30,14 @@ pub struct PoolImage {
     /// integrity is off. No media clock: an owned pool ages only across a
     /// power-off.
     media: MediaPlane,
+    /// First known-bad page while quarantined ([`PoolStore::quarantine`]).
+    quarantine: Option<u64>,
 }
 
 impl PoolImage {
-    /// Pool name (unique within a [`PoolStore`]).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Pool size in bytes.
     pub fn size(&self) -> u64 {
-        self.size
+        self.region.size()
     }
 
     /// The pool's internal allocator handle.
@@ -65,6 +63,32 @@ impl PoolImage {
     }
 }
 
+/// Where a live pool's pages are.
+// The image stays inline: boxing it would add a pointer chase to every
+// owned-pool access.
+#[allow(clippy::large_enum_variant)]
+#[derive(Clone, Debug)]
+pub(crate) enum Backing {
+    /// On this device, in an image carrying its own quarantine page.
+    Owned(PoolImage),
+    /// In an adopted shared pool; the arena is this space's allocation
+    /// leaf over it.
+    Adopted(Arc<SharedPool>, Arena),
+}
+
+/// One row of the pool table.
+#[derive(Clone, Debug)]
+pub(crate) struct PoolEntry {
+    pub(crate) name: String,
+    pub(crate) size: u64,
+    /// Base virtual address while attached (an adoption always is).
+    pub(crate) base: Option<VirtAddr>,
+    /// `None` is a *lapsed* adoption, dropped by `detach` or `restart`:
+    /// its pages live on in the shared pool, so the id stays reserved for
+    /// re-adoption and id-based access answers [`HeapError::PoolDetached`].
+    pub(crate) backing: Option<Backing>,
+}
+
 /// The simulated NVM device: a durable collection of pools indexed by id and
 /// name.
 ///
@@ -75,30 +99,23 @@ impl PoolImage {
 ///
 /// let mut store = PoolStore::new();
 /// let id = store.create("ledger", 1 << 20)?;
-/// assert_eq!(store.get(id)?.name(), "ledger");
+/// assert_eq!(store.id_of("ledger")?, id);
+/// assert_eq!(store.get(id)?.size(), 1 << 20);
 /// # Ok::<(), utpr_heap::HeapError>(())
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct PoolStore {
-    /// Pool images, dense by raw id: `slots[id.raw()]`. Ids are handed out
-    /// sequentially from 1 and never recycled, so slot 0 is permanently
-    /// empty and a destroyed pool leaves a `None` hole. Dense indexing
-    /// keeps [`PoolStore::get`] — which sits under every simulated memory
-    /// access — to a bounds check and a discriminant test instead of a
-    /// hash probe.
-    slots: Vec<Option<PoolImage>>,
+    /// The pool table, dense by raw id: `slots[id.raw()]`. Owned and
+    /// adopted pools take ids sequentially from 1, never recycled, so slot
+    /// 0 is permanently empty and a destroyed pool leaves a `None` hole.
+    /// Dense indexing keeps [`PoolStore::live`] — which sits under every
+    /// simulated memory access — to a bounds check and a discriminant test
+    /// instead of a hash probe.
+    slots: Vec<Option<PoolEntry>>,
     by_name: HashMap<String, PoolId>,
     next_id: u32,
     /// Whether pools maintain CRC sidecars (default: they do).
     integrity: IntegrityMode,
-    /// Pools with detected media corruption → first bad page. Normal
-    /// access errors until [`PoolStore::release`]; ordered so diagnostics
-    /// enumerate deterministically.
-    quarantined: BTreeMap<PoolId, u64>,
-    /// Ids reserved for adopted shared pools ([`PoolStore::reserve`]):
-    /// their slots are permanently empty here, but translation must report
-    /// them as *detached*, not unknown, once the adoption lapses.
-    reserved: HashSet<u32>,
 }
 
 impl PoolStore {
@@ -109,17 +126,21 @@ impl PoolStore {
             by_name: HashMap::new(),
             next_id: 1,
             integrity: IntegrityMode::default(),
-            quarantined: BTreeMap::new(),
-            reserved: HashSet::new(),
         }
     }
 
-    /// Live `(id, image)` pairs in id order.
-    fn entries(&self) -> impl Iterator<Item = (PoolId, &PoolImage)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|img| (PoolId::new(i as u32), img)))
+    fn images(&self) -> impl Iterator<Item = &PoolImage> + '_ {
+        self.slots.iter().flatten().filter_map(|e| match &e.backing {
+            Some(Backing::Owned(img)) => Some(img),
+            _ => None,
+        })
+    }
+
+    fn images_mut(&mut self) -> impl Iterator<Item = &mut PoolImage> + '_ {
+        self.slots.iter_mut().flatten().filter_map(|e| match &mut e.backing {
+            Some(Backing::Owned(img)) => Some(img),
+            _ => None,
+        })
     }
 
     /// The device's integrity mode.
@@ -133,12 +154,28 @@ impl PoolStore {
     pub fn set_integrity(&mut self, mode: IntegrityMode) {
         self.integrity = mode;
         let on = mode == IntegrityMode::Crc;
-        for img in self.slots.iter_mut().flatten() {
+        for img in self.images_mut() {
             img.data.set_dirty_tracking(on);
             if !on {
                 img.media = MediaPlane::default();
             }
         }
+    }
+
+    /// Files a new entry under the next sequential id.
+    fn push(&mut self, name: &str, size: u64, backing: Option<Backing>) -> Result<PoolId> {
+        if self.next_id > MAX_POOL_ID {
+            return Err(HeapError::NoAddressSpace);
+        }
+        let id = PoolId::new(self.next_id);
+        self.next_id += 1;
+        let idx = id.raw() as usize;
+        if idx >= self.slots.len() {
+            self.slots.resize_with(idx + 1, || None);
+        }
+        self.slots[idx] = Some(PoolEntry { name: name.to_string(), size, base: None, backing });
+        self.by_name.insert(name.to_string(), id);
+        Ok(id)
     }
 
     /// Creates and formats a new pool, returning its system-wide id.
@@ -155,65 +192,26 @@ impl PoolStore {
         if size == 0 || size > MAX_POOL_SIZE {
             return Err(HeapError::BadPoolSize(size));
         }
-        if self.next_id > MAX_POOL_ID {
-            return Err(HeapError::NoAddressSpace);
-        }
         let mut data = PageStore::new();
         data.set_dirty_tracking(self.integrity == IntegrityMode::Crc);
         let region = Region::format(&mut data, size)?;
-        let id = PoolId::new(self.next_id);
-        self.next_id += 1;
-        let idx = id.raw() as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize_with(idx + 1, || None);
-        }
-        let media = MediaPlane::default();
-        self.slots[idx] = Some(PoolImage { name: name.to_string(), size, data, region, media });
-        self.by_name.insert(name.to_string(), id);
-        Ok(id)
+        let image = PoolImage { data, region, media: MediaPlane::default(), quarantine: None };
+        self.push(name, size, Some(Backing::Owned(image)))
     }
 
-    /// Reserves a pool id for `name` *without* creating an image: the slot
-    /// stays empty, so [`PoolStore::get`] and friends keep reporting
-    /// [`HeapError::NoSuchPool`] for it. This is how an address space
-    /// adopts a [`crate::shard::SharedPool`] — the shared pool owns its own
-    /// pages, but its id must come from the same sequential namespace so
-    /// the dense sPOLB array and the registry stay compact.
-    ///
-    /// Re-reserving an already-reserved name returns the same id (a shard
-    /// re-adopting after a restart keeps its id stable).
-    ///
-    /// # Errors
-    ///
-    /// - [`HeapError::PoolExists`] if the name belongs to a *materialised*
-    ///   pool.
-    /// - [`HeapError::NoAddressSpace`] when the id space is exhausted.
-    pub fn reserve(&mut self, name: &str) -> Result<PoolId> {
-        if let Some(&id) = self.by_name.get(name) {
-            let occupied =
-                self.slots.get(id.raw() as usize).map_or(false, Option::is_some);
-            if occupied {
-                return Err(HeapError::PoolExists(name.to_string()));
-            }
-            return Ok(id);
+    /// The id `sp` adopts under: its own if adopted already, its name's
+    /// lapsed adoption, or for a new name the next sequential id, filed as
+    /// lapsed until the caller installs the adoption. The name of an owned
+    /// or another adopted pool is [`HeapError::PoolExists`].
+    pub(crate) fn adoption_id(&mut self, sp: &Arc<SharedPool>) -> Result<PoolId> {
+        let Some(&id) = self.by_name.get(sp.name()) else {
+            return self.push(sp.name(), sp.size(), None);
+        };
+        match &self.entry(id)?.backing {
+            None => Ok(id),
+            Some(Backing::Adopted(p, _)) if Arc::ptr_eq(p, sp) => Ok(id),
+            Some(_) => Err(HeapError::PoolExists(sp.name().to_string())),
         }
-        if self.next_id > MAX_POOL_ID {
-            return Err(HeapError::NoAddressSpace);
-        }
-        let id = PoolId::new(self.next_id);
-        self.next_id += 1;
-        let idx = id.raw() as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize_with(idx + 1, || None);
-        }
-        self.by_name.insert(name.to_string(), id);
-        self.reserved.insert(id.raw());
-        Ok(id)
-    }
-
-    /// Whether `id` is a reserved (shared-pool) id with no image behind it.
-    pub fn is_reserved(&self, id: PoolId) -> bool {
-        !self.reserved.is_empty() && self.reserved.contains(&id.raw())
     }
 
     /// Looks a pool up by name.
@@ -228,30 +226,78 @@ impl PoolStore {
             .ok_or_else(|| HeapError::NoSuchPoolName(name.to_string()))
     }
 
+    /// The table entry of `id` in any state; [`HeapError::NoSuchPool`] for
+    /// ids never issued or destroyed.
     #[inline]
-    fn quarantine_guard(&self, id: PoolId) -> Result<()> {
-        // One branch on the empty map in the common case; the lookup only
-        // happens while some pool somewhere is quarantined.
-        if !self.quarantined.is_empty() {
-            if let Some(&page) = self.quarantined.get(&id) {
-                return Err(HeapError::MediaCorruption { pool: id, page });
+    pub(crate) fn entry(&self, id: PoolId) -> Result<&PoolEntry> {
+        self.slots.get(id.raw() as usize).and_then(Option::as_ref).ok_or(HeapError::NoSuchPool(id))
+    }
+
+    /// Mutable [`PoolStore::entry`].
+    #[inline]
+    pub(crate) fn entry_mut(&mut self, id: PoolId) -> Result<&mut PoolEntry> {
+        self.slots
+            .get_mut(id.raw() as usize)
+            .and_then(Option::as_mut)
+            .ok_or(HeapError::NoSuchPool(id))
+    }
+
+    /// Resolves `id` to its backing for normal access, the one place the
+    /// quarantine guard runs for both kinds: [`HeapError::NoSuchPool`] for
+    /// ids never issued or destroyed, [`HeapError::PoolDetached`] for a
+    /// lapsed adoption, [`HeapError::MediaCorruption`] while quarantined.
+    /// Maintenance paths (drain, scrub, salvage, detach) use
+    /// [`PoolStore::entry`] or [`PoolStore::peek`] instead.
+    #[inline(always)]
+    pub(crate) fn live(&self, id: PoolId) -> Result<&Backing> {
+        match &self.entry(id)?.backing {
+            // A healthy owned pool, the common case: one compare.
+            Some(b @ Backing::Owned(PoolImage { quarantine: None, .. })) => Ok(b),
+            Some(backing) => quarantine_guard(id, backing).map(|()| backing),
+            None => Err(HeapError::PoolDetached(id)),
+        }
+    }
+
+    /// Mutable [`PoolStore::live`], with the same errors.
+    #[inline(always)]
+    pub(crate) fn live_mut(&mut self, id: PoolId) -> Result<&mut Backing> {
+        match &mut self.entry_mut(id)?.backing {
+            Some(b @ Backing::Owned(PoolImage { quarantine: None, .. })) => Ok(b),
+            Some(backing) => quarantine_guard(id, backing).map(|()| backing),
+            None => Err(HeapError::PoolDetached(id)),
+        }
+    }
+
+    /// Every adoption's shared pool and arena, in id order.
+    pub(crate) fn adoptions(&mut self) -> impl Iterator<Item = (&SharedPool, &mut Arena)> + '_ {
+        self.slots.iter_mut().flatten().filter_map(|e| match &mut e.backing {
+            Some(Backing::Adopted(sp, arena)) => Some((&**sp, arena)),
+            _ => None,
+        })
+    }
+
+    /// Power loss: every pool loses its base and every adoption lapses.
+    pub(crate) fn power_off(&mut self) {
+        for e in self.slots.iter_mut().flatten() {
+            e.base = None;
+            if matches!(e.backing, Some(Backing::Adopted(..))) {
+                e.backing = None;
             }
         }
-        Ok(())
     }
 
     /// Immutable access to a pool image.
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::NoSuchPool`] when the id is unknown and
-    /// [`HeapError::MediaCorruption`] when the pool is quarantined.
+    /// [`HeapError::NoSuchPool`] for unknown ids and adopted shared pools,
+    /// [`HeapError::PoolDetached`] for a lapsed adoption, and
+    /// [`HeapError::MediaCorruption`] while the pool is quarantined.
     #[inline]
     pub fn get(&self, id: PoolId) -> Result<&PoolImage> {
-        self.quarantine_guard(id)?;
-        match self.slots.get(id.raw() as usize) {
-            Some(Some(img)) => Ok(img),
-            _ => Err(HeapError::NoSuchPool(id)),
+        match self.live(id)? {
+            Backing::Owned(img) => Ok(img),
+            Backing::Adopted(..) => Err(HeapError::NoSuchPool(id)),
         }
     }
 
@@ -259,14 +305,12 @@ impl PoolStore {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::NoSuchPool`] when the id is unknown and
-    /// [`HeapError::MediaCorruption`] when the pool is quarantined.
+    /// Exactly those of [`PoolStore::get`].
     #[inline]
     pub fn get_mut(&mut self, id: PoolId) -> Result<&mut PoolImage> {
-        self.quarantine_guard(id)?;
-        match self.slots.get_mut(id.raw() as usize) {
-            Some(Some(img)) => Ok(img),
-            _ => Err(HeapError::NoSuchPool(id)),
+        match self.live_mut(id)? {
+            Backing::Owned(img) => Ok(img),
+            Backing::Adopted(..) => Err(HeapError::NoSuchPool(id)),
         }
     }
 
@@ -275,10 +319,10 @@ impl PoolStore {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::NoSuchPool`] when the id is unknown.
+    /// Returns [`HeapError::NoSuchPool`] unless `id` is an owned pool.
     pub fn peek(&self, id: PoolId) -> Result<&PoolImage> {
-        match self.slots.get(id.raw() as usize) {
-            Some(Some(img)) => Ok(img),
+        match &self.entry(id)?.backing {
+            Some(Backing::Owned(img)) => Ok(img),
             _ => Err(HeapError::NoSuchPool(id)),
         }
     }
@@ -287,10 +331,10 @@ impl PoolStore {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::NoSuchPool`] when the id is unknown.
+    /// Returns [`HeapError::NoSuchPool`] unless `id` is an owned pool.
     pub fn peek_mut(&mut self, id: PoolId) -> Result<&mut PoolImage> {
-        match self.slots.get_mut(id.raw() as usize) {
-            Some(Some(img)) => Ok(img),
+        match &mut self.entry_mut(id)?.backing {
+            Some(Backing::Owned(img)) => Ok(img),
             _ => Err(HeapError::NoSuchPool(id)),
         }
     }
@@ -302,7 +346,7 @@ impl PoolStore {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::NoSuchPool`] when the id is unknown.
+    /// Returns [`HeapError::NoSuchPool`] unless `id` is an owned pool.
     pub fn seal(&mut self, id: PoolId) -> Result<()> {
         let img = self.peek_mut(id)?;
         img.media.seal(&mut img.data, false);
@@ -311,7 +355,7 @@ impl PoolStore {
 
     /// Seals every pool on the device.
     pub fn seal_all(&mut self) {
-        for img in self.slots.iter_mut().flatten() {
+        for img in self.images_mut() {
             img.media.seal(&mut img.data, false);
         }
     }
@@ -322,12 +366,12 @@ impl PoolStore {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::NoSuchPool`] when the id is unknown.
+    /// Returns [`HeapError::NoSuchPool`] unless `id` is an owned pool.
     pub fn verify(&mut self, id: PoolId) -> Result<Vec<u64>> {
         let img = self.peek_mut(id)?;
         let bad = img.media.verify(&mut img.data);
         if let Some(&page) = bad.first() {
-            self.quarantine(id, page);
+            img.quarantine.get_or_insert(page);
         }
         Ok(bad)
     }
@@ -338,7 +382,7 @@ impl PoolStore {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::NoSuchPool`] when the id is unknown.
+    /// Returns [`HeapError::NoSuchPool`] unless `id` is an owned pool.
     pub fn reseal(&mut self, id: PoolId) -> Result<()> {
         let img = self.peek_mut(id)?;
         img.media.reseal(&mut img.data);
@@ -353,79 +397,89 @@ impl PoolStore {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::NoSuchPool`] when the id is unknown. Detected
-    /// corruption is reported, not raised — scrubbing a damaged pool is
-    /// exactly the point.
+    /// Returns [`HeapError::NoSuchPool`] unless `id` is an owned pool.
+    /// Detected corruption is reported, not raised — scrubbing a damaged
+    /// pool is exactly the point.
     pub fn scrub(&mut self, id: PoolId) -> Result<PoolScrub> {
         let img = self.peek_mut(id)?;
         let scrub = img.media.scrub(&mut img.data, usize::MAX, u64::MAX);
         if let Some(page) = scrub.corrupt_page {
-            self.quarantine(id, page);
+            img.quarantine.get_or_insert(page);
         }
         Ok(scrub)
     }
 
     // ---- quarantine --------------------------------------------------------
 
-    /// Marks pool `id` quarantined with `page` as the first known-bad page:
-    /// [`PoolStore::get`]/[`PoolStore::get_mut`] return
-    /// [`HeapError::MediaCorruption`] until [`PoolStore::release`].
+    /// Marks owned pool `id` quarantined with `page` as the first known-bad
+    /// page: [`PoolStore::get`]/[`PoolStore::get_mut`] return
+    /// [`HeapError::MediaCorruption`] until [`PoolStore::release`]. A
+    /// shared pool keeps its own ([`SharedPool::quarantined_page`]).
     pub fn quarantine(&mut self, id: PoolId, page: u64) {
-        self.quarantined.entry(id).or_insert(page);
+        if let Ok(img) = self.peek_mut(id) {
+            img.quarantine.get_or_insert(page);
+        }
     }
 
-    /// Whether pool `id` is quarantined.
+    /// Whether owned pool `id` is quarantined.
     pub fn is_quarantined(&self, id: PoolId) -> bool {
-        self.quarantined.contains_key(&id)
+        self.quarantine_info(id).is_some()
     }
 
-    /// The first known-bad page of a quarantined pool.
+    /// The first known-bad page of a quarantined owned pool.
     pub fn quarantine_info(&self, id: PoolId) -> Option<u64> {
-        self.quarantined.get(&id).copied()
+        self.peek(id).ok()?.quarantine
     }
 
-    /// Lifts pool `id`'s quarantine (after salvage + reseal).
+    /// Lifts owned pool `id`'s quarantine (after salvage + reseal).
     pub fn release(&mut self, id: PoolId) {
-        self.quarantined.remove(&id);
+        if let Ok(img) = self.peek_mut(id) {
+            img.quarantine = None;
+        }
     }
 
-    /// Permanently destroys a pool and frees its name.
+    /// Permanently destroys an owned pool and frees its name.
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::NoSuchPool`] when the id is unknown.
+    /// [`HeapError::NoSuchPool`] when the id is unknown, and
+    /// [`HeapError::NotOwned`] for an adopted or lapsed shared pool.
     pub fn destroy(&mut self, id: PoolId) -> Result<()> {
-        let image = self
-            .slots
-            .get_mut(id.raw() as usize)
-            .and_then(Option::take)
-            .ok_or(HeapError::NoSuchPool(id))?;
-        self.by_name.remove(&image.name);
-        self.quarantined.remove(&id);
+        if !matches!(self.entry(id)?.backing, Some(Backing::Owned(_))) {
+            return Err(HeapError::NotOwned(id));
+        }
+        if let Some(entry) = self.slots[id.raw() as usize].take() {
+            self.by_name.remove(&entry.name);
+        }
         Ok(())
     }
 
-    /// Iterates over `(id, name, size)` of every pool on the device, in
-    /// id order.
-    pub fn iter(&self) -> impl Iterator<Item = (PoolId, &str, u64)> + '_ {
-        self.entries().map(|(id, img)| (id, img.name.as_str(), img.size))
-    }
-
-    /// Number of pools on the device.
+    /// Number of owned pools on the device.
     pub fn len(&self) -> usize {
-        self.slots.iter().flatten().count()
+        self.images().count()
     }
 
     /// Bytes actually materialized across every pool image (resident set,
     /// as opposed to the sum of declared pool sizes).
     pub fn resident_bytes(&self) -> u64 {
-        self.slots.iter().flatten().map(|img| img.data.resident_bytes()).sum()
+        self.images().map(|img| img.data.resident_bytes()).sum()
     }
 
-    /// True when the device holds no pools.
+    /// True when the device holds no owned pools.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// The quarantine guard for both kinds of backing, out of line so a
+/// healthy owned pool's path through [`PoolStore::live`] stays short.
+#[inline(never)]
+fn quarantine_guard(id: PoolId, backing: &Backing) -> Result<()> {
+    let page = match backing {
+        Backing::Owned(img) => img.quarantine,
+        Backing::Adopted(sp, _) => sp.quarantined_page(),
+    };
+    page.map_or(Ok(()), |page| Err(HeapError::MediaCorruption { pool: id, page }))
 }
 
 #[cfg(test)]
@@ -441,7 +495,7 @@ mod tests {
         let b = s.create("b", 1 << 16).unwrap();
         assert_ne!(a, b);
         assert_eq!(s.id_of("a").unwrap(), a);
-        assert_eq!(s.get(b).unwrap().name(), "b");
+        assert_eq!(s.id_of("b").unwrap(), b);
         assert_eq!(s.len(), 2);
     }
 
@@ -450,23 +504,6 @@ mod tests {
         let mut s = PoolStore::new();
         s.create("a", 1 << 16).unwrap();
         assert!(matches!(s.create("a", 1 << 16), Err(HeapError::PoolExists(_))));
-    }
-
-    #[test]
-    fn reserve_hands_out_stable_empty_ids() {
-        let mut s = PoolStore::new();
-        let a = s.create("a", 1 << 16).unwrap();
-        let r = s.reserve("shared").unwrap();
-        assert_ne!(a, r, "reserved ids come from the same sequential namespace");
-        assert!(matches!(s.get(r), Err(HeapError::NoSuchPool(_))), "no image behind it");
-        assert_eq!(s.reserve("shared").unwrap(), r, "re-reserving is idempotent");
-        assert_eq!(s.id_of("shared").unwrap(), r);
-        assert!(matches!(s.reserve("a"), Err(HeapError::PoolExists(_))));
-        assert!(matches!(s.create("shared", 1 << 16), Err(HeapError::PoolExists(_))));
-        // The next real pool skips past the reserved id.
-        let b = s.create("b", 1 << 16).unwrap();
-        assert!(b.raw() > r.raw());
-        assert_eq!(s.len(), 2, "reserved slots are not materialised pools");
     }
 
     #[test]

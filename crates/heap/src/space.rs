@@ -15,9 +15,9 @@ use crate::lookaside::TransCache;
 pub use crate::lookaside::TransStats;
 use crate::pagestore::PageStore;
 use crate::persist::PersistPlane;
-use crate::pool::PoolStore;
+use crate::pool::{Backing, PoolStore};
 use crate::shard::{Arena, SharedPool, SlabId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Default size of the volatile (DRAM) heap region.
@@ -75,8 +75,10 @@ pub struct Attachment {
 
 /// The simulated process address space.
 ///
-/// Owns the DRAM page store, a volatile heap allocator, the persistent
-/// [`PoolStore`] device, and the table of current pool attachments.
+/// Owns the DRAM page store, a volatile heap allocator, and the persistent
+/// [`PoolStore`] device, whose one `PoolId`-indexed table holds every
+/// per-pool fact: name, size, base while attached, and backing (an owned
+/// image, or an adopted [`SharedPool`] with this space's arena).
 ///
 /// # Examples
 ///
@@ -96,10 +98,11 @@ pub struct Attachment {
 pub struct AddressSpace {
     dram: PageStore,
     dram_region: Region,
+    /// The pool table (the POTB analogue) and the owned images.
     store: PoolStore,
-    /// base VA -> attachment, ordered for containing-range lookup.
+    /// base VA -> attachment, ordered for containing-range lookup (the
+    /// VATB analogue).
     attach_by_base: BTreeMap<u64, Attachment>,
-    attach_by_pool: HashMap<PoolId, Attachment>,
     /// Seed for deterministic-but-varied attach base selection.
     layout_seed: u64,
     /// Monotonic counter mixed into base selection.
@@ -116,15 +119,6 @@ pub struct AddressSpace {
     /// *per-pool* epoch for single-pool lifecycle events (attach, detach,
     /// destroy), the global one for space-wide events.
     trans: TransCache,
-    /// Shared (multicore) pools adopted into this space, by id. Their data
-    /// lives in the [`SharedPool`]'s striped device, not in `store`; the
-    /// id is merely *reserved* there ([`PoolStore::reserve`]) so the
-    /// registry and lookasides stay dense.
-    shared: HashMap<PoolId, Arc<SharedPool>>,
-    /// Per-pool allocation arenas over adopted shared pools: the
-    /// thread-private leaf of the llfree-style split (this space being one
-    /// worker's shard).
-    arenas: HashMap<PoolId, Arena>,
 }
 
 impl AddressSpace {
@@ -152,14 +146,11 @@ impl AddressSpace {
             dram_region,
             store: PoolStore::new(),
             attach_by_base: BTreeMap::new(),
-            attach_by_pool: HashMap::new(),
             layout_seed,
             attach_counter: 0,
             generation: 0,
             plane: PersistPlane::default(),
             trans: TransCache::new(),
-            shared: HashMap::new(),
-            arenas: HashMap::new(),
         }
     }
 
@@ -167,7 +158,7 @@ impl AddressSpace {
 
     /// Turns the software translation lookasides (sPOLB/sVALB) on or off.
     /// They are on by default; disabling forces every translation through
-    /// the registry probe / BTree walk (the cache-off baseline the
+    /// the pool-table probe / BTree walk (the cache-off baseline the
     /// equivalence properties compare against).
     pub fn set_translation_cache(&mut self, on: bool) {
         self.trans.set_enabled(on);
@@ -231,7 +222,7 @@ impl AddressSpace {
         if !self.plane.fence() {
             return;
         }
-        for sp in self.shared.values() {
+        for (sp, _) in self.store.adoptions() {
             self.plane.lines_flushed += sp.drain_all();
         }
     }
@@ -271,7 +262,7 @@ impl AddressSpace {
     /// counters advance too. Returns the number of lines made durable.
     pub fn persist_point(&mut self) -> u64 {
         let mut drained = self.plane.persist_point();
-        for sp in self.shared.values() {
+        for (sp, _) in self.store.adoptions() {
             let n = sp.persist_point();
             self.plane.lines_flushed += n;
             drained += n;
@@ -283,7 +274,7 @@ impl AddressSpace {
     /// `pool` (a targeted `clwb`), without a fence-wide drain. Routes to
     /// the pool's own pending buffer for adopted shared pools.
     pub fn flush_line(&mut self, pool: PoolId, off: u64) {
-        if let Some(sp) = self.shared_route(pool) {
+        if let Some(sp) = self.shared_pool(pool) {
             self.plane.lines_flushed += u64::from(sp.flush_line(off));
             return;
         }
@@ -347,41 +338,15 @@ impl AddressSpace {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::NoSuchPool`] for unknown ids.
-    #[inline]
+    /// - [`HeapError::NoSuchPool`] for unknown ids;
+    /// - [`HeapError::PoolDetached`] for a lapsed shared-pool adoption;
+    /// - [`HeapError::MediaCorruption`] while the pool is quarantined.
+    #[inline(always)]
     pub fn pool_read_u64(&self, id: PoolId, off: u64) -> Result<u64> {
-        if let Some(sp) = self.shared_checked(id)? {
-            return Ok(sp.read_u64(off));
-        }
-        Ok(self.store.get(id)?.data().read_u64(off))
-    }
-
-    /// One branch on the empty map in the (single-threaded) common case;
-    /// the lookup only happens while some shared pool is adopted.
-    #[inline]
-    fn shared_route(&self, id: PoolId) -> Option<&Arc<SharedPool>> {
-        if self.shared.is_empty() {
-            None
-        } else {
-            self.shared.get(&id)
-        }
-    }
-
-    /// [`AddressSpace::shared_route`] for guarded data/allocation paths:
-    /// a quarantined shared pool (a sealed checksum failed — see
-    /// [`SharedPool::quarantined_page`]) refuses normal access until
-    /// salvage releases it, mirroring the local-pool quarantine in
-    /// [`crate::pool::PoolStore`]. Maintenance paths (fence/drain, scrub,
-    /// salvage, detach) keep using the unguarded route.
-    #[inline]
-    fn shared_checked(&self, id: PoolId) -> Result<Option<&Arc<SharedPool>>> {
-        match self.shared_route(id) {
-            Some(sp) => match sp.quarantined_page() {
-                Some(page) => Err(HeapError::MediaCorruption { pool: id, page }),
-                None => Ok(Some(sp)),
-            },
-            None => Ok(None),
-        }
+        Ok(match self.store.live(id)? {
+            Backing::Owned(img) => img.data().read_u64(off),
+            Backing::Adopted(sp, _) => sp.read_u64(off),
+        })
     }
 
     /// Writes the `u64` at intra-pool offset `off` in pool `id` — one
@@ -390,21 +355,22 @@ impl AddressSpace {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::NoSuchPool`] for unknown ids and
+    /// Those of [`AddressSpace::pool_read_u64`], and
     /// [`HeapError::CrashInjected`] when an armed fault point fires.
     #[inline]
     pub fn pool_write_u64(&mut self, id: PoolId, off: u64, value: u64) -> Result<()> {
-        if let Some(sp) = self.shared_checked(id)? {
+        match self.store.live_mut(id)? {
             // Shared pools gate and stage on the *pool's* machine-wide
             // plane — caches are coherent, so the boundary counter and the
             // ADR state must be shared by every thread, not split per space.
-            return sp.write_u64_stage(off, value);
+            Backing::Adopted(sp, _) => sp.write_u64_stage(off, value),
+            Backing::Owned(img) => {
+                let verdict = self.plane.gate_tearable()?;
+                self.plane.stage(id, off, 8, |line, old| img.data().read(line, old));
+                img.data_mut().write_u64(off, value);
+                self.plane.settle(verdict)
+            }
         }
-        let img = self.store.get_mut(id)?;
-        let verdict = self.plane.gate_tearable()?;
-        self.plane.stage(id, off, 8, |line, old| img.data().read(line, old));
-        img.data_mut().write_u64(off, value);
-        self.plane.settle(verdict)
     }
 
     /// Atomic compare-and-swap on the word at `va`. Returns
@@ -422,11 +388,11 @@ impl AddressSpace {
             return Err(HeapError::Unmapped(va));
         }
         if va.is_nvm_region() {
-            let loc = self.locate(va)?;
-            if let Some(sp) = self.shared_checked(loc.pool)? {
-                return sp.cas_u64(loc.offset.into(), expected, new);
-            }
-            let cur = self.store.get(loc.pool)?.data().read_u64(loc.offset.into());
+            let loc = self.va2ra(va)?;
+            let cur = match self.store.live(loc.pool)? {
+                Backing::Adopted(sp, _) => return sp.cas_u64(loc.offset.into(), expected, new),
+                Backing::Owned(img) => img.data().read_u64(loc.offset.into()),
+            };
             if cur != expected {
                 return Ok((false, cur));
             }
@@ -451,13 +417,7 @@ impl AddressSpace {
     /// durable image disagrees with the allocator books. Returns how many
     /// leases were dropped.
     pub fn abandon_arena_leases(&mut self) -> usize {
-        let mut dropped = 0;
-        for arena in self.arenas.values_mut() {
-            if arena.abandon().is_some() {
-                dropped += 1;
-            }
-        }
-        dropped
+        self.store.adoptions().filter_map(|(_, arena)| arena.abandon()).count()
     }
 
     /// Number of restarts this space has gone through.
@@ -494,9 +454,7 @@ impl AddressSpace {
     /// Returns [`HeapError::NoSuchPoolName`] when the pool does not exist.
     pub fn open_pool(&mut self, name: &str) -> Result<PoolId> {
         let id = self.store.id_of(name)?;
-        if !self.attach_by_pool.contains_key(&id) {
-            self.attach(id)?;
-        }
+        self.attach(id)?;
         Ok(id)
     }
 
@@ -544,6 +502,8 @@ impl AddressSpace {
     /// # Errors
     ///
     /// - [`HeapError::NoSuchPool`] for unknown ids;
+    /// - [`HeapError::PoolDetached`] for a lapsed shared-pool adoption
+    ///   (re-adopt it with [`AddressSpace::adopt_shared`]);
     /// - [`HeapError::MediaCorruption`] when the pool is quarantined or a
     ///   sealed page fails its checksum;
     /// - [`HeapError::BadPoolHeader`] / [`HeapError::CorruptRegion`] when
@@ -552,8 +512,8 @@ impl AddressSpace {
     /// Attaching an already-attached pool is a no-op returning its current
     /// attachment.
     pub fn attach(&mut self, id: PoolId) -> Result<Attachment> {
-        if let Some(a) = self.attach_by_pool.get(&id) {
-            return Ok(*a);
+        if let Some(a) = self.attachment(id) {
+            return Ok(a);
         }
         self.store.get(id)?; // quarantine-guarded
         if let Some(&page) = self.store.verify(id)?.first() {
@@ -561,60 +521,67 @@ impl AddressSpace {
         }
         let img = self.store.get(id)?;
         Region::open(img.data())?;
-        let size = img.size();
-        let base = self.pick_base(size)?;
-        let att = Attachment { pool: id, base: VirtAddr::new(base), size };
-        self.attach_by_base.insert(base, att);
-        self.attach_by_pool.insert(id, att);
-        // New *per-pool* epoch (a re-attach lands at a new base, so every
-        // older cached translation for this pool is wrong — but only for
-        // this pool: other pools' entries stay hot), then eagerly install
-        // the fresh attachment in the sPOLB under it.
-        self.trans.bump_pool(id.raw());
-        self.trans.install_pool(id.raw(), base, size);
-        Ok(att)
+        let base = self.pick_base(img.size())?;
+        Ok(self.map(id, base))
     }
 
-    /// Adopts a [`SharedPool`] into this space: reserves a pool id for its
-    /// name ([`PoolStore::reserve`]), picks a private base address, and
-    /// routes all data/allocation/root traffic for that id to the shared
-    /// striped device. Each worker thread adopts the same `Arc` into its
-    /// own space shard; bases (and hence VAs) differ per shard, which is
-    /// why persistent pointers are stored pool-relative.
+    /// Gives pool `id` its base address: files it in the VATB and the
+    /// table, opens a new *per-pool* epoch (a re-attach lands at a new
+    /// base, so every older cached translation for this pool is wrong — but
+    /// only for this pool: other pools' entries stay hot), then eagerly
+    /// installs the fresh attachment in the sPOLB under it.
+    fn map(&mut self, id: PoolId, base: u64) -> Attachment {
+        let entry = self.store.entry_mut(id).expect("mapped pools are in the table");
+        let att = Attachment { pool: id, base: VirtAddr::new(base), size: entry.size };
+        entry.base = Some(att.base);
+        self.attach_by_base.insert(base, att);
+        self.trans.bump_pool(id.raw());
+        self.trans.install_pool(id.raw(), base, att.size);
+        att
+    }
+
+    /// Adopts a [`SharedPool`] into this space: takes a pool id for its
+    /// name from the same sequential namespace as owned pools, picks a
+    /// private base address, and routes all data/allocation/root traffic
+    /// for that id to the shared striped device. Each worker thread adopts
+    /// the same `Arc` into its own space shard; bases (and hence VAs)
+    /// differ per shard, which is why persistent pointers are stored
+    /// pool-relative.
     ///
-    /// Adopting the same shared pool twice is a no-op returning its id.
+    /// Adopting the same shared pool twice is a no-op returning its id. A
+    /// lapsed adoption (after [`AddressSpace::detach`] or
+    /// [`AddressSpace::restart`]) is re-adopted under its old id.
     ///
     /// # Errors
     ///
-    /// - [`HeapError::PoolExists`] when the name belongs to a materialised
-    ///   local pool;
+    /// - [`HeapError::PoolExists`] when the name belongs to an owned pool
+    ///   or to a different adopted shared pool;
     /// - [`HeapError::NoAddressSpace`] when no base can be found.
     pub fn adopt_shared(&mut self, sp: &Arc<SharedPool>) -> Result<PoolId> {
-        if let Some((&id, _)) = self.shared.iter().find(|(_, p)| Arc::ptr_eq(p, sp)) {
+        let id = self.store.adoption_id(sp)?;
+        if self.attachment(id).is_some() {
             return Ok(id);
         }
-        let id = self.store.reserve(sp.name())?;
-        let size = sp.size();
-        let base = self.pick_base(size)?;
-        let att = Attachment { pool: id, base: VirtAddr::new(base), size };
-        self.attach_by_base.insert(base, att);
-        self.attach_by_pool.insert(id, att);
-        self.shared.insert(id, Arc::clone(sp));
-        self.arenas.insert(id, Arena::default());
-        self.trans.bump_pool(id.raw());
-        self.trans.install_pool(id.raw(), base, size);
+        let base = self.pick_base(sp.size())?;
+        let entry = self.store.entry_mut(id)?;
+        entry.size = sp.size();
+        entry.backing = Some(Backing::Adopted(Arc::clone(sp), Arena::default()));
+        self.map(id, base);
         Ok(id)
     }
 
-    /// The shared pool behind `id`, when `id` was adopted via
-    /// [`AddressSpace::adopt_shared`].
+    /// The shared pool behind `id`, when `id` is adopted via
+    /// [`AddressSpace::adopt_shared`] (not lapsed).
     pub fn shared_pool(&self, id: PoolId) -> Option<&Arc<SharedPool>> {
-        self.shared.get(&id)
+        match &self.store.entry(id).ok()?.backing {
+            Some(Backing::Adopted(sp, _)) => Some(sp),
+            _ => None,
+        }
     }
 
     /// Whether `id` routes to a shared pool in this space.
     pub fn is_shared(&self, id: PoolId) -> bool {
-        self.shared.contains_key(&id)
+        self.shared_pool(id).is_some()
     }
 
     /// Binds this space's allocation arena for shared pool `id` to `slab`,
@@ -629,43 +596,45 @@ impl AddressSpace {
     /// Returns [`HeapError::NoSuchPool`] when `id` is not an adopted
     /// shared pool.
     pub fn bind_arena_slab(&mut self, id: PoolId, slab: SlabId) -> Result<()> {
-        let sp =
-            Arc::clone(self.shared.get(&id).ok_or(HeapError::NoSuchPool(id))?);
-        let arena = self.arenas.entry(id).or_default();
-        let lease = arena.bind(Some(slab));
-        sp.release_lease(lease)
+        match self.store.entry_mut(id).map(|e| &mut e.backing) {
+            Ok(Some(Backing::Adopted(sp, arena))) => sp.release_lease(arena.bind(Some(slab))),
+            _ => Err(HeapError::NoSuchPool(id)),
+        }
     }
 
     /// Lease refills this space's arena for `id` has performed (the
     /// non-vacuity probe for the per-thread allocation path).
     pub fn arena_refills(&self, id: PoolId) -> u64 {
-        self.arenas.get(&id).map_or(0, Arena::refills)
+        match self.store.entry(id).map(|e| &e.backing) {
+            Ok(Some(Backing::Adopted(_, arena))) => arena.refills(),
+            _ => 0,
+        }
     }
 
     /// Detaches a pool: its data stays on the device but it loses its base
     /// address, so `ra2va` on its locations faults (paper Fig. 10). A
     /// graceful detach flushes the pool's in-flight lines (they become
-    /// durable, not torn) and seals its CRC sidecar.
+    /// durable, not torn) and seals its CRC sidecar. Detaching an adopted
+    /// shared pool lapses the adoption.
     ///
     /// # Errors
     ///
     /// Returns [`HeapError::PoolDetached`] when the pool is not attached.
     pub fn detach(&mut self, id: PoolId) -> Result<()> {
-        let att = self.attach_by_pool.remove(&id).ok_or(HeapError::PoolDetached(id))?;
-        self.attach_by_base.remove(&att.base.raw());
+        let entry = self.store.entry_mut(id).map_err(|_| HeapError::PoolDetached(id))?;
+        let base = entry.base.take().ok_or(HeapError::PoolDetached(id))?;
+        self.attach_by_base.remove(&base.raw());
         // Per-pool epoch: detaching this pool must not flush the other
         // pools' (the other shards') hot translations.
         self.trans.bump_pool(id.raw());
-        if let Some(sp) = self.shared.remove(&id) {
+        if let Some(Backing::Adopted(sp, arena)) = &mut entry.backing {
             // Graceful release of an adopted shared pool: hand the arena's
             // lease remainder back to the shared free list. The pool itself
-            // stays alive for the other shards; the reserved id remains
+            // stays alive for the other shards; the lapsed id remains
             // valid for re-adoption.
-            if let Some(mut arena) = self.arenas.remove(&id) {
-                let lease = arena.bind(None);
-                sp.release_lease(lease)?;
-            }
-            return Ok(());
+            let released = sp.release_lease(arena.bind(None));
+            entry.backing = None;
+            return released;
         }
         self.plane.flush_pool(id);
         let _ = self.store.seal(id);
@@ -680,7 +649,8 @@ impl AddressSpace {
     /// resulting durable image is then sealed into the CRC sidecars, as an
     /// NVM controller checkpointing its metadata on power loss would.
     /// Pools must be reopened, and will generally land at different base
-    /// addresses.
+    /// addresses. Adoptions die with the process: each lapses, and its id
+    /// stays reserved for re-adoption.
     pub fn restart(&mut self) {
         let store = &mut self.store;
         self.plane.power_loss(|pool, off, durable| {
@@ -696,20 +666,18 @@ impl AddressSpace {
         let mut view = Shifted { store: &mut self.dram, base: DRAM_BASE };
         self.dram_region = Region::format(&mut view, heap_size).expect("heap size unchanged");
         self.attach_by_base.clear();
-        self.attach_by_pool.clear();
-        // Adoptions die with the process. Arena lease remainders are *not*
-        // returned — power loss leaks them exactly as a real persistent
-        // allocator leaks thread-cached blocks until a recovery pass; the
-        // block tiling stays valid, so validation and recovery see a
-        // consistent (merely smaller) heap.
-        self.shared.clear();
-        self.arenas.clear();
+        // Arena lease remainders are *not* returned: power loss leaks them
+        // exactly as a real persistent allocator leaks thread-cached blocks
+        // until a recovery pass; the block tiling stays valid, so recovery
+        // sees a consistent (merely smaller) heap.
+        self.store.power_off();
         self.trans.bump();
     }
 
     /// Current attachment of `id`, if any.
     pub fn attachment(&self, id: PoolId) -> Option<Attachment> {
-        self.attach_by_pool.get(&id).copied()
+        let entry = self.store.entry(id).ok()?;
+        Some(Attachment { pool: id, base: entry.base?, size: entry.size })
     }
 
     /// Snapshot of all attachments ordered by base address (the VATB view).
@@ -738,13 +706,13 @@ impl AddressSpace {
                 return Ok(RelLoc::new(PoolId::from_raw_trusted(pool), (va.raw() - base) as u32));
             }
         }
-        self.va2ra_walk(va)
+        self.va2ra_walk(va, true)
     }
 
     /// The sVALB miss path: the BTree containing-range walk (the software
     /// analogue of the kernel walking the VATB on a VALB miss).
     #[inline(never)]
-    fn va2ra_walk(&self, va: VirtAddr) -> Result<RelLoc> {
+    fn va2ra_walk(&self, va: VirtAddr, fill: bool) -> Result<RelLoc> {
         let (_, att) = self
             .attach_by_base
             .range(..=va.raw())
@@ -754,7 +722,7 @@ impl AddressSpace {
         if delta >= att.size {
             return Err(HeapError::NotInAnyPool(va));
         }
-        if self.trans.enabled() {
+        if fill && self.trans.enabled() {
             self.trans.fill_va(va.raw(), att.pool.raw(), att.base.raw(), att.size);
         }
         Ok(RelLoc::new(att.pool, delta as u32))
@@ -764,32 +732,9 @@ impl AddressSpace {
     /// oracle/debug flavour. Faultsweep oracles and raw peeks use this so
     /// they can never observe (or perturb) cache state.
     pub fn va2ra_uncached(&self, va: VirtAddr) -> Result<RelLoc> {
-        let (_, att) = self
-            .attach_by_base
-            .range(..=va.raw())
-            .next_back()
-            .ok_or(HeapError::NotInAnyPool(va))?;
-        let delta = va.raw() - att.base.raw();
-        if delta >= att.size {
-            return Err(HeapError::NotInAnyPool(va));
-        }
-        Ok(RelLoc::new(att.pool, delta as u32))
+        self.va2ra_walk(va, false)
     }
 
-    /// Translates a pool-relative location to its current virtual address
-    /// (`ra2va`).
-    ///
-    /// Served from the dense sPOLB array when it holds a current-epoch
-    /// entry for the pool; misses fall through to the registry probe,
-    /// whose successful result refills the cache. Results and errors are
-    /// bit-identical with the cache on or off (the cached entry carries
-    /// the pool size, so `OffsetOutOfPool` still fires on the fast path).
-    ///
-    /// # Errors
-    ///
-    /// - [`HeapError::NoSuchPool`] for ids that never existed.
-    /// - [`HeapError::PoolDetached`] when the pool has no base address.
-    /// - [`HeapError::OffsetOutOfPool`] when the offset exceeds the pool.
     /// Validates that `loc` translates — the same error set, and the same
     /// error values, as [`Self::ra2va`] — without materializing the
     /// virtual address or touching the lookaside hit counters. The
@@ -809,9 +754,25 @@ impl AddressSpace {
                 return Ok(());
             }
         }
-        self.ra2va_probe(loc).map(|_| ())
+        self.ra2va_probe(loc, true).map(|_| ())
     }
 
+    /// Translates a pool-relative location to its current virtual address
+    /// (`ra2va`).
+    ///
+    /// Served from the dense sPOLB array when it holds a current-epoch
+    /// entry for the pool; misses fall through to the pool-table probe,
+    /// whose successful result refills the cache. Results and errors are
+    /// bit-identical with the cache on or off (the cached entry carries
+    /// the pool size, so `OffsetOutOfPool` still fires on the fast path).
+    ///
+    /// # Errors
+    ///
+    /// - [`HeapError::NoSuchPool`] for ids that never existed.
+    /// - [`HeapError::PoolDetached`] when the pool has no base address
+    ///   (including a lapsed shared-pool adoption).
+    /// - [`HeapError::MediaCorruption`] for an unattached quarantined pool.
+    /// - [`HeapError::OffsetOutOfPool`] when the offset exceeds the pool.
     #[inline]
     pub fn ra2va(&self, loc: RelLoc) -> Result<VirtAddr> {
         if self.trans.enabled() {
@@ -822,48 +783,32 @@ impl AddressSpace {
                 return Ok(VirtAddr::new(base).add(loc.offset.into()));
             }
         }
-        self.ra2va_probe(loc)
+        self.ra2va_probe(loc, true)
     }
 
-    /// The sPOLB miss path: the attachment-registry probe (the software
-    /// analogue of the kernel walking the POTB on a POLB miss).
+    /// The sPOLB miss path: the pool-table probe (the software analogue of
+    /// the kernel walking the POTB on a POLB miss).
     #[inline(never)]
-    fn ra2va_probe(&self, loc: RelLoc) -> Result<VirtAddr> {
-        let att = match self.attach_by_pool.get(&loc.pool) {
-            Some(a) => a,
-            None => {
-                // A lapsed shared-pool adoption is *detached* (the pool
-                // still exists in the shared layer), not unknown.
-                if !self.store.is_reserved(loc.pool) {
-                    self.store.get(loc.pool)?;
-                }
-                return Err(HeapError::PoolDetached(loc.pool));
-            }
+    fn ra2va_probe(&self, loc: RelLoc, fill: bool) -> Result<VirtAddr> {
+        let entry = self.store.entry(loc.pool)?;
+        let Some(base) = entry.base else {
+            // Unattached: a quarantined owned pool says so, a lapsed
+            // adoption or a healthy owned pool is detached.
+            self.store.live(loc.pool)?;
+            return Err(HeapError::PoolDetached(loc.pool));
         };
-        if u64::from(loc.offset) >= att.size {
-            return Err(Self::offset_out_of_pool(loc, att.size));
+        if u64::from(loc.offset) >= entry.size {
+            return Err(Self::offset_out_of_pool(loc, entry.size));
         }
-        if self.trans.enabled() {
-            self.trans.fill_pool(loc.pool.raw(), att.base.raw(), att.size);
+        if fill && self.trans.enabled() {
+            self.trans.fill_pool(loc.pool.raw(), base.raw(), entry.size);
         }
-        Ok(att.base.add(loc.offset.into()))
+        Ok(base.add(loc.offset.into()))
     }
 
     /// `ra2va` that never consults or fills the software lookasides.
     pub fn ra2va_uncached(&self, loc: RelLoc) -> Result<VirtAddr> {
-        let att = match self.attach_by_pool.get(&loc.pool) {
-            Some(a) => a,
-            None => {
-                if !self.store.is_reserved(loc.pool) {
-                    self.store.get(loc.pool)?;
-                }
-                return Err(HeapError::PoolDetached(loc.pool));
-            }
-        };
-        if u64::from(loc.offset) >= att.size {
-            return Err(Self::offset_out_of_pool(loc, att.size));
-        }
-        Ok(att.base.add(loc.offset.into()))
+        self.ra2va_probe(loc, false)
     }
 
     #[cold]
@@ -873,11 +818,6 @@ impl AddressSpace {
 
     // ---- memory access -----------------------------------------------------
 
-    #[inline]
-    fn locate(&self, va: VirtAddr) -> Result<RelLoc> {
-        self.va2ra(va)
-    }
-
     /// Reads bytes at `va` into `buf`.
     ///
     /// # Errors
@@ -885,19 +825,23 @@ impl AddressSpace {
     /// Returns [`HeapError::Unmapped`] for null-page accesses and
     /// [`HeapError::NotInAnyPool`] for NVM addresses outside any pool.
     pub fn read(&self, va: VirtAddr, buf: &mut [u8]) -> Result<()> {
+        self.read_via(va, buf, true)
+    }
+
+    /// [`AddressSpace::read`], translating through the lookasides or not.
+    #[inline]
+    fn read_via(&self, va: VirtAddr, buf: &mut [u8], cached: bool) -> Result<()> {
         if va.raw() < DRAM_BASE {
             return Err(HeapError::Unmapped(va));
         }
-        if va.is_nvm_region() {
-            let loc = self.locate(va)?;
-            if let Some(sp) = self.shared_checked(loc.pool)? {
-                sp.read_bytes(loc.offset.into(), buf);
-                return Ok(());
-            }
-            let img = self.store.get(loc.pool)?;
-            img.data().read(loc.offset.into(), buf);
-        } else {
+        if !va.is_nvm_region() {
             self.dram.read(va.raw(), buf);
+            return Ok(());
+        }
+        let loc = if cached { self.va2ra(va)? } else { self.va2ra_uncached(va)? };
+        match self.store.live(loc.pool)? {
+            Backing::Owned(img) => img.data().read(loc.offset.into(), buf),
+            Backing::Adopted(sp, _) => sp.read_bytes(loc.offset.into(), buf),
         }
         Ok(())
     }
@@ -912,20 +856,23 @@ impl AddressSpace {
             return Err(HeapError::Unmapped(va));
         }
         if va.is_nvm_region() {
-            let loc = self.locate(va)?;
+            let loc = self.va2ra(va)?;
             let off = u64::from(loc.offset);
-            if let Some(sp) = self.shared_checked(loc.pool)? {
+            match self.store.live_mut(loc.pool)? {
                 // Same boundary as `pool_write_u64`'s shared arm: gated
                 // and staged on the pool's machine-wide plane.
-                return sp.write_bytes_stage(off, buf);
+                Backing::Adopted(sp, _) => return sp.write_bytes_stage(off, buf),
+                Backing::Owned(img) => {
+                    let verdict = self.plane.gate_tearable()?;
+                    let len = buf.len() as u64;
+                    self.plane.stage(loc.pool, off, len, |line, old| img.data().read(line, old));
+                    img.data_mut().write(off, buf);
+                    // On a torn boundary the in-flight write landed in the
+                    // cache; the process is dead and the line drains at
+                    // restart.
+                    self.plane.settle(verdict)?;
+                }
             }
-            let img = self.store.get_mut(loc.pool)?;
-            let verdict = self.plane.gate_tearable()?;
-            self.plane.stage(loc.pool, off, buf.len() as u64, |line, old| img.data().read(line, old));
-            img.data_mut().write(off, buf);
-            // On a torn boundary the in-flight write landed in the cache;
-            // the process is dead and the line drains at restart.
-            self.plane.settle(verdict)?;
         } else {
             self.dram.write(va.raw(), buf);
         }
@@ -936,21 +883,7 @@ impl AddressSpace {
     /// lookasides — the oracle/debug read path. Otherwise identical to
     /// [`AddressSpace::read`], including every error condition.
     pub fn read_uncached(&self, va: VirtAddr, buf: &mut [u8]) -> Result<()> {
-        if va.raw() < DRAM_BASE {
-            return Err(HeapError::Unmapped(va));
-        }
-        if va.is_nvm_region() {
-            let loc = self.va2ra_uncached(va)?;
-            if let Some(sp) = self.shared_checked(loc.pool)? {
-                sp.read_bytes(loc.offset.into(), buf);
-                return Ok(());
-            }
-            let img = self.store.get(loc.pool)?;
-            img.data().read(loc.offset.into(), buf);
-        } else {
-            self.dram.read(va.raw(), buf);
-        }
-        Ok(())
+        self.read_via(va, buf, false)
     }
 
     /// Reads a `u64` at `va`.
@@ -969,11 +902,8 @@ impl AddressSpace {
             return Err(HeapError::Unmapped(va));
         }
         if va.is_nvm_region() {
-            let loc = self.locate(va)?;
-            if let Some(sp) = self.shared_checked(loc.pool)? {
-                return Ok(sp.read_u64(loc.offset.into()));
-            }
-            Ok(self.store.get(loc.pool)?.data().read_u64(loc.offset.into()))
+            let loc = self.va2ra(va)?;
+            self.pool_read_u64(loc.pool, loc.offset.into())
         } else {
             Ok(self.dram.read_u64(va.raw()))
         }
@@ -1005,7 +935,7 @@ impl AddressSpace {
             return Err(HeapError::Unmapped(va));
         }
         if va.is_nvm_region() {
-            let loc = self.locate(va)?;
+            let loc = self.va2ra(va)?;
             self.pool_write_u64(loc.pool, loc.offset.into(), value)
         } else {
             self.dram.write_u64(va.raw(), value);
@@ -1045,24 +975,24 @@ impl AddressSpace {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::NoSuchPool`] or [`HeapError::OutOfMemory`].
+    /// Those of [`AddressSpace::pool_read_u64`], and
+    /// [`HeapError::OutOfMemory`].
     pub fn pmalloc(&mut self, id: PoolId, size: u64) -> Result<RelLoc> {
         // The allocator fences before touching its metadata so that no
         // unfenced data line can share a pending snapshot with (and later
         // drain over) allocator words — its update is modelled as atomic.
         self.fence();
-        if let Some(sp) = self.shared_checked(id)? {
-            let sp = Arc::clone(sp);
-            sp.gate()?;
-            let arena = self.arenas.entry(id).or_default();
-            let off = sp.arena_alloc(arena, size)?;
-            return Ok(RelLoc::new(id, off as u32));
-        }
-        let img = self.store.get_mut(id)?;
-        // One durable boundary per allocation (see `crate::faults`).
-        self.plane.gate()?;
-        let region = img.region();
-        let off = region.alloc(img.data_mut(), size)?;
+        let off = match self.store.live_mut(id)? {
+            Backing::Adopted(sp, arena) => {
+                sp.gate()?;
+                sp.arena_alloc(arena, size)?
+            }
+            Backing::Owned(img) => {
+                // One durable boundary per allocation (see `crate::faults`).
+                self.plane.gate()?;
+                img.region().alloc(img.data_mut(), size)?
+            }
+        };
         Ok(RelLoc::new(id, off as u32))
     }
 
@@ -1070,60 +1000,68 @@ impl AddressSpace {
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::NoSuchPool`] or [`HeapError::BadFree`].
+    /// Those of [`AddressSpace::pool_read_u64`], and [`HeapError::BadFree`].
     pub fn pfree(&mut self, loc: RelLoc) -> Result<()> {
         // Fence-first for the same reason as `pmalloc`.
         self.fence();
-        if let Some(sp) = self.shared_checked(loc.pool)? {
-            sp.gate()?;
-            return sp.free_central(loc.offset.into());
+        match self.store.live_mut(loc.pool)? {
+            Backing::Adopted(sp, _) => {
+                sp.gate()?;
+                sp.free_central(loc.offset.into())
+            }
+            Backing::Owned(img) => {
+                // One durable boundary per free, mirroring `pmalloc`.
+                self.plane.gate()?;
+                img.region().free(img.data_mut(), loc.offset.into())
+            }
         }
-        let img = self.store.get_mut(loc.pool)?;
-        // One durable boundary per free, mirroring `pmalloc`.
-        self.plane.gate()?;
-        let region = img.region();
-        region.free(img.data_mut(), loc.offset.into())
     }
 
     /// Reads the root-object word of pool `id` (the durable entry point).
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::NoSuchPool`] for unknown ids.
+    /// Those of [`AddressSpace::pool_read_u64`].
     pub fn pool_root(&self, id: PoolId) -> Result<u64> {
-        if let Some(sp) = self.shared_checked(id)? {
-            return Ok(sp.root());
-        }
-        let img = self.store.get(id)?;
-        Ok(img.region().root(img.data()))
+        Ok(match self.store.live(id)? {
+            Backing::Adopted(sp, _) => sp.root(),
+            Backing::Owned(img) => img.region().root(img.data()),
+        })
     }
 
     /// Stores the root-object word of pool `id`.
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::NoSuchPool`] for unknown ids.
+    /// Those of [`AddressSpace::pool_write_u64`].
     pub fn set_pool_root(&mut self, id: PoolId, value: u64) -> Result<()> {
         // Root publication orders after everything it points at.
         self.fence();
-        if let Some(sp) = self.shared_checked(id)? {
-            sp.gate()?;
-            sp.set_root(value);
-            return Ok(());
+        match self.store.live_mut(id)? {
+            Backing::Adopted(sp, _) => {
+                sp.gate()?;
+                sp.set_root(value);
+            }
+            Backing::Owned(img) => {
+                self.plane.gate()?;
+                img.region().set_root(img.data_mut(), value);
+            }
         }
-        let img = self.store.get_mut(id)?;
-        self.plane.gate()?;
-        let region = img.region();
-        region.set_root(img.data_mut(), value);
         Ok(())
     }
 
-    /// Destroys a pool entirely (detach + remove from device).
+    /// Destroys an owned pool entirely (detach + remove from device).
     ///
     /// # Errors
     ///
-    /// Returns [`HeapError::NoSuchPool`] for unknown ids.
+    /// - [`HeapError::NoSuchPool`] for unknown ids;
+    /// - [`HeapError::NotOwned`] for an adopted or lapsed shared pool. The
+    ///   call is refused before anything changes: the adoption, its arena
+    ///   lease and the pool's data all stay.
     pub fn destroy_pool(&mut self, id: PoolId) -> Result<()> {
+        if !matches!(self.store.entry(id)?.backing, Some(Backing::Owned(_))) {
+            return Err(HeapError::NotOwned(id));
+        }
         let _ = self.detach(id);
         self.trans.bump_pool(id.raw());
         self.store.destroy(id)
@@ -1246,6 +1184,74 @@ mod tests {
         assert_eq!(sp.read_u64(u64::from(loc.offset)), 31);
         let p3 = s.adopt_shared(&sp).unwrap();
         assert_eq!(p3, p);
+    }
+
+    #[test]
+    fn adoptions_take_stable_ids_from_the_owned_namespace() {
+        let sp = SharedPool::create("shared", 1 << 20, 2).unwrap();
+        let mut s = AddressSpace::new(3);
+        let a = s.create_pool("a", 1 << 20).unwrap();
+        let r = s.adopt_shared(&sp).unwrap();
+        assert_eq!(r.raw(), a.raw() + 1, "one sequential namespace");
+        assert!(matches!(s.pool_store().get(r), Err(HeapError::NoSuchPool(_))), "no image here");
+        assert_eq!(s.pool_store().id_of("shared").unwrap(), r);
+        s.detach(r).unwrap();
+        assert_eq!(s.adopt_shared(&sp).unwrap(), r, "re-adoption keeps the id");
+        let clash = SharedPool::create("a", 1 << 20, 2).unwrap();
+        assert!(matches!(s.adopt_shared(&clash), Err(HeapError::PoolExists(_))));
+        let twin = SharedPool::create("shared", 1 << 20, 2).unwrap();
+        assert!(matches!(s.adopt_shared(&twin), Err(HeapError::PoolExists(_))));
+        assert!(matches!(s.create_pool("shared", 1 << 20), Err(HeapError::PoolExists(_))));
+        let b = s.create_pool("b", 1 << 20).unwrap();
+        assert_eq!(b.raw(), r.raw() + 1, "the next owned pool skips past the adopted id");
+        assert_eq!(s.pool_store().len(), 2, "adoptions are not owned pools");
+    }
+
+    #[test]
+    fn destroy_pool_refuses_an_adoption_and_keeps_it_whole() {
+        let sp = SharedPool::create("keep", 1 << 20, 2).unwrap();
+        let mut s = AddressSpace::new(5);
+        let p = s.adopt_shared(&sp).unwrap();
+        let loc = s.pmalloc(p, 64).unwrap();
+        s.set_pool_root(p, 0xbeef).unwrap();
+        let live = sp.allocation_count();
+        assert!(matches!(s.destroy_pool(p), Err(HeapError::NotOwned(id)) if id == p));
+        assert!(s.is_shared(p), "the adoption survives");
+        assert_eq!(sp.allocation_count(), live, "the arena lease was not returned");
+        assert_eq!(s.pool_root(p).unwrap(), 0xbeef);
+        assert!(s.ra2va(loc).is_ok());
+        s.detach(p).unwrap();
+        assert!(matches!(s.destroy_pool(p), Err(HeapError::NotOwned(_))), "lapsed too");
+        assert_eq!(s.adopt_shared(&sp).unwrap(), p);
+    }
+
+    #[test]
+    fn a_lapsed_adoption_answers_pool_detached_at_every_entry_point() {
+        let sp = SharedPool::create("lapse", 1 << 20, 2).unwrap();
+        let mut s = AddressSpace::new(6);
+        let p = s.adopt_shared(&sp).unwrap();
+        let loc = s.pmalloc(p, 64).unwrap();
+        for restart in [false, true] {
+            assert_eq!(s.adopt_shared(&sp).unwrap(), p);
+            if restart {
+                s.restart();
+            } else {
+                s.detach(p).unwrap();
+            }
+            let off = u64::from(loc.offset);
+            let answers = [
+                ("ra2va", s.ra2va(loc).map(|_| ())),
+                ("pool_root", s.pool_root(p).map(|_| ())),
+                ("pool_read_u64", s.pool_read_u64(p, off).map(|_| ())),
+                ("pool_write_u64", s.pool_write_u64(p, off, 1)),
+                ("pmalloc", s.pmalloc(p, 64).map(|_| ())),
+                ("pfree", s.pfree(loc)),
+                ("set_pool_root", s.set_pool_root(p, 1)),
+            ];
+            for (entry, answer) in answers {
+                assert_eq!(answer, Err(HeapError::PoolDetached(p)), "{entry}");
+            }
+        }
     }
 
     #[test]

@@ -55,7 +55,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use utpr_ds::concurrent::FlushCounters;
 use utpr_ds::{IndexCore, RbTree};
 use utpr_heap::{
     AddressSpace, FlushModel, HeapError, SharedPool, SlabId, TransStats, UndoLog,
@@ -210,18 +209,6 @@ impl ServeCounters {
     /// All operations applied.
     pub fn ops(&self) -> u64 {
         self.gets + self.puts + self.dels + self.scans
-    }
-
-    /// The server-side story in the workspace's flush-accounting shape:
-    /// `flushes` = lines actually drained, `elided` = fences the deferral
-    /// window swallowed, `fences` = real pool barriers.
-    pub fn flush_counters(&self) -> FlushCounters {
-        FlushCounters {
-            flushes: self.pool_lines_drained,
-            elided: self.fences_elided,
-            fences: self.pool_fences,
-            ops: self.ops(),
-        }
     }
 }
 

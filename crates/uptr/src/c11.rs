@@ -58,11 +58,6 @@ impl<'a> C11Engine<'a> {
         self.stats
     }
 
-    /// Takes and resets the accumulated counters.
-    pub fn take_stats(&mut self) -> PtrStats {
-        std::mem::take(&mut self.stats)
-    }
-
     // ---- conversions -------------------------------------------------------
 
     /// `ra2va`: rewrites a relative pointer into virtual format. Virtual

@@ -57,11 +57,6 @@ impl Mode {
             Mode::Hw => "hw",
         }
     }
-
-    /// True for the two user-transparent variants.
-    pub fn is_utpr(self) -> bool {
-        matches!(self, Mode::Sw | Mode::Hw)
-    }
 }
 
 /// Where an allocation should be placed.

@@ -4,7 +4,7 @@
 # attempted — --offline makes any accidental reintroduction of an external
 # dependency fail loudly instead of hanging on the network).
 #
-# Usage: scripts/verify.sh [--bench-smoke] [FLAG]...
+# Usage: scripts/verify.sh [--bench-smoke] [--driver] [FLAG]...
 #
 # Every run builds in release and runs the workspace tests. Each FLAG is a
 # row of the table below: its extra `cargo test` runs, then its bench
@@ -16,6 +16,10 @@
 #                  both write BENCH_fig11.json, and on machines with >= 4
 #                  cores fails if the parallel run is not at least as fast
 #                  as the serial one (15% noise margin)
+#   --driver       builds a copy of the standalone benchmark/ crate and
+#                  runs its tests, so a changed utpr-* signature it calls
+#                  fails here; it builds into target/driver and never
+#                  writes under benchmark/
 #
 # Environment:
 #   UTPR_QC_SEED  override the property-test base seed (decimal or 0x-hex)
@@ -48,7 +52,7 @@ rows=(
 )
 
 flag_of() { local f; IFS='|' read -r f _ <<< "$1"; echo $f; }
-known=" --bench-smoke "
+known=" --bench-smoke --driver "
 for row in "${rows[@]}"; do known+="$(flag_of "$row") "; done
 for arg in "$@"; do
     [[ "$known" == *" $arg "* ]] || { echo "verify: unknown flag: $arg" >&2; exit 2; }
@@ -121,6 +125,19 @@ if wants --bench-smoke; then
     else
         echo "smoke: < 4 cores, skipping speedup check"
     fi
+fi
+
+if wants --driver; then
+    echo "== --driver: build and test the benchmark crate =="
+    # Cargo rewrites a stale Cargo.lock, so build a copy one level under the
+    # root instead: its `../crates` path dependencies and `../BENCHMARK.json`
+    # still resolve, and benchmark/ is only ever read.
+    copy=$(mktemp -d ./.driver-XXXXXX)
+    tmp_dirs+=("$copy")
+    cp -R benchmark/Cargo.toml benchmark/Cargo.lock benchmark/src benchmark/tests "$copy"
+    driver=(--offline --manifest-path "$copy/Cargo.toml" --target-dir target/driver)
+    cargo build --release "${driver[@]}"
+    cargo test --release "${driver[@]}"
 fi
 
 echo "verify: OK"

@@ -811,3 +811,218 @@ fn media_fault_errors_round_trip_through_the_facade() {
     let src = wrapped.source().expect("facade keeps the heap error as source");
     assert_eq!(src.to_string(), heap_err.to_string());
 }
+
+// ---- owned and adopted pools in one space ---------------------------------
+//
+// Owned pools and adopted shared pools share one `AddressSpace` and one id
+// namespace. Random create / adopt / write / read / detach / re-attach /
+// restart / destroy steps run against a plain model of each pool: its
+// words, whether it is attached, and whether it is destroyed. Every pool's
+// block sits at the same pool-relative offset as its kind's siblings, so a
+// write leaking through the wrong id shows up as a wrong read.
+
+/// Words in each pool's block.
+const MIXED_WORDS: u64 = 8;
+
+/// Pools a mixed run may hold; creation stops here.
+const MIXED_MAX_POOLS: usize = 8;
+
+/// One mixed-space step; pool and word indices are reduced modulo live
+/// state.
+#[derive(Clone, Copy, Debug)]
+enum MixedOp {
+    CreateOwned,
+    AdoptNew,
+    Write { pool: u8, word: u8, value: u64 },
+    /// Reads through `pool_read_u64` (`by_id`) or through `ra2va`.
+    Read { pool: u8, word: u8, by_id: bool },
+    Detach { pool: u8 },
+    /// `attach` for an owned pool, `adopt_shared` for a shared one.
+    Reattach { pool: u8 },
+    Restart,
+    Destroy { pool: u8 },
+}
+
+fn mixed_op_strategy() -> OneOf<MixedOp> {
+    one_of![
+        1 => Just(MixedOp::CreateOwned),
+        1 => Just(MixedOp::AdoptNew),
+        5 => (any::<u8>(), any::<u8>(), any::<u64>())
+            .prop_map(|(pool, word, value)| MixedOp::Write { pool, word, value }),
+        5 => (any::<u8>(), any::<u8>(), any::<bool>())
+            .prop_map(|(pool, word, by_id)| MixedOp::Read { pool, word, by_id }),
+        2 => any::<u8>().prop_map(|pool| MixedOp::Detach { pool }),
+        3 => any::<u8>().prop_map(|pool| MixedOp::Reattach { pool }),
+        1 => Just(MixedOp::Restart),
+        1 => any::<u8>().prop_map(|pool| MixedOp::Destroy { pool }),
+    ]
+}
+
+/// The model of one pool in a mixed run.
+struct MixedPool {
+    id: PoolId,
+    /// The shared pool behind an adopted id; `None` for an owned pool.
+    shared: Option<std::sync::Arc<SharedPool>>,
+    block: RelLoc,
+    words: [u64; MIXED_WORDS as usize],
+    attached: bool,
+    destroyed: bool,
+}
+
+impl MixedPool {
+    fn loc(&self, word: u8) -> RelLoc {
+        self.block.add(u32::from(word) % MIXED_WORDS as u32 * 8)
+    }
+
+    /// What an access through this pool's id must answer right now.
+    fn gate(&self, by_id: bool) -> Result<(), HeapError> {
+        if self.destroyed {
+            Err(HeapError::NoSuchPool(self.id))
+        } else if !self.attached && (!by_id || self.shared.is_some()) {
+            Err(HeapError::PoolDetached(self.id))
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// Creates (`shared == false`) or adopts a new pool, checks it takes the
+/// next sequential id, and allocates its block.
+fn mixed_new_pool(
+    space: &mut AddressSpace,
+    pools: &mut Vec<MixedPool>,
+    shared: bool,
+) -> Result<(), String> {
+    let name = format!("mixed{}", pools.len());
+    let (id, sp) = if shared {
+        let sp = SharedPool::create(&name, 1 << 20, 2).map_err(|e| e.to_string())?;
+        (space.adopt_shared(&sp).map_err(|e| e.to_string())?, Some(sp))
+    } else {
+        (space.create_pool(&name, 1 << 20).map_err(|e| e.to_string())?, None)
+    };
+    prop_assert_eq!(id.raw(), pools.len() as u32 + 1, "ids are sequential across kinds");
+    let block = space.pmalloc(id, MIXED_WORDS * 8).map_err(|e| e.to_string())?;
+    for w in 0..MIXED_WORDS {
+        space.pool_write_u64(id, u64::from(block.offset) + w * 8, 0).map_err(|e| e.to_string())?;
+    }
+    let words = [0; MIXED_WORDS as usize];
+    pools.push(MixedPool { id, shared: sp, block, words, attached: true, destroyed: false });
+    Ok(())
+}
+
+/// Re-attaches `p` (re-adopting a shared pool) and checks the id held.
+fn mixed_reattach(space: &mut AddressSpace, p: &mut MixedPool) -> Result<(), String> {
+    let got = match &p.shared {
+        Some(sp) => space.adopt_shared(sp).map(|id| id == p.id),
+        None => space.attach(p.id).map(|_| true),
+    };
+    if p.destroyed {
+        prop_assert_eq!(got, Err(HeapError::NoSuchPool(p.id)));
+    } else {
+        prop_assert_eq!(got, Ok(true), "{} keeps its id across detach and restart", p.id);
+        p.attached = true;
+    }
+    Ok(())
+}
+
+fn run_mixed_space(ops: &[MixedOp]) -> Result<(), String> {
+    let mut space = AddressSpace::new(0x3a11);
+    let mut pools = Vec::new();
+    for shared in [false, true, false, true] {
+        mixed_new_pool(&mut space, &mut pools, shared)?;
+    }
+    for &op in ops {
+        let n = pools.len();
+        match op {
+            MixedOp::CreateOwned | MixedOp::AdoptNew if n < MIXED_MAX_POOLS => {
+                mixed_new_pool(&mut space, &mut pools, matches!(op, MixedOp::AdoptNew))?;
+            }
+            MixedOp::CreateOwned | MixedOp::AdoptNew => {}
+            MixedOp::Write { pool, word, value } => {
+                let p = &mut pools[pool as usize % n];
+                let got = space.ra2va(p.loc(word)).and_then(|va| space.write_u64(va, value));
+                prop_assert_eq!(&got, &p.gate(false), "write through {}", p.id);
+                if got.is_ok() {
+                    p.words[(word as u64 % MIXED_WORDS) as usize] = value;
+                }
+            }
+            MixedOp::Read { pool, word, by_id } => {
+                let p = &pools[pool as usize % n];
+                let loc = p.loc(word);
+                let got = if by_id {
+                    space.pool_read_u64(p.id, u64::from(loc.offset))
+                } else {
+                    space.ra2va(loc).and_then(|va| space.read_u64(va))
+                };
+                let want = p.gate(by_id).map(|()| p.words[(word as u64 % MIXED_WORDS) as usize]);
+                prop_assert_eq!(got, want, "read through {} (by id: {})", p.id, by_id);
+            }
+            MixedOp::Detach { pool } => {
+                let p = &mut pools[pool as usize % n];
+                let want = if p.attached { Ok(()) } else { Err(HeapError::PoolDetached(p.id)) };
+                prop_assert_eq!(space.detach(p.id), want);
+                p.attached = false;
+            }
+            MixedOp::Reattach { pool } => {
+                mixed_reattach(&mut space, &mut pools[pool as usize % n])?
+            }
+            MixedOp::Restart => {
+                space.restart();
+                for p in &mut pools {
+                    p.attached = false;
+                    if p.destroyed {
+                        continue;
+                    }
+                    if p.shared.is_some() {
+                        prop_assert_eq!(space.pool_root(p.id), Err(HeapError::PoolDetached(p.id)));
+                    } else {
+                        let kept = space.pool_store().peek(p.id).is_ok();
+                        prop_assert!(kept, "{} lost its image", p.id);
+                    }
+                }
+            }
+            MixedOp::Destroy { pool } => {
+                let p = &mut pools[pool as usize % n];
+                let got = space.destroy_pool(p.id);
+                if p.shared.is_some() {
+                    prop_assert_eq!(got, Err(HeapError::NotOwned(p.id)));
+                } else if p.destroyed {
+                    prop_assert_eq!(got, Err(HeapError::NoSuchPool(p.id)));
+                } else {
+                    prop_assert_eq!(got, Ok(()));
+                    p.destroyed = true;
+                    p.attached = false;
+                }
+            }
+        }
+        for p in &pools {
+            let attached = space.attachment(p.id).is_some();
+            prop_assert_eq!(attached, p.attached, "{} after {:?}", p.id, op);
+            prop_assert_eq!(space.is_shared(p.id), p.shared.is_some() && p.attached);
+        }
+    }
+    // Final sweep: every surviving pool, re-attached, holds exactly its own
+    // words.
+    for p in &mut pools {
+        mixed_reattach(&mut space, p)?;
+        for word in 0..MIXED_WORDS as u8 {
+            let got = space.ra2va(p.loc(word)).and_then(|va| space.read_u64(va));
+            let want = p.gate(false).map(|()| p.words[word as usize]);
+            prop_assert_eq!(got, want, "sweep of {}", p.id);
+        }
+    }
+    Ok(())
+}
+
+props! {
+    #![cases(64)]
+
+    /// Two owned and two adopted pools (and any created or adopted later)
+    /// in one space: a write through one id is never visible through
+    /// another, a re-adopted id is stable across detach and restart, and a
+    /// restart keeps the owned images while dropping the adoptions.
+    #[test]
+    fn owned_and_adopted_pools_share_one_space(ops in collection::vec(mixed_op_strategy(), 1..80)) {
+        run_mixed_space(&ops)?;
+    }
+}
