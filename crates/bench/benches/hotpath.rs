@@ -1,17 +1,19 @@
-//! Hot-path benchmark tier for the software lookaside layer (sPOLB/sVALB):
-//! host-nanosecond latency of `ra2va`/`va2ra`/`read_u64` with the caches on
-//! vs the cache-disabled walks, a 16-pool stress, the epoch-churn worst
-//! case, the YCSB-A hit rate, and the SW-mode site-check-cache ablation.
+//! Hot-path benchmark tier for host address translation: latency of
+//! `ra2va` (a pool-table read) and of `va2ra`/`read_u64` with the sVALB on
+//! vs the cache-disabled walk, a 16-pool stress, the invalidation-churn
+//! worst case, the YCSB-A hit rate, and the SW-mode site-check-cache
+//! ablation.
 //!
 //! Emits `BENCH_hotpath.json` with the extras its gates read:
 //! - `speedup` — cold walk over cached hit for `va2ra`, a paired ratio
 //!   (gate: ≥ 3×); `speedup_16pool` is the same over 16 pools, ungated;
-//! - `svalb_hit_rate` — measured on the YCSB-A run (gate: ≥ 0.95);
-//! - `equivalence_ok` — cached and uncached translation agreed on every
+//! - `svalb_hit_rate` — the share of the YCSB-A run's translations that
+//!   did not walk, from its cache-on and cache-off arms (gate: ≥ 0.95);
+//! - `equivalence_ok` — cached and uncached `va2ra` agreed on every
 //!   probe, including errors and detach/re-attach churn, and the
 //!   translation-cache on/off YCSB runs produced identical checksums,
 //!   cycles, and pointer counters (gate: divergence here means the
-//!   lookasides changed simulated semantics, which the design forbids);
+//!   sVALB changed simulated semantics, which the design forbids);
 //! - `mt_speedup_8` — modelled makespan speedup of the 8-thread shared-
 //!   pool YCSB-A arm over the 1-thread arm (gate: ≥ 4×);
 //! - `mt_checksum_ok` — that arm's checksum was bit-identical at every
@@ -36,7 +38,7 @@ fn build_space(pools: u32) -> (AddressSpace, Vec<(PoolId, RelLoc, VirtAddr)>) {
     for i in 0..pools {
         let pool = space.create_pool(&format!("hot{i}"), 1 << 20).expect("pool");
         let loc = space.pmalloc(pool, 64).expect("pmalloc");
-        let va = space.ra2va_uncached(loc).expect("ra2va");
+        let va = space.ra2va(loc).expect("ra2va");
         objs.push((pool, loc, va));
     }
     (space, objs)
@@ -63,17 +65,10 @@ fn bench_translations(c: &mut Bench) {
             acc
         });
     });
-    c.bench_function("trans/ra2va_cached_hit", |b| {
+    c.bench_function("trans/ra2va", |b| {
         let mut acc = 0u64;
         b.iter(|| {
             acc = acc.wrapping_add(space.ra2va(black_box(loc)).unwrap().raw());
-            acc
-        });
-    });
-    c.bench_function("trans/ra2va_cold_probe", |b| {
-        let mut acc = 0u64;
-        b.iter(|| {
-            acc = acc.wrapping_add(space.ra2va_uncached(black_box(loc)).unwrap().raw());
             acc
         });
     });
@@ -96,7 +91,7 @@ fn bench_translations(c: &mut Bench) {
 fn bench_multipool(c: &mut Bench) {
     // Round-robin over 16 pools: defeats the one-entry memo every access,
     // so this measures the direct-mapped sVALB array against the BTree walk
-    // at a realistic multi-pool registry size.
+    // (and `ra2va` across table entries) at a realistic multi-pool size.
     let (space, objs) = build_space(16);
     let vas: Vec<VirtAddr> = objs.iter().map(|&(_, _, va)| va).collect();
     let locs: Vec<RelLoc> = objs.iter().map(|&(_, loc, _)| loc).collect();
@@ -116,7 +111,7 @@ fn bench_multipool(c: &mut Bench) {
             acc
         });
     });
-    c.bench_function("trans/ra2va_16pool_cached", |b| {
+    c.bench_function("trans/ra2va_16pool", |b| {
         let (mut i, mut acc) = (0usize, 0u64);
         b.iter(|| {
             i = (i + 1) & 15;
@@ -124,26 +119,18 @@ fn bench_multipool(c: &mut Bench) {
             acc
         });
     });
-    c.bench_function("trans/ra2va_16pool_cold", |b| {
-        let (mut i, mut acc) = (0usize, 0u64);
-        b.iter(|| {
-            i = (i + 1) & 15;
-            acc = acc.wrapping_add(space.ra2va_uncached(black_box(locs[i])).unwrap().raw());
-            acc
-        });
-    });
 }
 
 fn bench_epoch_churn(c: &mut Bench) {
-    // Worst case for the generation stamping: every access follows an
-    // epoch bump, so the cache misses, walks, and refills each iteration.
-    // This bounds the overhead the lookasides can add over the plain walk.
+    // Worst case for invalidation: every access follows an all-pools clear
+    // of the 65 sVALB slots, so the cache misses, walks, and refills each
+    // iteration. This bounds the overhead the sVALB can add over the walk.
     let (mut space, objs) = build_space(1);
     let (_, _, va) = objs[0];
     c.bench_function("trans/va2ra_epoch_churn", |b| {
         let mut acc = 0u64;
         b.iter(|| {
-            space.set_translation_cache(true); // bumps the epoch
+            space.set_translation_cache(true); // clears every slot
             acc = acc.wrapping_add(space.va2ra(black_box(va)).unwrap().offset.into());
             acc
         });
@@ -175,15 +162,15 @@ fn va2ra_speedups() -> (f64, f64) {
     (single, multi)
 }
 
-/// Cached and uncached translation must agree on every probe — successes
-/// *and* errors — including across detach/re-attach churn.
+/// Cached and uncached `va2ra` must agree on every probe — successes *and*
+/// errors — including across detach/re-attach churn.
 fn check_equivalence() -> bool {
     let (mut space, objs) = build_space(8);
     let mut ok = true;
     let assert_agree = |space: &AddressSpace, label: &str, ok: &mut bool| {
         let mut rng = Rng::new(0x9e37_79b9_7f4a_7c15);
         for _ in 0..2_000 {
-            let (pool, _, va) = objs[rng.below(objs.len() as u64) as usize];
+            let (_, _, va) = objs[rng.below(objs.len() as u64) as usize];
             // In-range, out-of-range, and wildly foreign virtual addresses.
             let delta = rng.below(1 << 22);
             let probe_va = va.add(delta);
@@ -192,19 +179,6 @@ fn check_equivalence() -> bool {
             if a != b {
                 eprintln!("hotpath: va2ra divergence ({label}) at {probe_va:?}: {a:?} vs {b:?}");
                 *ok = false;
-            }
-            // In-range and out-of-pool relative locations, plus a pool id
-            // that was never created.
-            let off = rng.below(1 << 21) as u32;
-            for loc in
-                [RelLoc::new(pool, off), RelLoc::new(PoolId::new(977), off & 0xffff)]
-            {
-                let a = space.ra2va(loc);
-                let b = space.ra2va_uncached(loc);
-                if a != b {
-                    eprintln!("hotpath: ra2va divergence ({label}) at {loc}: {a:?} vs {b:?}");
-                    *ok = false;
-                }
             }
         }
     };
@@ -222,13 +196,7 @@ fn check_equivalence() -> bool {
     let mut rng = Rng::new(0xdead_beef);
     for _ in 0..2_000 {
         let (pool, loc, _) = objs[rng.below(objs.len() as u64) as usize];
-        let a = space.ra2va(loc);
-        let b = space.ra2va_uncached(loc);
-        if a != b {
-            eprintln!("hotpath: post-reattach divergence for {pool}: {a:?} vs {b:?}");
-            ok = false;
-        }
-        let va = b.expect("attached");
+        let va = space.ra2va(loc).expect("attached");
         if space.va2ra(va) != space.va2ra_uncached(va) {
             eprintln!("hotpath: post-reattach va2ra divergence for {pool}");
             ok = false;
@@ -264,11 +232,10 @@ fn run_ycsb(
         .collect();
     let mut machine = Machine::new(SimConfig::table_iv());
     machine.set_pool_ranges(ranges);
-    let mut builder = ExecEnv::builder(space)
-        .mode(mode)
-        .pool(pool)
-        .translation_cache(translation_cache)
-        .sink(machine);
+    if !translation_cache {
+        space.set_translation_cache(false);
+    }
+    let mut builder = ExecEnv::builder(space).mode(mode).pool(pool).sink(machine);
     if let Some(on) = site_check_cache {
         builder = builder.site_check_cache(on);
     }
@@ -292,7 +259,7 @@ fn run_ycsb(
 fn main() {
     let mut rep = BenchReport::start("hotpath");
     let (records, operations) = rep.scale().pick((1_000, 5_000), (5_000, 20_000), (10_000, 50_000));
-    eprintln!("hotpath: lookaside micro + YCSB-A at {records} records ...");
+    eprintln!("hotpath: translation micro + YCSB-A at {records} records ...");
 
     let mut c = Bench::new();
     bench_translations(&mut c);
@@ -315,8 +282,8 @@ fn main() {
         );
         equivalence_ok = false;
     }
-    let hit_rate = on.trans.svalb_hit_rate();
-    let spolb_rate = on.trans.spolb_hit_rate();
+    // With the cache off every translation walks.
+    let hit_rate = 1.0 - on.trans.walks as f64 / off.trans.walks as f64;
 
     // SW-mode site-check ablation (default-on, *modelled*): checksums must
     // still agree and every elided check must be accounted for.
@@ -361,9 +328,9 @@ fn main() {
     let mt_speedup_8 =
         mt_runs[0].makespan_cycles / mt_runs.last().expect("runs").makespan_cycles;
 
-    println!("\n=== Hot path: software lookasides (host ns; YCSB-A hit rates) ===");
+    println!("\n=== Hot path: host translation (host ns; YCSB-A sVALB hit rate) ===");
     println!("va2ra speedup (cached vs cold walk): {speedup:.1}x single, {speedup_16:.1}x 16-pool");
-    println!("YCSB-A sVALB hit rate: {:.4}  sPOLB hit rate: {:.4}", hit_rate, spolb_rate);
+    println!("YCSB-A sVALB hit rate: {hit_rate:.4}");
     println!(
         "SW site-check ablation: {} executed + {} elided (off: {}), cycles {:.0} vs {:.0}",
         cached.ptr.dynamic_checks,
@@ -395,7 +362,6 @@ fn main() {
     rep.set_extra("speedup", Json::F64(speedup));
     rep.set_extra("speedup_16pool", Json::F64(speedup_16));
     rep.set_extra("svalb_hit_rate", Json::F64(hit_rate));
-    rep.set_extra("spolb_hit_rate", Json::F64(spolb_rate));
     rep.set_extra("equivalence_ok", Json::Bool(equivalence_ok));
     rep.set_extra("mt_speedup_8", Json::F64(mt_speedup_8));
     rep.set_extra("mt_checksum_ok", Json::Bool(mt_checksum_ok));
@@ -410,10 +376,7 @@ fn main() {
             ("checksum", Json::U64(r.checksum)),
             ("dynamic_checks", Json::U64(r.ptr.dynamic_checks)),
             ("checks_elided", Json::U64(r.ptr.checks_elided)),
-            ("spolb_hits", Json::U64(r.trans.spolb_hits)),
-            ("spolb_misses", Json::U64(r.trans.spolb_misses)),
-            ("svalb_hits", Json::U64(r.trans.svalb_hits)),
-            ("svalb_misses", Json::U64(r.trans.svalb_misses)),
+            ("trans_walks", Json::U64(r.trans.walks)),
             ("trans_epoch_bumps", Json::U64(r.trans.epoch_bumps)),
         ]));
     }
@@ -426,8 +389,7 @@ fn main() {
             ("refills", Json::U64(r.refills)),
             ("central_allocs", Json::U64(r.central_allocs)),
             ("slab_overflows", Json::U64(r.slab_overflows)),
-            ("spolb_hits", Json::U64(r.trans.spolb_hits)),
-            ("svalb_hits", Json::U64(r.trans.svalb_hits)),
+            ("trans_walks", Json::U64(r.trans.walks)),
         ]));
     }
     rep.finish();

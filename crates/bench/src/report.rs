@@ -142,10 +142,7 @@ pub fn run_json(r: &BenchResult) -> Json {
         ("checks_elided", Json::U64(r.ptr.checks_elided)),
         ("abs_to_rel", Json::U64(r.ptr.abs_to_rel)),
         ("rel_to_abs", Json::U64(r.ptr.rel_to_abs)),
-        ("spolb_hits", Json::U64(r.trans.spolb_hits)),
-        ("spolb_misses", Json::U64(r.trans.spolb_misses)),
-        ("svalb_hits", Json::U64(r.trans.svalb_hits)),
-        ("svalb_misses", Json::U64(r.trans.svalb_misses)),
+        ("trans_walks", Json::U64(r.trans.walks)),
         ("trans_epoch_bumps", Json::U64(r.trans.epoch_bumps)),
     ])
 }

@@ -361,15 +361,15 @@ impl<'a> Interp<'a> {
     /// Resolves a memory operand the way the reference path's `deref`
     /// does, but keeps relative pointers in pool coordinates so the
     /// accessor can skip the VA→RA re-translation inside
-    /// `AddressSpace::read_u64`/`write_u64`. The translation probe
-    /// (`ra_check`) is still performed for error parity; callers count
+    /// `AddressSpace::read_u64`/`write_u64`. The translation (`ra2va`)
+    /// is still performed for error parity; callers count
     /// `rel_to_abs` on the `Pool` arm — the probe succeeding on a
     /// relative pointer is exactly when the reference path counts it.
     #[inline]
     fn resolve_mem(&self, p: UPtr, off: i64) -> Result<Mem> {
         let q = p.offset(off);
         if let Some(loc) = q.as_rel() {
-            self.space.ra_check(loc)?;
+            self.space.ra2va(loc)?;
             Ok(Mem::Pool(loc))
         } else if q.is_null() {
             Err(InterpError::Heap(HeapError::Unmapped(utpr_heap::VirtAddr::new(0))))

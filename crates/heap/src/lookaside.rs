@@ -1,42 +1,36 @@
-//! Software translation lookasides: generation-stamped inline caches in
-//! front of the attachment-table walks in [`crate::AddressSpace`].
+//! The sVALB: a software lookaside in front of the containing-range walk
+//! in [`crate::AddressSpace::va2ra`].
 //!
 //! The paper accelerates `ra2va`/`va2ra` in hardware with two lookaside
 //! buffers: the POLB (pool id → base VA) and the VALB (VA range → pool id,
-//! a TCAM over the VATB). This module mirrors both as *software* caches on
-//! the simulated hot path:
+//! a TCAM over the VATB). On the host, `ra2va` needs no cache: the pool
+//! table is a dense `PoolId`-indexed `Vec`, so its entry already *is* the
+//! POLB line. `va2ra` has to search the attached ranges, a BTree walk, so
+//! it is fronted by a software VALB: a one-entry last-hit memo plus a small
+//! direct-mapped array of `(base, size, pool)` ranges.
 //!
-//! - **sPOLB** — a dense array indexed by raw pool id holding the pool's
-//!   current `(base, size)`, replacing the per-access registry probe in
-//!   `ra2va`.
-//! - **sVALB** — a one-entry last-hit memo plus a small direct-mapped array
-//!   of `(base, size, pool)` ranges, consulted before the BTree
-//!   containing-range walk in `va2ra`.
+//! A slot with `size == 0` is empty: no address falls inside it, so a
+//! lookup is just the range compare. Every event that can move or remove
+//! a range clears the slots it could have made wrong, through one routine
+//! ([`TransCache::invalidate`]) scoped to one pool or to all of them:
 //!
-//! Both are **generation-stamped** against a monotonic invalidation
-//! *clock*, with two watermarks drawn from it:
+//! - one pool when it attaches, detaches or is destroyed. The other pools'
+//!   ranges — one per core in the multicore picture — stay hot instead of
+//!   being flushed by an unrelated pool's lifecycle (the per-shard rule of
+//!   the concurrency model, DESIGN.md §10);
+//! - all pools on restart, integrity-mode switches, cache toggles and
+//!   mutable escape-hatch access to the pool device.
 //!
-//! - a **global epoch** — advanced by events that can move *any*
-//!   attachment (restart, integrity-mode switches, cache toggles, mutable
-//!   escape-hatch access to the pool device); and
-//! - a **per-pool epoch** — advanced when one specific pool attaches,
-//!   detaches, or is destroyed.
+//! Each invalidation also advances the translation epoch, a plain counter
+//! that higher-level caches (the per-site check caches in `utpr-ptr`)
+//! compare against. Entries are only ever filled from a *successful* walk,
+//! so a hit returns exactly what the walk would have, and misses (detached
+//! pools, foreign addresses) always take the walk: error semantics
+//! (`NotInAnyPool` and every access fault behind it) are bit-identical
+//! with the cache on or off. There is deliberately no negative caching.
 //!
-//! An entry is valid iff its fill stamp is at least both the global epoch
-//! and its own pool's epoch. Detaching pool *A* therefore invalidates only
-//! *A*'s cached translations: the other pools' entries — one per core in
-//! the multicore picture — stay hot instead of being flushed by an
-//! unrelated pool's lifecycle (the per-shard epoch rule of the
-//! concurrency model, DESIGN.md §10). Because entries are only ever
-//! installed from a *successful* slow-path walk, a cache hit returns
-//! exactly what the walk would have, and misses (detached pools, foreign
-//! addresses) always take the slow path, so error semantics
-//! (`PoolDetached`, `NotInAnyPool`, `OffsetOutOfPool`, quarantine faults)
-//! are bit-identical with the cache on or off. There is deliberately no
-//! negative caching.
-//!
-//! All cache state lives in [`std::cell::Cell`]s so the read-only
-//! translation methods (`&self`) can refill entries; like the
+//! The slots live in [`std::cell::Cell`]s so the read-only translation
+//! methods (`&self`) can refill them; like the
 //! [`crate::pagestore::PageStore`] memo this keeps the space `Send` but
 //! not `Sync`, which is fine — each worker thread owns its shard of the
 //! address space privately, and only the lower pool layer
@@ -50,78 +44,54 @@ use std::cell::Cell;
 /// benchmark suite without conflict thrash.
 const VALB_WAYS: usize = 64;
 
-/// Stamp value that no live entry can carry: slots start zeroed and the
-/// invalidation clock starts at 1, so an all-zero slot is simply stale.
-const NEVER: u64 = 0;
-
-/// One sPOLB entry: the attachment of pool `raw id == index` as of `stamp`.
-#[derive(Clone, Copy, Debug, Default)]
-struct PolbSlot {
-    stamp: u64,
-    base: u64,
-    size: u64,
-}
-
 /// One sVALB entry: an attached range `[base, base + size)` owned by
-/// `pool`, valid while `stamp` is current for both watermarks.
+/// `pool`. The default, `size == 0`, is an empty slot.
 #[derive(Clone, Copy, Debug, Default)]
 struct ValbSlot {
-    stamp: u64,
     base: u64,
     size: u64,
     pool: u32,
 }
 
-/// Hit/miss/invalidation counters for the software lookasides.
+/// Which cached translations an invalidation drops.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Scope {
+    /// Only the ranges of the pool with this raw id.
+    Pool(u32),
+    /// Every range.
+    All,
+}
+
+/// Walk and invalidation counters for the sVALB.
 ///
 /// These are *host-side* diagnostics: they never feed the simulated cycle
 /// model, events, or checksums, so they may differ between cache-enabled
 /// and cache-disabled runs of the same workload (that is the point). They
 /// are still fully deterministic for a fixed op sequence and layout seed.
+///
+/// A hit is not counted: a per-hit count is a read-modify-write chained
+/// through memory from one translation to the next, and that chain, not
+/// the range compare, would be the critical path of a run of hits. The
+/// sVALB's hit rate over an op stream is `1 - on.walks / off.walks`, from
+/// one run with the cache on and one with it off, since with it off every
+/// translation walks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransStats {
-    /// `ra2va` translations served from the sPOLB.
-    pub spolb_hits: u64,
-    /// `ra2va` translations that fell through to the registry probe.
-    pub spolb_misses: u64,
-    /// `va2ra` translations served from the sVALB (memo or array).
-    pub svalb_hits: u64,
-    /// `va2ra` translations that fell through to the BTree walk.
-    pub svalb_misses: u64,
-    /// Global epoch bumps (each one invalidates every cached entry).
+    /// `va2ra` translations that walked the attached ranges: the sVALB's
+    /// misses, or every translation while it is off. The `*_uncached`
+    /// oracle paths are not counted.
+    pub walks: u64,
+    /// All-pools invalidations (each clears every slot).
     pub epoch_bumps: u64,
-    /// Per-pool epoch bumps (each invalidates one pool's entries only).
+    /// One-pool invalidations (each clears that pool's slots only).
     pub pool_epoch_bumps: u64,
 }
 
 impl TransStats {
-    /// sVALB hit rate over all cached `va2ra` translations, in `[0, 1]`.
-    pub fn svalb_hit_rate(&self) -> f64 {
-        let total = self.svalb_hits + self.svalb_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.svalb_hits as f64 / total as f64
-        }
-    }
-
-    /// sPOLB hit rate over all cached `ra2va` translations, in `[0, 1]`.
-    pub fn spolb_hit_rate(&self) -> f64 {
-        let total = self.spolb_hits + self.spolb_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.spolb_hits as f64 / total as f64
-        }
-    }
-
     /// Accumulates another shard's counters into this one — how per-thread
     /// lookaside telemetry is merged when workers join.
     pub fn merge(&mut self, other: &TransStats) {
-        self.spolb_hits += other.spolb_hits;
-        self.spolb_misses += other.spolb_misses;
-        self.svalb_hits += other.svalb_hits;
-        self.svalb_misses += other.svalb_misses;
+        self.walks += other.walks;
         self.epoch_bumps += other.epoch_bumps;
         self.pool_epoch_bumps += other.pool_epoch_bumps;
     }
@@ -132,25 +102,13 @@ impl TransStats {
 #[derive(Clone, Debug)]
 pub(crate) struct TransCache {
     enabled: bool,
-    /// Monotonic invalidation clock; every bump (global or per-pool)
-    /// advances it, and entries are stamped with its value at fill time.
-    clock: Cell<u64>,
-    /// Global watermark: entries stamped before it are stale.
-    global: Cell<u64>,
-    /// Per-pool watermarks, dense by raw pool id (missing ids are 0, i.e.
-    /// never individually invalidated).
-    pool_epochs: Vec<Cell<u64>>,
-    /// sPOLB: dense by raw pool id (slot 0 unused — ids start at 1).
-    /// Grown on attach; ids past the end simply take the slow path.
-    polb: Vec<Cell<PolbSlot>>,
-    /// sVALB last-hit memo, checked before the direct-mapped array.
+    /// Invalidations so far, of either scope.
+    epoch: u64,
+    /// Last-hit memo, checked before the direct-mapped array.
     last: Cell<ValbSlot>,
-    /// sVALB direct-mapped range array.
+    /// Direct-mapped range array.
     valb: [Cell<ValbSlot>; VALB_WAYS],
-    spolb_hits: Cell<u64>,
-    spolb_misses: Cell<u64>,
-    svalb_hits: Cell<u64>,
-    svalb_misses: Cell<u64>,
+    walks: Cell<u64>,
     epoch_bumps: Cell<u64>,
     pool_epoch_bumps: Cell<u64>,
 }
@@ -159,16 +117,10 @@ impl TransCache {
     pub(crate) fn new() -> Self {
         TransCache {
             enabled: true,
-            clock: Cell::new(NEVER + 1),
-            global: Cell::new(NEVER + 1),
-            pool_epochs: Vec::new(),
-            polb: Vec::new(),
-            last: Cell::new(ValbSlot::default()),
-            valb: std::array::from_fn(|_| Cell::new(ValbSlot::default())),
-            spolb_hits: Cell::new(0),
-            spolb_misses: Cell::new(0),
-            svalb_hits: Cell::new(0),
-            svalb_misses: Cell::new(0),
+            epoch: 0,
+            last: Cell::default(),
+            valb: std::array::from_fn(|_| Cell::default()),
+            walks: Cell::new(0),
             epoch_bumps: Cell::new(0),
             pool_epoch_bumps: Cell::new(0),
         }
@@ -179,104 +131,38 @@ impl TransCache {
         self.enabled
     }
 
-    /// The invalidation clock. Exposed so higher layers (the per-site
-    /// check caches in `utpr-ptr`) can stamp their own entries against the
-    /// same clock: *any* bump — global or per-pool — advances it, so a
-    /// stale higher-level entry can never survive a pool lifecycle event.
+    /// The translation epoch: advanced by every invalidation, of either
+    /// scope, so a higher-level entry stamped with it can never survive a
+    /// pool lifecycle event.
     #[inline]
     pub(crate) fn epoch(&self) -> u64 {
-        self.clock.get()
+        self.epoch
     }
 
-    /// Turns the lookasides on or off. Disabling (and re-enabling) bumps
-    /// the global epoch so no entry filled earlier can ever hit again.
+    /// Turns the sVALB on or off. Either way every slot is cleared, so no
+    /// entry filled earlier can ever hit again.
     pub(crate) fn set_enabled(&mut self, on: bool) {
         self.enabled = on;
-        self.bump();
+        self.invalidate(Scope::All);
     }
 
-    /// Invalidates every cached entry in O(1) by advancing the global
-    /// watermark.
-    #[inline]
-    pub(crate) fn bump(&mut self) {
-        let now = self.clock.get() + 1;
-        self.clock.set(now);
-        self.global.set(now);
-        self.epoch_bumps.set(self.epoch_bumps.get() + 1);
-    }
-
-    /// Invalidates one pool's cached entries in O(1) by advancing its
-    /// per-pool watermark — the per-shard epoch rule: another pool's
-    /// detach must not flush this pool's (this core's) hot translations.
-    pub(crate) fn bump_pool(&mut self, raw: u32) {
-        let now = self.clock.get() + 1;
-        self.clock.set(now);
-        let idx = raw as usize;
-        if idx >= self.pool_epochs.len() {
-            self.pool_epochs.resize_with(idx + 1, || Cell::new(NEVER));
-        }
-        self.pool_epochs[idx].set(now);
-        self.pool_epoch_bumps.set(self.pool_epoch_bumps.get() + 1);
-    }
-
-    #[inline]
-    fn pool_epoch(&self, raw: u32) -> u64 {
-        self.pool_epochs.get(raw as usize).map_or(NEVER, Cell::get)
-    }
-
-    /// An entry stamped `stamp` for pool `raw` is valid iff the stamp is
-    /// current for both the global and the pool watermark.
-    #[inline]
-    fn fresh(&self, stamp: u64, raw: u32) -> bool {
-        stamp >= self.global.get() && stamp >= self.pool_epoch(raw)
-    }
-
-    /// Grows the sPOLB to cover raw id `raw` and installs its attachment
-    /// under the current clock (called from `attach`, which owns `&mut`).
-    pub(crate) fn install_pool(&mut self, raw: u32, base: u64, size: u64) {
-        let idx = raw as usize;
-        if idx >= self.polb.len() {
-            self.polb.resize_with(idx + 1, || Cell::new(PolbSlot::default()));
-        }
-        self.polb[idx].set(PolbSlot { stamp: self.clock.get(), base, size });
-    }
-
-    /// [`Self::lookup_pool`] without the hit/miss accounting: the probe
-    /// for callers that only validate a translation (results are
-    /// bit-identical; only the counters differ).
-    #[inline]
-    pub(crate) fn lookup_pool_quiet(&self, raw: u32) -> Option<(u64, u64)> {
-        if let Some(slot) = self.polb.get(raw as usize) {
-            let s = slot.get();
-            if self.fresh(s.stamp, raw) {
-                return Some((s.base, s.size));
+    /// Clears every slot (the memo included) that `scope` covers and
+    /// advances the epoch.
+    pub(crate) fn invalidate(&mut self, scope: Scope) {
+        self.epoch += 1;
+        let count = match scope {
+            Scope::Pool(_) => &self.pool_epoch_bumps,
+            Scope::All => &self.epoch_bumps,
+        };
+        count.set(count.get() + 1);
+        let clear = |slot: &mut Cell<ValbSlot>| {
+            let s = slot.get_mut();
+            if matches!(scope, Scope::All) || matches!(scope, Scope::Pool(p) if s.pool == p) {
+                *s = ValbSlot::default();
             }
-        }
-        None
-    }
-
-    /// sPOLB probe: the `(base, size)` of pool `raw` if cached and fresh.
-    #[inline]
-    pub(crate) fn lookup_pool(&self, raw: u32) -> Option<(u64, u64)> {
-        if let Some(slot) = self.polb.get(raw as usize) {
-            let s = slot.get();
-            if self.fresh(s.stamp, raw) {
-                self.spolb_hits.set(self.spolb_hits.get() + 1);
-                return Some((s.base, s.size));
-            }
-        }
-        self.spolb_misses.set(self.spolb_misses.get() + 1);
-        None
-    }
-
-    /// Refills pool `raw`'s sPOLB entry after a successful slow-path
-    /// lookup. Ids beyond the array (never attached since the last grow)
-    /// are skipped — they keep taking the slow path.
-    #[inline]
-    pub(crate) fn fill_pool(&self, raw: u32, base: u64, size: u64) {
-        if let Some(slot) = self.polb.get(raw as usize) {
-            slot.set(PolbSlot { stamp: self.clock.get(), base, size });
-        }
+        };
+        self.valb.iter_mut().for_each(clear);
+        clear(&mut self.last);
     }
 
     #[inline]
@@ -285,52 +171,49 @@ impl TransCache {
         ((va >> 20) ^ (va >> 26)) as usize & (VALB_WAYS - 1)
     }
 
-    /// sVALB probe: the `(pool, base, size)` of the attached range
-    /// containing `va`, if cached and fresh.
+    /// sVALB probe: the `(pool, base, size)` of the cached range
+    /// containing `va`, if any.
     #[inline]
     pub(crate) fn lookup_va(&self, va: u64) -> Option<(u32, u64, u64)> {
         let l = self.last.get();
-        if self.fresh(l.stamp, l.pool) && va.wrapping_sub(l.base) < l.size {
-            self.svalb_hits.set(self.svalb_hits.get() + 1);
+        if va.wrapping_sub(l.base) < l.size {
             return Some((l.pool, l.base, l.size));
         }
         let s = self.valb[Self::valb_index(va)].get();
-        if self.fresh(s.stamp, s.pool) && va.wrapping_sub(s.base) < s.size {
+        if va.wrapping_sub(s.base) < s.size {
             self.last.set(s);
-            self.svalb_hits.set(self.svalb_hits.get() + 1);
             return Some((s.pool, s.base, s.size));
         }
-        self.svalb_misses.set(self.svalb_misses.get() + 1);
         None
     }
 
+    /// Counts one `va2ra` that walked the attached ranges.
+    #[inline]
+    pub(crate) fn note_walk(&self) {
+        self.walks.set(self.walks.get() + 1);
+    }
+
     /// Refills the sVALB (memo + the slot `va` maps to) after a successful
-    /// slow-path walk found `va` inside `pool`'s range.
+    /// walk found `va` inside `pool`'s range.
     #[inline]
     pub(crate) fn fill_va(&self, va: u64, pool: u32, base: u64, size: u64) {
-        let slot = ValbSlot { stamp: self.clock.get(), base, size, pool };
+        let slot = ValbSlot { base, size, pool };
         self.last.set(slot);
         self.valb[Self::valb_index(va)].set(slot);
     }
 
-    /// Snapshot of the hit/miss counters.
+    /// Snapshot of the counters.
     pub(crate) fn stats(&self) -> TransStats {
         TransStats {
-            spolb_hits: self.spolb_hits.get(),
-            spolb_misses: self.spolb_misses.get(),
-            svalb_hits: self.svalb_hits.get(),
-            svalb_misses: self.svalb_misses.get(),
+            walks: self.walks.get(),
             epoch_bumps: self.epoch_bumps.get(),
             pool_epoch_bumps: self.pool_epoch_bumps.get(),
         }
     }
 
-    /// Zeroes the hit/miss counters (cached entries stay valid).
+    /// Zeroes the counters (cached entries stay valid).
     pub(crate) fn reset_stats(&self) {
-        self.spolb_hits.set(0);
-        self.spolb_misses.set(0);
-        self.svalb_hits.set(0);
-        self.svalb_misses.set(0);
+        self.walks.set(0);
         self.epoch_bumps.set(0);
         self.pool_epoch_bumps.set(0);
     }
@@ -340,68 +223,65 @@ impl TransCache {
 mod tests {
     use super::*;
 
+    const A: u64 = (1 << 47) + (3 << 20);
+    const B: u64 = (1 << 47) + (700 << 20);
+
     #[test]
     fn fresh_cache_misses_everything() {
         let c = TransCache::new();
-        assert!(c.lookup_pool(1).is_none());
         assert!(c.lookup_va(1 << 47).is_none());
-        let s = c.stats();
-        assert_eq!((s.spolb_hits, s.spolb_misses), (0, 1));
-        assert_eq!((s.svalb_hits, s.svalb_misses), (0, 1));
+        assert!(c.lookup_va(0).is_none(), "an empty slot holds no address");
     }
 
     #[test]
     fn install_then_lookup_hits_until_bump() {
         let mut c = TransCache::new();
-        c.install_pool(3, 0x8000_0000_0000, 1 << 20);
-        assert_eq!(c.lookup_pool(3), Some((0x8000_0000_0000, 1 << 20)));
-        c.bump();
-        assert_eq!(c.lookup_pool(3), None, "epoch bump invalidates in O(1)");
-        c.fill_pool(3, 0x9000_0000_0000, 1 << 20);
-        assert_eq!(c.lookup_pool(3), Some((0x9000_0000_0000, 1 << 20)));
+        c.fill_va(A, 3, A, 1 << 20);
+        assert_eq!(c.lookup_va(A + 8), Some((3, A, 1 << 20)));
+        c.invalidate(Scope::All);
+        assert_eq!(c.lookup_va(A + 8), None, "an all-pools invalidation clears the range");
+        c.fill_va(B, 3, B, 1 << 20);
+        assert_eq!(c.lookup_va(B + 8), Some((3, B, 1 << 20)));
     }
 
     #[test]
     fn pool_bump_invalidates_only_that_pool() {
         let mut c = TransCache::new();
-        c.install_pool(3, 0x8000_0000_0000, 1 << 20);
-        c.install_pool(5, 0x9000_0000_0000, 1 << 20);
-        let a = (1u64 << 47) + (3 << 20);
-        let b = (1u64 << 47) + (700 << 20);
-        c.fill_va(a, 3, a, 1 << 20);
-        c.fill_va(b, 5, b, 1 << 20);
-        c.bump_pool(3);
-        assert_eq!(c.lookup_pool(3), None, "pool 3's sPOLB entry is stale");
-        assert_eq!(c.lookup_pool(5), Some((0x9000_0000_0000, 1 << 20)), "pool 5 survives");
-        assert!(c.lookup_va(a).is_none(), "pool 3's sVALB range is stale");
-        assert_eq!(c.lookup_va(b), Some((5, b, 1 << 20)), "pool 5's range survives");
+        c.fill_va(A, 3, A, 1 << 20);
+        c.fill_va(B, 5, B, 1 << 20);
+        c.invalidate(Scope::Pool(3));
+        assert!(c.lookup_va(A).is_none(), "pool 3's sVALB range is stale");
+        assert_eq!(c.lookup_va(B), Some((5, B, 1 << 20)), "pool 5's range survives");
         let s = c.stats();
         assert_eq!(s.pool_epoch_bumps, 1);
         assert_eq!(s.epoch_bumps, 0, "no global flush happened");
+        // Pool 5 now sits in the memo too: its invalidation clears both.
+        c.invalidate(Scope::Pool(5));
+        assert!(c.lookup_va(B).is_none(), "neither memo nor array still holds pool 5");
     }
 
     #[test]
     fn refill_after_pool_bump_is_fresh_again() {
         let mut c = TransCache::new();
-        c.install_pool(3, 0x8000_0000_0000, 1 << 20);
-        c.bump_pool(3);
-        assert!(c.lookup_pool(3).is_none());
-        c.fill_pool(3, 0xa000_0000_0000, 1 << 20);
-        assert_eq!(c.lookup_pool(3), Some((0xa000_0000_0000, 1 << 20)));
-        // A later global bump still kills the refilled entry.
-        c.bump();
-        assert!(c.lookup_pool(3).is_none());
+        c.fill_va(A, 3, A, 1 << 20);
+        c.invalidate(Scope::Pool(3));
+        assert!(c.lookup_va(A).is_none());
+        c.fill_va(B, 3, B, 1 << 20);
+        assert_eq!(c.lookup_va(B), Some((3, B, 1 << 20)));
+        // A later global invalidation still kills the refilled entry.
+        c.invalidate(Scope::All);
+        assert!(c.lookup_va(B).is_none());
     }
 
     #[test]
-    fn clock_advances_on_both_bump_kinds() {
+    fn epoch_advances_on_both_scopes() {
         let mut c = TransCache::new();
         let e0 = c.epoch();
-        c.bump_pool(9);
+        c.invalidate(Scope::Pool(9));
         let e1 = c.epoch();
-        c.bump();
+        c.invalidate(Scope::All);
         let e2 = c.epoch();
-        assert!(e1 > e0 && e2 > e1, "every bump advances the shared clock");
+        assert!(e1 > e0 && e2 > e1, "every invalidation advances the epoch");
     }
 
     #[test]
@@ -434,31 +314,33 @@ mod tests {
 
     #[test]
     fn counters_reset_without_invalidating() {
-        let mut c = TransCache::new();
-        c.install_pool(1, 1 << 47, 1 << 20);
-        let _ = c.lookup_pool(1);
+        let c = TransCache::new();
+        c.fill_va(A, 1, A, 1 << 20);
+        c.note_walk();
         c.reset_stats();
         assert_eq!(c.stats(), TransStats::default());
-        assert!(c.lookup_pool(1).is_some(), "entries survive a stats reset");
+        assert!(c.lookup_va(A).is_some(), "entries survive a stats reset");
     }
 
     #[test]
     fn disabling_bumps_the_epoch() {
         let mut c = TransCache::new();
-        c.install_pool(1, 1 << 47, 1 << 20);
+        c.fill_va(A, 1, A, 1 << 20);
+        let e0 = c.epoch();
         c.set_enabled(false);
         assert!(!c.enabled());
         c.set_enabled(true);
-        assert!(c.lookup_pool(1).is_none(), "pre-disable entries are stale");
+        assert_eq!(c.epoch(), e0 + 2);
+        assert!(c.lookup_va(A).is_none(), "pre-disable entries are gone");
     }
 
     #[test]
     fn merge_sums_every_counter() {
-        let mut a = TransStats { spolb_hits: 1, svalb_misses: 2, ..TransStats::default() };
-        let b = TransStats { spolb_hits: 3, pool_epoch_bumps: 4, ..TransStats::default() };
+        let mut a = TransStats { walks: 1, epoch_bumps: 2, ..TransStats::default() };
+        let b = TransStats { walks: 3, pool_epoch_bumps: 4, ..TransStats::default() };
         a.merge(&b);
-        assert_eq!(a.spolb_hits, 4);
-        assert_eq!(a.svalb_misses, 2);
+        assert_eq!(a.walks, 4);
+        assert_eq!(a.epoch_bumps, 2);
         assert_eq!(a.pool_epoch_bumps, 4);
     }
 }

@@ -2,20 +2,20 @@
 //! an NVM half into which persistent pools are attached.
 //!
 //! This is the substrate underneath user-transparent persistent references:
-//! `va2ra`/`ra2va` translate between virtual addresses and pool-relative
-//! locations using the attachment table, the analogue of the kernel VATB /
-//! POTB tables the paper's hardware walks on POLB/VALB misses.
+//! `ra2va` reads the pool table and `va2ra` searches the attached ranges,
+//! the analogues of the kernel POTB / VATB tables the paper's hardware
+//! walks on POLB/VALB misses.
 
 use crate::addr::{PoolId, RelLoc, VirtAddr, DRAM_BASE, NVM_BASE, NVM_END};
 use crate::alloc::{MemWords, Region};
 use crate::error::{HeapError, Result};
 use crate::faults::FaultPlan;
 use crate::integrity::IntegrityMode;
-use crate::lookaside::TransCache;
 pub use crate::lookaside::TransStats;
+use crate::lookaside::{Scope, TransCache};
 use crate::pagestore::PageStore;
 use crate::persist::PersistPlane;
-use crate::pool::{Backing, PoolStore};
+use crate::pool::{Backing, PoolEntry, PoolStore};
 use crate::shard::{Arena, SharedPool, SlabId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -113,11 +113,10 @@ pub struct AddressSpace {
     /// window for this space's *local* pools ([`crate::persist`]). Adopted
     /// shared pools carry their own machine-wide plane.
     plane: PersistPlane,
-    /// Software POLB/VALB in front of the translation walks
-    /// ([`crate::lookaside`]). Generation-stamped: any mutation that can
-    /// move, remove, or quarantine an attachment bumps its epoch — a
-    /// *per-pool* epoch for single-pool lifecycle events (attach, detach,
-    /// destroy), the global one for space-wide events.
+    /// The sVALB in front of the `va2ra` walk ([`crate::lookaside`]). Any
+    /// mutation that can move, remove, or quarantine an attachment clears
+    /// it: that pool's slots for single-pool lifecycle events (attach,
+    /// detach, destroy), every slot for space-wide events.
     trans: TransCache,
 }
 
@@ -154,38 +153,38 @@ impl AddressSpace {
         }
     }
 
-    // ---- software lookasides ----------------------------------------------
+    // ---- software lookaside -----------------------------------------------
 
-    /// Turns the software translation lookasides (sPOLB/sVALB) on or off.
-    /// They are on by default; disabling forces every translation through
-    /// the pool-table probe / BTree walk (the cache-off baseline the
-    /// equivalence properties compare against).
+    /// Turns the software translation lookaside (the sVALB) on or off.
+    /// It is on by default; disabling forces every `va2ra` through the
+    /// BTree walk (the cache-off baseline the equivalence properties
+    /// compare against).
     pub fn set_translation_cache(&mut self, on: bool) {
         self.trans.set_enabled(on);
     }
 
-    /// Whether the software translation lookasides are enabled.
+    /// Whether the software translation lookaside is enabled.
     pub fn translation_cache_enabled(&self) -> bool {
         self.trans.enabled()
     }
 
     /// The translation-cache generation. Any event that can invalidate a
     /// cached translation (attach, detach, restart, destroy, integrity
-    /// switches, escape-hatch device access) advances it; higher-level
-    /// caches stamp their entries against this clock too.
+    /// switches, cache toggles, escape-hatch device access) advances it;
+    /// higher-level caches stamp their entries with it.
     #[inline]
     pub fn translation_epoch(&self) -> u64 {
         self.trans.epoch()
     }
 
-    /// Hit/miss counters for the software lookasides. Host-side
-    /// diagnostics only: these never feed the simulated cycle model,
-    /// events, or checksums.
+    /// Walk and invalidation counters for the sVALB ([`TransStats`]).
+    /// Host-side diagnostics only: these never feed the simulated cycle
+    /// model, events, or checksums.
     pub fn trans_stats(&self) -> TransStats {
         self.trans.stats()
     }
 
-    /// Zeroes the lookaside hit/miss counters (cached entries stay valid).
+    /// Zeroes the sVALB counters (cached entries stay valid).
     pub fn reset_trans_stats(&self) {
         self.trans.reset_stats()
     }
@@ -306,7 +305,7 @@ impl AddressSpace {
     /// Switches the pool device's integrity mode (see
     /// [`PoolStore::set_integrity`]).
     pub fn set_integrity(&mut self, mode: IntegrityMode) {
-        self.trans.bump();
+        self.trans.invalidate(Scope::All);
         self.store.set_integrity(mode);
     }
 
@@ -322,13 +321,13 @@ impl AddressSpace {
     /// [`AddressSpace::pool_write_u64`] for anything that should count as a
     /// durable write boundary.
     ///
-    /// Taking this handle bumps the translation-cache epoch: quarantine,
-    /// release, reseal, and salvage all go through it, and each must
-    /// invalidate the software lookasides. Every caller is a cold
-    /// recovery/diagnostic path, so the conservative bump costs nothing on
-    /// the hot path.
+    /// Taking this handle clears the sVALB and advances the translation
+    /// epoch: quarantine, release, reseal, and salvage all go through it,
+    /// and each must invalidate cached translations. Every caller is a
+    /// cold recovery/diagnostic path, so the conservative clear costs
+    /// nothing on the hot path.
     pub fn pool_store_mut(&mut self) -> &mut PoolStore {
-        self.trans.bump();
+        self.trans.invalidate(Scope::All);
         &mut self.store
     }
 
@@ -526,17 +525,15 @@ impl AddressSpace {
     }
 
     /// Gives pool `id` its base address: files it in the VATB and the
-    /// table, opens a new *per-pool* epoch (a re-attach lands at a new
-    /// base, so every older cached translation for this pool is wrong — but
-    /// only for this pool: other pools' entries stay hot), then eagerly
-    /// installs the fresh attachment in the sPOLB under it.
+    /// table, and clears this pool's sVALB slots (a re-attach lands at a
+    /// new base, so every older cached range for this pool is wrong — but
+    /// only for this pool: other pools' entries stay hot).
     fn map(&mut self, id: PoolId, base: u64) -> Attachment {
         let entry = self.store.entry_mut(id).expect("mapped pools are in the table");
         let att = Attachment { pool: id, base: VirtAddr::new(base), size: entry.size };
         entry.base = Some(att.base);
         self.attach_by_base.insert(base, att);
-        self.trans.bump_pool(id.raw());
-        self.trans.install_pool(id.raw(), base, att.size);
+        self.trans.invalidate(Scope::Pool(id.raw()));
         att
     }
 
@@ -624,9 +621,9 @@ impl AddressSpace {
         let entry = self.store.entry_mut(id).map_err(|_| HeapError::PoolDetached(id))?;
         let base = entry.base.take().ok_or(HeapError::PoolDetached(id))?;
         self.attach_by_base.remove(&base.raw());
-        // Per-pool epoch: detaching this pool must not flush the other
+        // Per-pool scope: detaching this pool must not flush the other
         // pools' (the other shards') hot translations.
-        self.trans.bump_pool(id.raw());
+        self.trans.invalidate(Scope::Pool(id.raw()));
         if let Some(Backing::Adopted(sp, arena)) = &mut entry.backing {
             // Graceful release of an adopted shared pool: hand the arena's
             // lease remainder back to the shared free list. The pool itself
@@ -671,7 +668,7 @@ impl AddressSpace {
         // until a recovery pass; the block tiling stays valid, so recovery
         // sees a consistent (merely smaller) heap.
         self.store.power_off();
-        self.trans.bump();
+        self.trans.invalidate(Scope::All);
     }
 
     /// Current attachment of `id`, if any.
@@ -690,8 +687,8 @@ impl AddressSpace {
     /// Translates a virtual address in the NVM half to a pool-relative
     /// location (`va2ra`).
     ///
-    /// Served from the sVALB when it holds a current-epoch range containing
-    /// `va`; misses fall through to the BTree containing-range walk, whose
+    /// Served from the sVALB when it holds a range containing `va`;
+    /// misses fall through to the BTree containing-range walk, whose
     /// successful result refills the cache. Results and errors are
     /// bit-identical with the cache on or off.
     ///
@@ -710,9 +707,13 @@ impl AddressSpace {
     }
 
     /// The sVALB miss path: the BTree containing-range walk (the software
-    /// analogue of the kernel walking the VATB on a VALB miss).
+    /// analogue of the kernel walking the VATB on a VALB miss). `fill` is
+    /// set on `va2ra`'s path: the walk is counted and its range cached.
     #[inline(never)]
     fn va2ra_walk(&self, va: VirtAddr, fill: bool) -> Result<RelLoc> {
+        if fill {
+            self.trans.note_walk();
+        }
         let (_, att) = self
             .attach_by_base
             .range(..=va.raw())
@@ -728,43 +729,17 @@ impl AddressSpace {
         Ok(RelLoc::new(att.pool, delta as u32))
     }
 
-    /// `va2ra` that never consults or fills the software lookasides — the
+    /// `va2ra` that never consults or fills the sVALB — the
     /// oracle/debug flavour. Faultsweep oracles and raw peeks use this so
     /// they can never observe (or perturb) cache state.
     pub fn va2ra_uncached(&self, va: VirtAddr) -> Result<RelLoc> {
         self.va2ra_walk(va, false)
     }
 
-    /// Validates that `loc` translates — the same error set, and the same
-    /// error values, as [`Self::ra2va`] — without materializing the
-    /// virtual address or touching the lookaside hit counters. The
-    /// decoded interpreter's parity probe before pool-direct access: the
-    /// address it would compute is discarded anyway.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`Self::ra2va`].
-    #[inline]
-    pub fn ra_check(&self, loc: RelLoc) -> Result<()> {
-        if self.trans.enabled() {
-            if let Some((_, size)) = self.trans.lookup_pool_quiet(loc.pool.raw()) {
-                if u64::from(loc.offset) >= size {
-                    return Err(Self::offset_out_of_pool(loc, size));
-                }
-                return Ok(());
-            }
-        }
-        self.ra2va_probe(loc, true).map(|_| ())
-    }
-
     /// Translates a pool-relative location to its current virtual address
-    /// (`ra2va`).
-    ///
-    /// Served from the dense sPOLB array when it holds a current-epoch
-    /// entry for the pool; misses fall through to the pool-table probe,
-    /// whose successful result refills the cache. Results and errors are
-    /// bit-identical with the cache on or off (the cached entry carries
-    /// the pool size, so `OffsetOutOfPool` still fires on the fast path).
+    /// (`ra2va`), reading `base` and `size` straight from the pool's table
+    /// entry — dense by id, so the table is its own POLB. Only the error
+    /// cases go out of line.
     ///
     /// # Errors
     ///
@@ -775,45 +750,27 @@ impl AddressSpace {
     /// - [`HeapError::OffsetOutOfPool`] when the offset exceeds the pool.
     #[inline]
     pub fn ra2va(&self, loc: RelLoc) -> Result<VirtAddr> {
-        if self.trans.enabled() {
-            if let Some((base, size)) = self.trans.lookup_pool(loc.pool.raw()) {
-                if u64::from(loc.offset) >= size {
-                    return Err(Self::offset_out_of_pool(loc, size));
-                }
-                return Ok(VirtAddr::new(base).add(loc.offset.into()));
+        if let Ok(PoolEntry { base: Some(base), size, .. }) = self.store.entry(loc.pool) {
+            if u64::from(loc.offset) < *size {
+                return Ok(base.add(loc.offset.into()));
             }
         }
-        self.ra2va_probe(loc, true)
+        self.ra2va_fault(loc)
     }
 
-    /// The sPOLB miss path: the pool-table probe (the software analogue of
-    /// the kernel walking the POTB on a POLB miss).
+    /// Why `loc` does not translate: [`Self::ra2va`]'s error cases.
+    #[cold]
     #[inline(never)]
-    fn ra2va_probe(&self, loc: RelLoc, fill: bool) -> Result<VirtAddr> {
+    fn ra2va_fault(&self, loc: RelLoc) -> Result<VirtAddr> {
         let entry = self.store.entry(loc.pool)?;
-        let Some(base) = entry.base else {
+        if entry.base.is_none() {
             // Unattached: a quarantined owned pool says so, a lapsed
             // adoption or a healthy owned pool is detached.
             self.store.live(loc.pool)?;
             return Err(HeapError::PoolDetached(loc.pool));
-        };
-        if u64::from(loc.offset) >= entry.size {
-            return Err(Self::offset_out_of_pool(loc, entry.size));
         }
-        if fill && self.trans.enabled() {
-            self.trans.fill_pool(loc.pool.raw(), base.raw(), entry.size);
-        }
-        Ok(base.add(loc.offset.into()))
-    }
-
-    /// `ra2va` that never consults or fills the software lookasides.
-    pub fn ra2va_uncached(&self, loc: RelLoc) -> Result<VirtAddr> {
-        self.ra2va_probe(loc, false)
-    }
-
-    #[cold]
-    fn offset_out_of_pool(loc: RelLoc, size: u64) -> HeapError {
-        HeapError::OffsetOutOfPool { pool: loc.pool, offset: loc.offset.into(), size }
+        let (pool, offset, size) = (loc.pool, loc.offset.into(), entry.size);
+        Err(HeapError::OffsetOutOfPool { pool, offset, size })
     }
 
     // ---- memory access -----------------------------------------------------
@@ -828,7 +785,7 @@ impl AddressSpace {
         self.read_via(va, buf, true)
     }
 
-    /// [`AddressSpace::read`], translating through the lookasides or not.
+    /// [`AddressSpace::read`], translating through the sVALB or not.
     #[inline]
     fn read_via(&self, va: VirtAddr, buf: &mut [u8], cached: bool) -> Result<()> {
         if va.raw() < DRAM_BASE {
@@ -879,8 +836,8 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Reads bytes at `va` without consulting or filling the software
-    /// lookasides — the oracle/debug read path. Otherwise identical to
+    /// Reads bytes at `va` without consulting or filling the sVALB — the
+    /// oracle/debug read path. Otherwise identical to
     /// [`AddressSpace::read`], including every error condition.
     pub fn read_uncached(&self, va: VirtAddr, buf: &mut [u8]) -> Result<()> {
         self.read_via(va, buf, false)
@@ -1063,7 +1020,7 @@ impl AddressSpace {
             return Err(HeapError::NotOwned(id));
         }
         let _ = self.detach(id);
-        self.trans.bump_pool(id.raw());
+        self.trans.invalidate(Scope::Pool(id.raw()));
         self.store.destroy(id)
     }
 }
@@ -1157,8 +1114,7 @@ mod tests {
         assert_eq!(s.ra2va(lb).unwrap(), vb);
         assert_eq!(s.va2ra(vb).unwrap(), lb);
         let st = s.trans_stats();
-        assert_eq!(st.spolb_hits, 1, "pool B's sPOLB entry survived A's detach");
-        assert_eq!(st.svalb_hits, 1, "pool B's sVALB range survived A's detach");
+        assert_eq!(st.walks, 0, "pool B's sVALB range survived A's detach");
     }
 
     #[test]
@@ -1494,11 +1450,9 @@ mod tests {
         s.reset_trans_stats();
         let va = s.ra2va(loc).unwrap();
         assert_eq!(s.ra2va(loc).unwrap(), va, "second lookup identical");
-        assert_eq!(s.trans_stats().spolb_hits, 2, "eager install hits at once");
         let _ = s.va2ra(va).unwrap(); // miss fills the sVALB
         assert_eq!(s.va2ra(va).unwrap(), loc);
-        assert_eq!(s.trans_stats().svalb_hits, 1);
-        assert_eq!(s.ra2va_uncached(loc).unwrap(), va);
+        assert_eq!(s.trans_stats().walks, 1, "only the first va2ra walked");
         assert_eq!(s.va2ra_uncached(va).unwrap(), loc);
     }
 
@@ -1551,9 +1505,9 @@ mod tests {
         s.reset_trans_stats();
         let va = s.ra2va(loc).unwrap();
         assert_eq!(s.va2ra(va).unwrap(), loc);
+        assert_eq!(s.va2ra(va).unwrap(), loc);
         let stats = s.trans_stats();
-        assert_eq!(stats.spolb_hits + stats.spolb_misses, 0, "cache untouched");
-        assert_eq!(stats.svalb_hits + stats.svalb_misses, 0);
+        assert_eq!(stats.walks, 2, "with the cache off every translation walks");
         s.set_translation_cache(true);
         assert_eq!(s.ra2va(loc).unwrap(), va);
     }
@@ -1565,13 +1519,13 @@ mod tests {
         let loc = s.pmalloc(p, 64).unwrap();
         let va = s.ra2va(loc).unwrap();
         s.write_u64(va, 0xABCD).unwrap();
+        // The write warmed the sVALB; clear it so a cached read would walk.
+        s.set_translation_cache(true);
         s.reset_trans_stats();
         assert_eq!(s.read_u64_uncached(va).unwrap(), 0xABCD);
         assert_eq!(s.va2ra_uncached(va).unwrap(), loc);
-        assert_eq!(s.ra2va_uncached(loc).unwrap(), va);
         let stats = s.trans_stats();
-        assert_eq!(stats.spolb_hits + stats.spolb_misses, 0);
-        assert_eq!(stats.svalb_hits + stats.svalb_misses, 0);
+        assert_eq!(stats.walks, 0);
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub struct BenchResult {
     /// Bytes materialized by the simulated address space at the end of the
     /// run (DRAM + pool images) — the memory-footprint axis of the report.
     pub resident_bytes: u64,
-    /// Software-lookaside (sPOLB/sVALB) hit/miss counters for the run,
+    /// Software-lookaside (sVALB) hit/miss counters for the run,
     /// including warm-up (host-side cache telemetry, not modelled cycles).
     pub trans: TransStats,
 }

@@ -51,15 +51,12 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use utpr_ds::{IndexCore, RbTree};
-use utpr_heap::{
-    AddressSpace, FlushModel, HeapError, SharedPool, SlabId, TransStats, UndoLog,
-    MAX_LOG_SLOTS,
-};
+use utpr_heap::{AddressSpace, FlushModel, HeapError, SharedPool, SlabId, UndoLog, MAX_LOG_SLOTS};
 use utpr_kv::rng::mix;
 use utpr_kv::KvStore;
 use utpr_ptr::{site, ExecEnv, Mode, NullSink};
@@ -157,7 +154,6 @@ struct ServeStats {
     idle_sleeps: AtomicU64,
     poll_yields: AtomicU64,
     crashed: AtomicBool,
-    trans: Mutex<TransStats>,
 }
 
 /// Point-in-time view of a running (or finished) server's counters.
@@ -259,11 +255,6 @@ impl ServerHandle {
     /// Whether a shard hit an injected crash (the kill arm's signal).
     pub fn crashed(&self) -> bool {
         self.stats.crashed.load(Ordering::Acquire)
-    }
-
-    /// Merged translation-cache stats from exited shard threads.
-    pub fn trans_stats(&self) -> TransStats {
-        *self.stats.trans.lock().unwrap()
     }
 
     /// Requests shutdown and joins every thread. Returns the final
@@ -916,9 +907,6 @@ fn shard_main(
         };
         idle.fetch_add(1, Ordering::Relaxed);
     }
-
-    // Fold this shard's translation stats into the shared plane.
-    stats.trans.lock().unwrap().merge(&env.space().trans_stats());
 }
 
 /// `RespTo` minus the `Clone` bound on `Sender` noise — channels clone

@@ -192,7 +192,6 @@ pub struct ExecEnvBuilder<S: TimingSink = NullSink> {
     check_policy: CheckPolicy,
     conversion_reuse: bool,
     site_check_cache: bool,
-    translation_cache: bool,
     txn_slot: u64,
     faults: Option<FaultPlan>,
 }
@@ -220,7 +219,6 @@ impl<S: TimingSink> ExecEnvBuilder<S> {
             check_policy: self.check_policy,
             conversion_reuse: self.conversion_reuse,
             site_check_cache: self.site_check_cache,
-            translation_cache: self.translation_cache,
             txn_slot: self.txn_slot,
             faults: self.faults,
         }
@@ -249,15 +247,6 @@ impl<S: TimingSink> ExecEnvBuilder<S> {
         self
     }
 
-    /// Enables/disables the address space's software translation
-    /// lookasides (default: enabled). Turning them off is the cache-off
-    /// baseline the equivalence properties compare against; results are
-    /// bit-identical either way.
-    pub fn translation_cache(mut self, on: bool) -> Self {
-        self.translation_cache = on;
-        self
-    }
-
     /// Selects which per-pool undo-log directory slot transactions use
     /// (default: 0, the plain single-log format). Worker threads sharing
     /// one pool each build their environment with a distinct slot so their
@@ -280,9 +269,6 @@ impl<S: TimingSink> ExecEnvBuilder<S> {
         let mut space = self.space;
         if let Some(f) = self.faults {
             space.set_faults(f);
-        }
-        if space.translation_cache_enabled() != self.translation_cache {
-            space.set_translation_cache(self.translation_cache);
         }
         ExecEnv {
             space,
@@ -315,7 +301,6 @@ impl ExecEnv<NullSink> {
             check_policy: CheckPolicy::Inferred,
             conversion_reuse: true,
             site_check_cache: true,
-            translation_cache: true,
             txn_slot: 0,
             faults: None,
         }
@@ -1151,14 +1136,15 @@ impl<S: TimingSink> ExecEnv<S> {
     /// # Errors
     ///
     /// Faults on unmapped addresses.
-    /// The read goes through the uncached translation/read APIs, so the
-    /// oracle can never observe — or perturb — software-lookaside state.
+    /// `ra2va` reads the pool table and the read goes through
+    /// [`AddressSpace::read_u64_uncached`], so the oracle can never observe
+    /// — or perturb — the sVALB.
     pub fn peek_raw(&self, base: UPtr, off: i64) -> Result<u64> {
         let p = base.offset(off);
         let va = match p.kind() {
             crate::ptr::PtrKind::Null => return Err(HeapError::Unmapped(VirtAddr::new(0))),
             crate::ptr::PtrKind::Va(va) => va,
-            crate::ptr::PtrKind::Rel(loc) => self.space.ra2va_uncached(loc)?,
+            crate::ptr::PtrKind::Rel(loc) => self.space.ra2va(loc)?,
         };
         self.space.read_u64_uncached(va)
     }
@@ -1503,7 +1489,7 @@ mod tests {
         // Detach/re-attach: the epoch advances, the cached outcome is stale.
         e.space_mut().detach(pool).unwrap();
         e.space_mut().attach(pool).unwrap();
-        let a2 = UPtr::from_va(e.space().ra2va_uncached(loc).unwrap());
+        let a2 = UPtr::from_va(e.space().ra2va(loc).unwrap());
         let checks0 = e.stats().dynamic_checks;
         e.read_u64(s, a2, 0).unwrap();
         assert_eq!(e.stats().dynamic_checks, checks0 + 1, "re-validated, not elided");

@@ -34,8 +34,9 @@ rows=(
     "--faults     | | faults UTPR_FAULTS_ONLY=RB"
     # media plane, twin-pool property, torn/bit-flip campaign, CRC cost
     "--corruption | -p utpr-heap media; --test heap_props one_media_plane | corruption"
-    # software lookasides: equivalence, sVALB hit rate, va2ra speedup
-    "--hotpath    | | hotpath"
+    # translation: sVALB tests, equivalence, sVALB hit rate, va2ra speedup
+    "--hotpath    | -p utpr-heap lookaside; -p utpr-heap space::tests; --test heap_props translation; \
+                    --test mode_equivalence translation_cache; --test crash_matrix peek_raw | hotpath"
     # guest-MIPS interpreter: differential grid, mem speedup, residual
     "--interp     | | interp"
     # schedule explorer, mt crash sweeps, MT YCSB-A invariance and speedup

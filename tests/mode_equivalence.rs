@@ -156,8 +156,8 @@ props! {
 
 // ---- translation-cache equivalence under attachment churn -----------------
 //
-// The software lookasides (sPOLB/sVALB) must be semantically invisible: a
-// run with the caches enabled and one with them disabled must produce the
+// The software lookaside (the sVALB) must be semantically invisible: a
+// run with the cache enabled and one with it disabled must produce the
 // same checksums, the same pointer counters, and byte-for-byte the same
 // micro-architectural event stream — even while pools detach, re-attach at
 // new bases, and bounce through quarantine/release between operation
@@ -270,12 +270,10 @@ fn run_index_churn<I: IndexOps>(mode: Mode, trans_cache: bool) -> (u64, PtrStats
     let mut space = AddressSpace::new(0xC0FF);
     let main = space.create_pool("churn-main", 16 << 20).unwrap();
     let scratch = space.create_pool("churn-scratch", 1 << 20).unwrap();
-    let mut env = ExecEnv::builder(space)
-        .mode(mode)
-        .pool(main)
-        .translation_cache(trans_cache)
-        .sink(HashSink::new())
-        .build();
+    if !trans_cache {
+        space.set_translation_cache(false);
+    }
+    let mut env = ExecEnv::builder(space).mode(mode).pool(main).sink(HashSink::new()).build();
     let mut store: KvStore<I> = KvStore::create(&mut env).unwrap();
     let mut checksum = 0u64;
     for batch in 0..CHURN_BATCHES {
@@ -305,12 +303,10 @@ fn run_ll_churn(mode: Mode, trans_cache: bool) -> (u64, PtrStats, u64, u64) {
     let mut space = AddressSpace::new(0xC0FF);
     let main = space.create_pool("churn-main", 16 << 20).unwrap();
     let scratch = space.create_pool("churn-scratch", 1 << 20).unwrap();
-    let mut env = ExecEnv::builder(space)
-        .mode(mode)
-        .pool(main)
-        .translation_cache(trans_cache)
-        .sink(HashSink::new())
-        .build();
+    if !trans_cache {
+        space.set_translation_cache(false);
+    }
+    let mut env = ExecEnv::builder(space).mode(mode).pool(main).sink(HashSink::new()).build();
     let mut list = LinkedList::create(&mut env).unwrap();
     let mut checksum = 0u64;
     for batch in 0..CHURN_BATCHES {
