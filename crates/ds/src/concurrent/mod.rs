@@ -29,8 +29,10 @@
 //!   word and defers the writeback to the operation's persist point,
 //!   where the writer flushes and untags its write set. A load flushes
 //!   only when the word is tagged (someone's store is still in flight);
-//!   untagged loads elide the flush entirely. Tags live beside the data
-//!   in [`SharedPool`]'s flush plane, never in the persistent image.
+//!   untagged loads elide the flush entirely. Tags live in
+//!   [`SharedPool`]'s fixed table of hashed atomic counters, never in the
+//!   persistent image; two words sharing a slot can only cost a reader a
+//!   flush it did not need.
 //! * [`FlushStrategy::Traverse`] — the NVTraverse split: the traversal
 //!   phase issues **no** flushes at all; at the traversal/critical-phase
 //!   boundary the destination nodes (pred link + current node) are made
@@ -397,10 +399,11 @@ impl<'a, S: TimingSink> Handle<'a, S> {
             // One clwb per distinct line, however many words it holds.
             words.sort_unstable_by_key(|w| w / LINE_SIZE);
             words.dedup_by_key(|w| *w / LINE_SIZE);
-            for w in words {
+            for &w in &words {
                 self.issue_flush(w);
             }
-            self.write_set = Vec::with_capacity(16);
+            words.clear();
+            self.write_set = words;
         }
         self.sp.drain_all();
         self.counters.fences += 1;

@@ -1,14 +1,16 @@
 //! The persistence plane: the one statement of the heap's persistency
 //! contract. A [`PersistPlane`] is the fault gate every durable write
-//! consults, the ADR "cache" of lines written but not yet flushed, the FliT
-//! word tags, and the power-loss path that decides what survives.
+//! consults, the ADR "cache" of lines written but not yet flushed, and the
+//! power-loss path that decides what survives.
 //!
-//! Both backings run this code and nothing else: an [`AddressSpace`] owns
-//! one plane inline for its local pools, a [`SharedPool`] holds one behind
-//! its `plane` mutex for every thread that adopted it. The plane never
-//! touches pool bytes itself — callers hand it a line reader when staging
-//! and a byte writer at power loss — so it needs no knowledge of whether
-//! the image is a [`crate::pool::PoolImage`] or a striped device.
+//! Both backings run this code: an [`AddressSpace`] owns one plane inline
+//! for its local pools, a [`SharedPool`] holds one behind its `plane` mutex
+//! for the gate and the power-loss drain, and keeps its pending lines in
+//! one [`Pending`] set per page stripe, which it hands to the plane at
+//! power loss. The plane never touches pool bytes itself — callers hand it
+//! a line reader when staging and a byte writer at power loss — so it needs
+//! no knowledge of whether the image is a [`crate::pool::PoolImage`] or a
+//! striped device.
 //!
 //! [`AddressSpace`]: crate::space::AddressSpace
 //! [`SharedPool`]: crate::shard::SharedPool
@@ -21,7 +23,7 @@ use std::collections::BTreeMap;
 use utpr_qc::rng::splitmix64;
 
 /// The durable bytes of one cache line.
-type Line = [u8; LINE_SIZE as usize];
+pub(crate) type Line = [u8; LINE_SIZE as usize];
 
 /// `(pool, line offset)`.
 type LineKey = (PoolId, u64);
@@ -37,29 +39,66 @@ const FRONT_LINES: usize = 16;
 /// bulk writes that never fence reach the ordered map. A line is in exactly
 /// one of the two.
 #[derive(Clone, Debug, Default)]
-struct Pending {
+pub(crate) struct Pending {
     front: Vec<(LineKey, Line)>,
     spill: BTreeMap<LineKey, Line>,
 }
 
 impl Pending {
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.front.len() + self.spill.len()
+    }
+
+    /// Snapshots the durable bytes of every line overlapped by `[off, off +
+    /// len)` of `pool` that is not already pending; `read_line(line offset,
+    /// buf)` fetches them from the image. Must run *before* the write
+    /// mutates the image.
+    #[inline]
+    pub(crate) fn stage(
+        &mut self,
+        pool: PoolId,
+        off: u64,
+        len: u64,
+        mut read_line: impl FnMut(u64, &mut Line),
+    ) {
+        if len == 0 {
+            return;
+        }
+        let last = (off + len - 1) / LINE_SIZE * LINE_SIZE;
+        let mut line = off / LINE_SIZE * LINE_SIZE;
+        loop {
+            self.stage_line((pool, line), |old| read_line(line, old));
+            if line >= last {
+                break;
+            }
+            line += LINE_SIZE;
+        }
     }
 
     /// Snapshots `key`'s durable bytes through `read` unless it is pending.
     #[inline]
-    fn stage(&mut self, key: LineKey, read: impl FnOnce(&mut Line)) {
+    fn stage_line(&mut self, key: LineKey, read: impl FnOnce(&mut Line)) {
         if self.front.iter().any(|(k, _)| *k == key) || self.spill.contains_key(&key) {
             return;
         }
         let mut old = [0u8; LINE_SIZE as usize];
         read(&mut old);
+        self.insert(key, old);
+    }
+
+    /// Files a line known not to be pending.
+    fn insert(&mut self, key: LineKey, old: Line) {
         if self.front.len() < FRONT_LINES {
             self.front.push((key, old));
         } else {
             self.spill.insert(key, old);
         }
+    }
+
+    /// Makes the line `(pool, line containing off)` durable; returns whether
+    /// it was pending.
+    pub(crate) fn flush_line(&mut self, pool: PoolId, off: u64) -> bool {
+        self.remove((pool, off / LINE_SIZE * LINE_SIZE))
     }
 
     fn remove(&mut self, key: LineKey) -> bool {
@@ -80,9 +119,20 @@ impl Pending {
         before - self.len()
     }
 
-    fn clear(&mut self) {
+    /// Drops every line (they became durable); returns how many there were.
+    pub(crate) fn clear(&mut self) -> usize {
+        let n = self.len();
         self.front.clear();
         self.spill.clear();
+        n
+    }
+
+    /// Moves every line of `other`, which must be disjoint from this set,
+    /// into this one.
+    fn append(&mut self, other: &mut Pending) {
+        for (key, old) in other.front.drain(..).chain(std::mem::take(&mut other.spill)) {
+            self.insert(key, old);
+        }
     }
 
     /// Takes every line, in `(pool, line)` order.
@@ -105,11 +155,6 @@ pub(crate) struct PersistPlane {
     /// Unflushed lines, drained in `(pool, line)` order at power loss so
     /// the drain is deterministic. Always empty under eADR.
     pending: Pending,
-    /// FliT-style per-word dirty tags: `(pool, word offset)` → count of
-    /// stores tagged but not yet persisted by their writer. A reader
-    /// finding a tag must flush before depending on the word; an untagged
-    /// word is provably persisted and the flush can be elided. Volatile.
-    tags: BTreeMap<(PoolId, u64), u32>,
     /// Fence (full-drain) events issued.
     pub(crate) fences: u64,
     /// Lines made durable by explicit flush, fence drain, or detach — here,
@@ -174,52 +219,34 @@ impl PersistPlane {
     }
 
     /// Switches the persistence-domain model. Moving to eADR implicitly
-    /// fences: lines in flight become durable and every tag clears.
+    /// fences: lines in flight become durable.
     pub(crate) fn set_flush_model(&mut self, model: FlushModel) {
         if model == FlushModel::Eadr {
-            self.lines_flushed += self.pending.len() as u64;
-            self.pending.clear();
-            self.tags.clear();
+            self.lines_flushed += self.pending.clear() as u64;
         }
         self.model = model;
     }
 
-    /// Under ADR, snapshots the durable bytes of every line overlapped by
-    /// `[off, off + len)` of `pool` that is not already pending;
-    /// `read_line(line offset, buf)` fetches them from the image. Must run
-    /// *before* the write mutates the image. A no-op under eADR.
+    /// Under ADR, [`Pending::stage`]s `[off, off + len)` of `pool`. A no-op
+    /// under eADR.
     #[inline]
     pub(crate) fn stage(
         &mut self,
         pool: PoolId,
         off: u64,
         len: u64,
-        mut read_line: impl FnMut(u64, &mut Line),
+        read_line: impl FnMut(u64, &mut Line),
     ) {
-        if self.model != FlushModel::Adr || len == 0 {
-            return;
-        }
-        let last = (off + len - 1) / LINE_SIZE * LINE_SIZE;
-        let mut line = off / LINE_SIZE * LINE_SIZE;
-        loop {
-            self.pending.stage((pool, line), |old| read_line(line, old));
-            if line >= last {
-                break;
-            }
-            line += LINE_SIZE;
+        if self.model == FlushModel::Adr {
+            self.pending.stage(pool, off, len, read_line);
         }
     }
 
     /// Targeted `clwb`: makes the line containing `off` of `pool` durable.
     /// Returns whether the line was actually pending.
     pub(crate) fn flush_line(&mut self, pool: PoolId, off: u64) -> bool {
-        let hit = self.pending.remove((pool, off / LINE_SIZE * LINE_SIZE));
-        // No store on a miss: Eager readers flush clean lines all the time,
-        // and dirtying the counter's cache line under the shared pool's
-        // contended lock costs a third of their two-thread throughput.
-        if hit {
-            self.lines_flushed += 1;
-        }
+        let hit = self.pending.flush_line(pool, off);
+        self.lines_flushed += u64::from(hit);
         hit
     }
 
@@ -251,44 +278,26 @@ impl PersistPlane {
     /// window or not. Returns the number of lines drained.
     pub(crate) fn persist_point(&mut self) -> u64 {
         self.fences += 1;
-        let n = self.pending.len() as u64;
+        let n = self.pending.clear() as u64;
         self.lines_flushed += n;
-        self.pending.clear();
         n
     }
 
-    // ---- FliT tags ---------------------------------------------------------
-
-    /// Store side: marks the word at `off` dirty. The count nests so two
-    /// in-flight stores need two completions.
-    pub(crate) fn tag_word(&mut self, pool: PoolId, off: u64) {
-        *self.tags.entry((pool, off / 8 * 8)).or_insert(0) += 1;
-    }
-
-    /// The writer persisted the word; drop one tag.
-    pub(crate) fn untag_word(&mut self, pool: PoolId, off: u64) {
-        let w = (pool, off / 8 * 8);
-        if let Some(c) = self.tags.get_mut(&w) {
-            *c -= 1;
-            if *c == 0 {
-                self.tags.remove(&w);
-            }
-        }
-    }
-
-    /// Load side: is the word possibly unpersisted?
-    pub(crate) fn word_tagged(&self, pool: PoolId, off: u64) -> bool {
-        self.tags.contains_key(&(pool, off / 8 * 8))
-    }
-
     // ---- power loss --------------------------------------------------------
+
+    /// Takes over `lines`, disjoint from this plane's own, as pending lines
+    /// of this plane: a [`crate::shard::SharedPool`] gathers its stripes'
+    /// lines here so one [`PersistPlane::power_loss`] drains them all.
+    pub(crate) fn absorb(&mut self, lines: &mut Pending) {
+        self.pending.append(lines);
+    }
 
     /// Power loss: every unflushed line drains through `write(pool, offset,
     /// durable bytes)`. On a clean loss the whole line reverts; when the
     /// installed plan is a torn one ([`FaultPlan::torn_at`]), an
     /// 8-byte-word lottery seeded from the plan decides, per word, whether
-    /// the in-flight value landed or the durable one survived. Tags and an
-    /// open group-commit window are volatile and die with the process (the
+    /// the in-flight value landed or the durable one survived. An open
+    /// group-commit window is volatile and dies with the process (the
     /// batch the window was deferring died un-acked).
     pub(crate) fn power_loss(&mut self, mut write: impl FnMut(PoolId, u64, &[u8])) {
         let torn_seed = self.faults.torn_drain_seed();
@@ -306,7 +315,6 @@ impl PersistPlane {
                 }
             }
         }
-        self.tags.clear();
         self.defer_fences = false;
     }
 }
@@ -367,12 +375,11 @@ mod tests {
             let mut pl = adr();
             pl.faults = plan;
             pl.stage(P, 128, 64, |_, old| old.fill(0x11));
-            pl.tag_word(P, 128);
             pl.defer_fences = true;
             let mut writes = Vec::new();
             pl.power_loss(|pool, off, bytes| writes.push((pool, off, bytes.to_vec())));
             assert_eq!((pl.pending_lines(), pl.lines_lost), (0, 1));
-            assert!(!pl.word_tagged(P, 128) && !pl.defer_fences, "volatile state died");
+            assert!(!pl.defer_fences, "volatile state died");
             writes
         };
         assert_eq!(drain(FaultPlan::disabled()), vec![(P, 128, vec![0x11; 64])]);

@@ -16,12 +16,18 @@
 //!   central free list) that the owning thread subdivides with
 //!   `Region::carve_front` without taking the central lock. Only lease
 //!   *refills* and frees touch the central allocator.
-//! - **Persistence plane** — one `PersistPlane` (fault gate, ADR pending
-//!   lines, FliT tags) serves the whole pool: the same code an
-//!   [`crate::AddressSpace`] runs for its local pools, here behind one
-//!   mutex. A crash boundary armed at `k` counts durable writes across
-//!   *all* threads, exactly like a machine-wide power failure, and a torn
-//!   plan tears here exactly as it does there.
+//! - **Persistence plane** — a line's ADR pending bytes live with its
+//!   page, in its stripe's pending set, so a staged write, a CAS and a
+//!   `clwb` take only that stripe's lock. A fence visits the stripes a
+//!   bitmap marks dirty. FliT tags are a fixed table of hashed atomic
+//!   counters. The pool's one `PersistPlane` holds the fault gate and the
+//!   power-loss drain. It is the slow path: while a fault plan is enabled
+//!   or retention is on, every durable write boundary holds its mutex
+//!   across gate → stage → apply → settle, so a crash boundary armed at
+//!   `k` counts durable writes across *all* threads, exactly like a
+//!   machine-wide power failure, and a torn plan tears here exactly as it
+//!   does in an [`crate::AddressSpace`]. With neither, no data, CAS,
+//!   flush, tag or gate call takes it.
 //!
 //! Determinism: per-thread slab cursors make every allocation's offset a
 //! function of (slab, thread-local op sequence) alone, never of cross-
@@ -31,16 +37,17 @@
 //!
 //! Lock order (a level may only acquire locks from levels to its right):
 //! `plane` → `slabs` → `central` → `media` → stripe locks.
-//! Stripe locks are leaves and are held one word/page at a time. The
-//! `plane` mutex guards the persistence plane (the gate,
-//! [`SharedPool::write_u64_stage`], [`SharedPool::cas_u64`],
-//! flush/fence/tag bookkeeping) and is never held across an allocator
-//! call. The `media` mutex guards the pool's media plane (`media.rs`: the
-//! CRC sidecar, and once retention is configured the media clock, wear
-//! table and decay books — DESIGN.md §13). The plane reaches the stripes
-//! one lock at a time while it is held, never the reverse, and the first
-//! bad page it reports is CASed into the quarantine word under it; shards
-//! read that word without any lock.
+//! Stripe locks are leaves and are held one at a time; each guards its
+//! pages and their pending lines, so staging a line and applying the write
+//! that dirties it happen under one acquisition. The `plane` mutex guards
+//! the fault plan and the power-loss drain; on the slow path it also
+//! serializes every boundary, flush and fence, and it is never held across
+//! an allocator call. The `media` mutex guards the pool's media plane
+//! (`media.rs`: the CRC sidecar, and once retention is configured the
+//! media clock, wear table and decay books — DESIGN.md §13). The plane
+//! reaches the stripes one lock at a time while it is held, never the
+//! reverse, and the first bad page it reports is CASed into the quarantine
+//! word under it; shards read that word without any lock.
 
 use crate::addr::PoolId;
 use crate::alloc::{MemWords, Region, SalvageReport};
@@ -49,10 +56,10 @@ use crate::faults::FaultPlan;
 use crate::integrity::PageVerdict;
 use crate::media::{MediaClock, MediaPages, MediaPlane};
 use crate::pagestore::{PageStore, PAGE_SIZE};
-use crate::persist::PersistPlane;
+use crate::persist::{Pending, PersistPlane};
 use crate::retain::{RetentionConfig, WearStats};
 use crate::space::FlushModel;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Sentinel for [`SharedPool`]'s quarantine word: no page quarantined.
@@ -119,10 +126,31 @@ impl Arena {
     }
 }
 
-/// The key a [`SharedPool`] files its lines and tags under on its own
-/// plane. Shards adopt the pool under differing ids, so the plane cannot
-/// use theirs; it only ever holds this one pool.
+/// The key a [`SharedPool`] files its pending lines under. Shards adopt
+/// the pool under differing ids, so the pool cannot use theirs; it only
+/// ever holds this one pool.
 const PLANE_KEY: PoolId = PoolId::from_raw_trusted(0);
+
+/// log2 of the FliT tag slots per pool (16 Ki counters, 64 KiB).
+const TAG_BITS: u32 = 14;
+
+/// One page-lock stripe: the pages `p` with `p & stripe_mask` equal to its
+/// index, the ADR lines of those pages written but not yet durable, and how
+/// many of its lines flushes and fences have made durable. Aligned to a
+/// cache line, so two threads locking neighbouring stripes do not share one.
+#[derive(Clone, Debug, Default)]
+#[repr(align(64))]
+struct Stripe {
+    store: PageStore,
+    pending: Pending,
+    drained: u64,
+}
+
+/// A counter on a cache line of its own, away from the flags every call
+/// reads.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Padded(AtomicU64);
 
 /// One persistent pool shared by many address-space shards. See the
 /// module docs for the layering and lock order.
@@ -133,20 +161,38 @@ pub struct SharedPool {
     /// Page-interleaved backing stores: page `p` lives in stripe
     /// `p & stripe_mask`. Each stripe's `PageStore` is sparse and indexed
     /// by absolute pool offset, so no address arithmetic changes.
-    stripes: Box<[Mutex<PageStore>]>,
+    stripes: Box<[Mutex<Stripe>]>,
     stripe_mask: u64,
+    /// Bit `i` is set while stripe `i` may hold pending lines: set under
+    /// the stripe lock when its pending set stops being empty, cleared
+    /// under it by the drain that empties it. A fence visits only these.
+    dirty: Box<[AtomicU64]>,
     /// The boundary-tag allocator over the striped words. `Region` itself
     /// is a stateless `Copy` handle; `central` serialises free-list and
     /// stats mutations.
     region: Region,
     central: Mutex<()>,
     slabs: Mutex<Vec<SlabState>>,
-    /// The machine-wide persistence plane, shared by every thread: caches
-    /// are coherent, so thread B staging a line thread A already dirtied
-    /// must see A's bytes as the *newest* and the pre-A bytes as the
-    /// *durable* image. Head of the lock order; taken only on gated
-    /// writes, flushes, fences and tag bookkeeping.
+    /// The fault gate and the power-loss drain, shared by every thread.
+    /// Head of the lock order. Its pending set is empty except while
+    /// [`SharedPool::power_cycle`] drains the stripes' lines through it.
     plane: Mutex<PersistPlane>,
+    /// Mirror of "a fault plan is enabled or retention is on": every
+    /// boundary then takes the slow path through `plane`. Written only by
+    /// [`SharedPool::set_faults`] and [`SharedPool::configure_retention`]
+    /// (`Release`, paired with the `Acquire` load of every boundary).
+    slow: AtomicBool,
+    /// Mirror of the plane's model being [`FlushModel::Adr`]. Written only
+    /// by [`SharedPool::set_flush_model`].
+    adr: AtomicBool,
+    /// FliT word tags: a word's count lives in the slot its index hashes
+    /// to. Two words sharing a slot only make a reader flush a line it
+    /// need not have, never skip one it must. Volatile. A count publishes
+    /// no data of its own: the word it describes moves under its stripe
+    /// lock.
+    tags: Box<[AtomicU32]>,
+    /// Fence (full-drain) events.
+    fences: Padded,
     /// The media plane: the CRC sidecar, plus the media clock once
     /// [`SharedPool::configure_retention`] has run.
     media: Mutex<MediaPlane>,
@@ -195,12 +241,12 @@ impl MemWords for StripedWords<'_> {
 /// its stripe's store, locked one at a time under the `media` lock.
 impl MediaPages for StripedWords<'_> {
     fn with_page<R>(&mut self, page: u64, f: impl FnOnce(&mut PageStore) -> R) -> R {
-        f(&mut self.0.stripe_for(page * PAGE_SIZE).lock().unwrap())
+        f(&mut self.0.stripe_for(page * PAGE_SIZE).lock().unwrap().store)
     }
 
     fn each_store(&mut self, mut f: impl FnMut(&mut PageStore)) {
         for stripe in self.0.stripes.iter() {
-            f(&mut stripe.lock().unwrap());
+            f(&mut stripe.lock().unwrap().store);
         }
     }
 }
@@ -215,18 +261,21 @@ impl SharedPool {
     /// rejects.
     pub fn create(name: &str, size: u64, stripes: usize) -> Result<Arc<SharedPool>> {
         let n = stripes.max(1).next_power_of_two();
-        let stripes: Box<[Mutex<PageStore>]> =
-            (0..n).map(|_| Mutex::new(PageStore::new())).collect();
         let pool = SharedPool {
             name: name.to_string(),
             size,
-            stripes,
+            stripes: (0..n).map(|_| Mutex::default()).collect(),
             stripe_mask: (n - 1) as u64,
+            dirty: (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
             // Placeholder until format validates the size below.
             region: Region::from_size_unchecked(size),
             central: Mutex::new(()),
             slabs: Mutex::new(Vec::new()),
             plane: Mutex::new(PersistPlane::default()),
+            slow: AtomicBool::new(false),
+            adr: AtomicBool::new(false),
+            tags: (0..1 << TAG_BITS).map(|_| AtomicU32::new(0)).collect(),
+            fences: Padded::default(),
             media: Mutex::new(MediaPlane::default()),
             media_on: AtomicBool::new(false),
             quarantine: AtomicU64::new(NO_QUARANTINE),
@@ -255,8 +304,13 @@ impl SharedPool {
     // ---- data plane -------------------------------------------------------
 
     #[inline]
-    fn stripe_for(&self, offset: u64) -> &Mutex<PageStore> {
-        &self.stripes[((offset / PAGE_SIZE) & self.stripe_mask) as usize]
+    fn stripe_index(&self, offset: u64) -> usize {
+        ((offset / PAGE_SIZE) & self.stripe_mask) as usize
+    }
+
+    #[inline]
+    fn stripe_for(&self, offset: u64) -> &Mutex<Stripe> {
+        &self.stripes[self.stripe_index(offset)]
     }
 
     /// Reads `buf.len()` bytes at `offset`, splitting at page boundaries so
@@ -265,21 +319,32 @@ impl SharedPool {
         while !buf.is_empty() {
             let in_page = (PAGE_SIZE - offset % PAGE_SIZE) as usize;
             let n = in_page.min(buf.len());
-            self.stripe_for(offset).lock().unwrap().read(offset, &mut buf[..n]);
+            self.stripe_for(offset).lock().unwrap().store.read(offset, &mut buf[..n]);
             offset += n as u64;
             buf = &mut buf[n..];
         }
     }
 
     /// Writes `buf` at `offset`, splitting at page boundaries.
-    pub fn write_bytes(&self, mut offset: u64, mut buf: &[u8]) {
+    pub fn write_bytes(&self, offset: u64, buf: &[u8]) {
+        self.write_bytes_with(offset, buf, false);
+    }
+
+    /// [`SharedPool::write_bytes`], staging each touched line first when
+    /// `stage` is set.
+    fn write_bytes_with(&self, mut offset: u64, mut buf: &[u8], stage: bool) {
         if self.media_on.load(Ordering::Acquire) && !buf.is_empty() {
             self.media_note_write(offset, buf.len() as u64);
         }
         while !buf.is_empty() {
             let in_page = (PAGE_SIZE - offset % PAGE_SIZE) as usize;
             let n = in_page.min(buf.len());
-            self.stripe_for(offset).lock().unwrap().write(offset, &buf[..n]);
+            let i = self.stripe_index(offset);
+            let mut s = self.stripes[i].lock().unwrap();
+            if stage {
+                self.stage_locked(i, &mut s, offset, n as u64);
+            }
+            s.store.write(offset, &buf[..n]);
             offset += n as u64;
             buf = &buf[n..];
         }
@@ -289,17 +354,29 @@ impl SharedPool {
     #[inline]
     pub fn read_u64(&self, offset: u64) -> u64 {
         debug_assert_eq!(offset % 8, 0, "unaligned word read at {offset:#x}");
-        self.stripe_for(offset).lock().unwrap().read_u64(offset)
+        self.stripe_for(offset).lock().unwrap().store.read_u64(offset)
     }
 
     /// Writes the aligned word at `offset`.
     #[inline]
     pub fn write_u64(&self, offset: u64, value: u64) {
+        self.write_u64_with(offset, value, false);
+    }
+
+    /// [`SharedPool::write_u64`], staging the word's line first when
+    /// `stage` is set.
+    #[inline]
+    fn write_u64_with(&self, offset: u64, value: u64, stage: bool) {
         debug_assert_eq!(offset % 8, 0, "unaligned word write at {offset:#x}");
         if self.media_on.load(Ordering::Acquire) {
             self.media_note_write(offset, 8);
         }
-        self.stripe_for(offset).lock().unwrap().write_u64(offset, value)
+        let i = self.stripe_index(offset);
+        let mut s = self.stripes[i].lock().unwrap();
+        if stage {
+            self.stage_locked(i, &mut s, offset, 8);
+        }
+        s.store.write_u64(offset, value);
     }
 
     // ---- persistence plane (fault gate, ADR staging, FliT tags) -----------
@@ -308,11 +385,30 @@ impl SharedPool {
         self.plane.lock().unwrap()
     }
 
+    /// Whether boundaries take the slow path: a fault plan is enabled or
+    /// retention is on.
+    #[inline]
+    fn slow(&self) -> bool {
+        self.slow.load(Ordering::Acquire)
+    }
+
+    /// The plane lock on the slow path, nothing on the fast one: flushes
+    /// and fences hold it while a plan is installed, so they stay ordered
+    /// against every gated boundary exactly as before the fast path.
+    fn slow_guard(&self) -> Option<MutexGuard<'_, PersistPlane>> {
+        self.slow().then(|| self.plane())
+    }
+
     /// Installs the pool-wide fault plan. One plan gates every thread's
     /// durable writes, so an armed boundary models a machine-wide power
-    /// failure regardless of which thread trips it.
+    /// failure regardless of which thread trips it. Install it while no
+    /// thread is writing: a boundary already past its fast/slow check
+    /// finishes on the path it chose.
     pub fn set_faults(&self, plan: FaultPlan) {
-        self.plane().faults = plan;
+        let mut plane = self.plane();
+        plane.faults = plan;
+        let slow = plan.is_enabled() || self.media_on.load(Ordering::Acquire);
+        self.slow.store(slow, Ordering::Release);
     }
 
     /// Snapshot of the pool-wide fault plan.
@@ -320,38 +416,65 @@ impl SharedPool {
         self.plane().faults
     }
 
-    /// Consults the pool-wide gate for one atomic durable write.
+    /// Consults the pool-wide gate for one atomic durable write. Returns at
+    /// once when no plan is enabled.
     ///
     /// # Errors
     ///
     /// Returns [`HeapError::CrashInjected`] at and after the armed point.
     pub(crate) fn gate(&self) -> Result<()> {
+        if !self.slow() {
+            return Ok(());
+        }
         self.plane().gate()
     }
 
     /// The pool's persistence-domain model.
     pub fn flush_model(&self) -> FlushModel {
-        self.plane().flush_model()
+        if self.adr.load(Ordering::Acquire) {
+            FlushModel::Adr
+        } else {
+            FlushModel::Eadr
+        }
     }
 
     /// Switches the persistence-domain model. Moving to eADR implicitly
     /// fences: lines in flight become durable and every tag clears.
     pub fn set_flush_model(&self, model: FlushModel) {
-        self.plane().set_flush_model(model);
+        let mut plane = self.plane();
+        plane.set_flush_model(model);
+        self.adr.store(model == FlushModel::Adr, Ordering::Release);
+        if model == FlushModel::Eadr {
+            self.drain_stripes();
+            self.clear_tags();
+        }
     }
 
-    /// One tearable durable write boundary over `[off, off + len)`, under
-    /// the plane lock: gate, stage the touched lines (ADR), `apply` the
-    /// stripe write, settle the verdict.
-    fn write_boundary(
-        &self,
-        plane: &mut PersistPlane,
-        off: u64,
-        len: u64,
-        apply: impl FnOnce(),
-    ) -> Result<()> {
+    /// Under ADR, stages the lines of `[off, off + len)` (within one page,
+    /// the page of stripe `i`, whose lock `s` is) into the stripe's pending
+    /// set, and marks the stripe dirty.
+    #[inline]
+    fn stage_locked(&self, i: usize, s: &mut Stripe, off: u64, len: u64) {
+        if !self.adr.load(Ordering::Acquire) {
+            return;
+        }
+        let Stripe { store, pending, .. } = s;
+        pending.stage(PLANE_KEY, off, len, |line, old| store.read(line, old));
+        // The bit only tells a drain where to look; the lines themselves
+        // pass between threads under the stripe lock. Only a drain clears
+        // it, under this same lock, so this load is exact, and skipping
+        // the store while the bit stays set keeps the word's cache line
+        // shared. The `Release` pairs with `drain_stripes`' `Acquire` load.
+        let (word, bit) = (&self.dirty[i / 64], 1 << (i % 64));
+        if word.load(Ordering::Relaxed) & bit == 0 {
+            word.fetch_or(bit, Ordering::Release);
+        }
+    }
+
+    /// One tearable durable write boundary on the slow path, under the
+    /// plane lock: gate, `apply` (which stages and writes), settle.
+    fn boundary(&self, plane: &mut PersistPlane, apply: impl FnOnce()) -> Result<()> {
         let verdict = plane.gate_tearable()?;
-        plane.stage(PLANE_KEY, off, len, |line, old| self.read_bytes(line, old));
         apply();
         plane.settle(verdict)
     }
@@ -360,6 +483,7 @@ impl SharedPool {
     /// the touched line is staged (its durable bytes snapshotted) before
     /// the image mutates, so a later [`SharedPool::power_cycle`] can revert
     /// it. Identical to [`SharedPool::write_u64`] plus a gate under eADR.
+    /// With no plan enabled it takes only the word's stripe lock.
     ///
     /// # Errors
     ///
@@ -367,16 +491,26 @@ impl SharedPool {
     /// fires; the write lands only on a torn boundary
     /// ([`FaultPlan::torn_at`]).
     pub fn write_u64_stage(&self, off: u64, value: u64) -> Result<()> {
-        self.write_boundary(&mut self.plane(), off, 8, || self.write_u64(off, value))
+        if !self.slow() {
+            self.write_u64_with(off, value, true);
+            return Ok(());
+        }
+        self.boundary(&mut self.plane(), || self.write_u64_with(off, value, true))
     }
 
     /// [`SharedPool::write_u64_stage`] for a byte range.
     pub(crate) fn write_bytes_stage(&self, off: u64, buf: &[u8]) -> Result<()> {
-        self.write_boundary(&mut self.plane(), off, buf.len() as u64, || self.write_bytes(off, buf))
+        if !self.slow() {
+            self.write_bytes_with(off, buf, true);
+            return Ok(());
+        }
+        self.boundary(&mut self.plane(), || self.write_bytes_with(off, buf, true))
     }
 
     /// Compare-and-swap on the word at `off`. Returns `(swapped, old)`.
-    /// The whole read-compare-write runs under the plane lock, so it is
+    /// With no plan enabled the read, compare, stage and write run under
+    /// the word's stripe lock, so the swap is atomic against every other
+    /// write to the word; on the slow path they run under the plane lock,
     /// atomic against every other staged write and CAS. Only a
     /// *successful* swap is a durable write boundary (and stages its line);
     /// a failed CAS is just a load.
@@ -386,35 +520,87 @@ impl SharedPool {
     /// Returns [`HeapError::CrashInjected`](crate::HeapError::CrashInjected) when the gate fires on a
     /// would-succeed swap; the write lands only on a torn boundary.
     pub fn cas_u64(&self, off: u64, expected: u64, new: u64) -> Result<(bool, u64)> {
+        if !self.slow() {
+            let i = self.stripe_index(off);
+            let mut s = self.stripes[i].lock().unwrap();
+            let cur = s.store.read_u64(off);
+            if cur == expected {
+                self.stage_locked(i, &mut s, off, 8);
+                s.store.write_u64(off, new);
+            }
+            return Ok((cur == expected, cur));
+        }
         let mut plane = self.plane();
         let cur = self.read_u64(off);
         if cur != expected {
             return Ok((false, cur));
         }
-        self.write_boundary(&mut plane, off, 8, || self.write_u64(off, new))?;
+        self.boundary(&mut plane, || self.write_u64_with(off, new, true))?;
         Ok((true, cur))
     }
 
     /// Targeted `clwb`: makes the line containing `off` durable. Returns
     /// whether the line was actually pending.
     pub fn flush_line(&self, off: u64) -> bool {
-        self.plane().flush_line(PLANE_KEY, off)
+        if !self.adr.load(Ordering::Acquire) {
+            return false; // nothing is ever pending under eADR
+        }
+        let _plane = self.slow_guard();
+        let mut s = self.stripe_for(off).lock().unwrap();
+        let hit = s.pending.flush_line(PLANE_KEY, off);
+        s.drained += u64::from(hit);
+        hit
+    }
+
+    /// The tag slot of the word at `off`: Fibonacci hashing of the word
+    /// index, so the words of one line never share a slot.
+    #[inline]
+    fn tag(&self, off: u64) -> &AtomicU32 {
+        let slot = (off / 8).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - TAG_BITS);
+        &self.tags[slot as usize]
     }
 
     /// FliT tag protocol: marks the word at `off` dirty (store side). The
     /// count nests so two in-flight stores need two completions.
     pub fn tag_word(&self, off: u64) {
-        self.plane().tag_word(PLANE_KEY, off);
+        self.tag(off).fetch_add(1, Ordering::AcqRel);
     }
 
-    /// FliT tag protocol: the writer persisted the word; drop one tag.
+    /// FliT tag protocol: the writer persisted the word; drop one tag. An
+    /// empty slot stays at zero.
     pub fn untag_word(&self, off: u64) {
-        self.plane().untag_word(PLANE_KEY, off);
+        let (set, seen) = (Ordering::AcqRel, Ordering::Acquire);
+        let _ = self.tag(off).fetch_update(set, seen, |c| c.checked_sub(1));
     }
 
     /// FliT tag protocol, load side: is the word possibly unpersisted?
     pub fn word_tagged(&self, off: u64) -> bool {
-        self.plane().word_tagged(PLANE_KEY, off)
+        self.tag(off).load(Ordering::Acquire) != 0
+    }
+
+    fn clear_tags(&self) {
+        for t in self.tags.iter() {
+            t.store(0, Ordering::Release);
+        }
+    }
+
+    /// Empties the pending set of every stripe the dirty bitmap marks, and
+    /// clears its bit under its lock. Returns the number of lines drained.
+    fn drain_stripes(&self) -> u64 {
+        let mut drained = 0;
+        for (w, word) in self.dirty.iter().enumerate() {
+            let mut bits = word.load(Ordering::Acquire);
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                let mut s = self.stripes[w * 64 + b as usize].lock().unwrap();
+                let n = s.pending.clear() as u64;
+                s.drained += n;
+                drained += n;
+                word.fetch_and(!(1 << b), Ordering::Release);
+            }
+        }
+        drained
     }
 
     /// Pool-wide persist barrier: drains every pending line to durability
@@ -422,17 +608,28 @@ impl SharedPool {
     /// machine-wide, so one thread's fence drains everyone's lines).
     /// Returns the number of lines drained.
     pub fn drain_all(&self) -> u64 {
-        self.plane().persist_point()
+        let _plane = self.slow_guard();
+        self.fences.0.fetch_add(1, Ordering::Relaxed);
+        self.drain_stripes()
     }
 
     /// Power loss: every unflushed line reverts to its durable bytes — or,
     /// under a torn plan, drains by the plan's seeded per-word lottery —
     /// and all tags clear (the tag table is volatile). The crash sweeps
-    /// call this on a tripped trial before recovery; it is the same
-    /// `PersistPlane::power_loss` that [`crate::AddressSpace::restart`]
-    /// runs over per-space pending lines.
+    /// call this on a tripped trial before recovery. The stripes' lines
+    /// go through the same `PersistPlane::power_loss` that
+    /// [`crate::AddressSpace::restart`] runs over per-space pending lines,
+    /// in `(pool, line)` order whichever stripe held them.
     pub fn power_cycle(&self) {
-        self.plane().power_loss(|_, off, durable| self.write_bytes(off, durable));
+        let mut plane = self.plane();
+        for stripe in self.stripes.iter() {
+            plane.absorb(&mut stripe.lock().unwrap().pending);
+        }
+        for word in self.dirty.iter() {
+            word.store(0, Ordering::Release);
+        }
+        plane.power_loss(|_, off, durable| self.write_bytes(off, durable));
+        self.clear_tags();
     }
 
     /// The crash a tripped plan models, as the crash harnesses run it:
@@ -445,12 +642,12 @@ impl SharedPool {
 
     /// Lines currently written but not yet durable.
     pub fn pending_lines(&self) -> usize {
-        self.plane().pending_lines()
+        self.stripes.iter().map(|s| s.lock().unwrap().pending.len()).sum()
     }
 
     /// Lines made durable by flush or fence drain so far.
     pub fn lines_drained(&self) -> u64 {
-        self.plane().lines_flushed
+        self.stripes.iter().map(|s| s.lock().unwrap().drained).sum()
     }
 
     /// Lines lost to power cycles so far.
@@ -460,7 +657,7 @@ impl SharedPool {
 
     /// Pool-wide fence (full-drain) events so far.
     pub fn fence_count(&self) -> u64 {
-        self.plane().fences
+        self.fences.0.load(Ordering::Relaxed)
     }
 
     /// Batch persist entry point for group commit: one pool-wide barrier
@@ -674,10 +871,11 @@ impl SharedPool {
     pub fn configure_retention(&self, cfg: RetentionConfig) {
         let pages = (self.size / PAGE_SIZE) as usize + 1;
         for stripe in self.stripes.iter() {
-            stripe.lock().unwrap().set_dirty_tracking(true);
+            stripe.lock().unwrap().store.set_dirty_tracking(true);
         }
         *self.media() = MediaPlane::with_retention(cfg, pages);
         self.media_on.store(true, Ordering::Release);
+        self.slow.store(true, Ordering::Release);
     }
 
     /// Whether the retention plane is active.
@@ -826,7 +1024,7 @@ impl SharedPool {
     pub fn resident_pages(&self) -> u64 {
         self.stripes
             .iter()
-            .map(|s| s.lock().unwrap().resident_page_numbers().len() as u64)
+            .map(|s| s.lock().unwrap().store.resident_page_numbers().len() as u64)
             .sum()
     }
 
@@ -846,13 +1044,13 @@ impl SharedPool {
         c.pending_flips
             .iter()
             .map(|(page, bits)| {
-                let ps = self.stripe_for(page * PAGE_SIZE).lock().unwrap();
+                let s = self.stripe_for(page * PAGE_SIZE).lock().unwrap();
                 (
                     *page,
                     bits.len(),
                     m.crcs().get(*page).is_some(),
-                    ps.is_dirty(*page),
-                    ps.page_bytes(*page).is_some(),
+                    s.store.is_dirty(*page),
+                    s.store.page_bytes(*page).is_some(),
                 )
             })
             .collect()
@@ -909,34 +1107,40 @@ impl SharedPool {
 
     /// Host bytes resident across all stripes.
     pub fn resident_bytes(&self) -> u64 {
-        self.stripes.iter().map(|s| s.lock().unwrap().resident_bytes()).sum()
+        self.stripes.iter().map(|s| s.lock().unwrap().store.resident_bytes()).sum()
     }
 
-    /// Deep copy of the pool — pages, slab cursors, counters, fault plan.
-    /// The crash sweeps run every trial against a fresh snapshot so armed
-    /// runs never contaminate the base image. Quiesce writers first: each
-    /// stripe is copied under its own lock, so a concurrent writer could
-    /// leave a cross-stripe torn cut (serial schedule drivers never do).
+    /// Deep copy of the pool — pages, pending lines, tags, slab cursors,
+    /// counters, fault plan. The crash sweeps run every trial against a
+    /// fresh snapshot so armed runs never contaminate the base image.
+    /// Quiesce writers first: each stripe is copied under its own lock, so
+    /// a concurrent writer could leave a cross-stripe torn cut (serial
+    /// schedule drivers never do).
     pub fn snapshot(&self) -> Arc<SharedPool> {
-        let stripes: Box<[Mutex<PageStore>]> =
-            self.stripes.iter().map(|s| Mutex::new(s.lock().unwrap().clone())).collect();
+        let copy64 = |a: &AtomicU64| AtomicU64::new(a.load(Ordering::Acquire));
+        let plane = self.plane().clone();
         Arc::new(SharedPool {
             name: self.name.clone(),
             size: self.size,
-            stripes,
+            stripes: self.stripes.iter().map(|s| Mutex::new(s.lock().unwrap().clone())).collect(),
             stripe_mask: self.stripe_mask,
+            dirty: self.dirty.iter().map(copy64).collect(),
             region: self.region,
             central: Mutex::new(()),
             slabs: Mutex::new(self.slabs.lock().unwrap().clone()),
-            plane: Mutex::new(self.plane().clone()),
+            plane: Mutex::new(plane),
+            slow: AtomicBool::new(self.slow()),
+            adr: AtomicBool::new(self.adr.load(Ordering::Acquire)),
+            tags: self.tags.iter().map(|t| AtomicU32::new(t.load(Ordering::Acquire))).collect(),
+            fences: Padded(copy64(&self.fences.0)),
             media: Mutex::new(self.media().clone()),
             media_on: AtomicBool::new(self.media_on.load(Ordering::Acquire)),
-            quarantine: AtomicU64::new(self.quarantine.load(Ordering::Acquire)),
+            quarantine: copy64(&self.quarantine),
             wear_level: AtomicBool::new(self.wear_level.load(Ordering::Relaxed)),
-            refills: AtomicU64::new(self.refills()),
-            central_allocs: AtomicU64::new(self.central_allocs()),
-            slab_overflows: AtomicU64::new(self.slab_overflows()),
-            group_commits: AtomicU64::new(self.group_commits()),
+            refills: copy64(&self.refills),
+            central_allocs: copy64(&self.central_allocs),
+            slab_overflows: copy64(&self.slab_overflows),
+            group_commits: copy64(&self.group_commits),
         })
     }
 }
@@ -1339,5 +1543,186 @@ mod tests {
         // Tripped plans stay dead for every subsequent gate.
         assert!(p.gate().is_err());
         assert!(p.faults().tripped());
+    }
+
+    #[test]
+    fn cas_increments_and_drains_are_atomic_across_real_threads() {
+        const PER: u64 = 10_000;
+        let p = SharedPool::create("atomic", 1 << 20, 8).unwrap();
+        p.set_flush_model(FlushModel::Adr);
+        let word = p.alloc_raw(64).unwrap();
+        p.write_u64(word, 0);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    let mut won = 0;
+                    while won < PER {
+                        let cur = p.read_u64(word);
+                        won += u64::from(p.cas_u64(word, cur, cur + 1).unwrap().0);
+                    }
+                });
+            }
+        });
+        assert_eq!(p.read_u64(word), 2 * PER, "a lost update: two swaps read one value");
+        p.drain_all();
+
+        // Each thread stages its own lines, each once, fencing as it goes.
+        const LINES: u64 = 300;
+        let region = p.alloc_raw(2 * LINES * 64).unwrap().next_multiple_of(64);
+        let (drained0, fences0) = (p.lines_drained(), p.fence_count());
+        std::thread::scope(|s| {
+            for t in 0..2 {
+                let (p, start) = (&p, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for l in 0..LINES - 1 {
+                        p.write_u64_stage(region + (t * LINES + l) * 64, l).unwrap();
+                        if l % 8 == 7 {
+                            p.drain_all();
+                        }
+                    }
+                    p.drain_all();
+                });
+            }
+        });
+        assert_eq!(p.pending_lines(), 0, "a fence left a line behind");
+        assert_eq!(p.lines_drained() - drained0, 2 * (LINES - 1), "every staged line drained once");
+        assert_eq!(p.fence_count() - fences0, 2 * ((LINES - 1) / 8 + 1));
+    }
+
+    #[test]
+    fn tags_share_hashed_slots_without_missing_a_flush_or_wrapping() {
+        let p = SharedPool::create("tags", 1 << 20, 4).unwrap();
+        p.set_flush_model(FlushModel::Adr);
+        let a = 4096;
+        let b = (1..).map(|k| a + 8 * k).find(|b| std::ptr::eq(p.tag(a), p.tag(*b))).unwrap();
+        assert!(b - a > 64, "the words of one line never share a slot");
+        p.tag_word(a);
+        p.tag_word(b);
+        p.untag_word(a);
+        assert!(p.word_tagged(b), "b's store is still in flight");
+        assert!(p.word_tagged(a), "a shares b's slot: a spare flush, never a missed one");
+        p.untag_word(b);
+        assert!(!p.word_tagged(a) && !p.word_tagged(b));
+        p.untag_word(a);
+        assert_eq!(p.tag(a).load(Ordering::Relaxed), 0, "untagging an untagged word wraps nothing");
+        p.tag_word(a);
+        assert!(p.word_tagged(a));
+
+        let all_clear = |p: &SharedPool| p.tags.iter().all(|t| t.load(Ordering::Relaxed) == 0);
+        for w in 0..100 {
+            p.tag_word(w * 8);
+        }
+        p.power_cycle();
+        assert!(all_clear(&p), "the tag table is volatile");
+        p.tag_word(a);
+        p.set_flush_model(FlushModel::Eadr);
+        assert!(all_clear(&p), "eADR persists every store at once");
+    }
+
+    /// One seeded script of ADR persistence calls. After each call, the
+    /// pool's pending and drained line counts.
+    fn run_script(p: &SharedPool, region: u64, seed: u64) -> Vec<(usize, u64)> {
+        let mut x = seed;
+        let mut next = |n: u64| {
+            x = utpr_qc::rng::splitmix64(x);
+            x % n
+        };
+        let mut seen = Vec::new();
+        for _ in 0..400 {
+            // Words over four pages, so four stripes, and page-crossing bytes.
+            let off = region + next(4 * PAGE_SIZE / 8) * 8;
+            match next(7) {
+                0 | 1 => p.write_u64_stage(off, next(1 << 20)).unwrap(),
+                2 => {
+                    let cur = p.read_u64(off);
+                    let expected = if next(2) == 0 { cur } else { cur ^ 1 };
+                    p.cas_u64(off, expected, next(1 << 20)).unwrap();
+                }
+                3 => {
+                    let fill = next(256);
+                    let bytes: Vec<u8> = (0..next(200) + 1).map(|i| (i ^ fill) as u8).collect();
+                    p.write_bytes_stage(off, &bytes).unwrap();
+                }
+                4 => {
+                    p.flush_line(off);
+                }
+                5 => p.write_u64(off, next(1 << 20)),
+                _ => {
+                    if next(4) == 0 {
+                        p.drain_all();
+                    }
+                }
+            }
+            seen.push((p.pending_lines(), p.lines_drained()));
+        }
+        seen
+    }
+
+    #[test]
+    fn fast_and_slow_paths_stage_flush_and_tear_alike() {
+        let image = |p: &SharedPool, region: u64| {
+            let mut buf = vec![0u8; 5 * PAGE_SIZE as usize];
+            p.read_bytes(region, &mut buf);
+            buf
+        };
+        let mut torn = 0;
+        for seed in 0..8u64 {
+            let runs: Vec<_> = [FaultPlan::disabled(), FaultPlan::counting()]
+                .into_iter()
+                .map(|plan| {
+                    let p = SharedPool::create("paths", 1 << 20, 4).unwrap();
+                    p.set_flush_model(FlushModel::Adr);
+                    let region = p.alloc_raw(5 * PAGE_SIZE).unwrap().next_multiple_of(PAGE_SIZE);
+                    p.drain_all();
+                    p.set_faults(plan);
+                    let seen = run_script(&p, region, seed);
+                    let before = image(&p, region);
+                    p.set_faults(FaultPlan::torn_at(u64::MAX, seed));
+                    p.power_cycle();
+                    (seen, before, image(&p, region), p.lines_lost())
+                })
+                .collect();
+            let (fast, slow) = (&runs[0], &runs[1]);
+            assert_eq!(fast.0, slow.0, "seed {seed}: pending/drained counts diverge");
+            assert!(fast.0.iter().any(|(pending, _)| *pending > 4), "seed {seed}: vacuous");
+            assert_eq!(fast.1, slow.1, "seed {seed}: bytes diverge");
+            assert_eq!(fast.2, slow.2, "seed {seed}: torn power-cycle images diverge");
+            assert_eq!(fast.3, slow.3);
+            torn += usize::from(fast.1 != fast.2);
+        }
+        assert!(torn > 4, "the power cycles changed nothing on {} seeds", 8 - torn);
+    }
+
+    #[test]
+    fn with_no_plan_enabled_no_call_takes_the_plane_lock() {
+        for model in [FlushModel::Eadr, FlushModel::Adr] {
+            let p = SharedPool::create("lockfree", 1 << 20, 4).unwrap();
+            p.set_flush_model(model);
+            let off = p.alloc_raw(256).unwrap();
+            let held = p.plane.lock().unwrap();
+            let (done, finished) = std::sync::mpsc::channel();
+            let q = Arc::clone(&p);
+            let worker = std::thread::spawn(move || {
+                q.gate().unwrap();
+                q.write_u64_stage(off, 1).unwrap();
+                q.write_bytes_stage(off + 8, &[7; 100]).unwrap();
+                assert_eq!(q.cas_u64(off, 1, 2).unwrap(), (true, 1));
+                assert_eq!(q.cas_u64(off, 1, 3).unwrap(), (false, 2));
+                q.flush_line(off);
+                q.tag_word(off);
+                assert!(q.word_tagged(off));
+                q.untag_word(off);
+                q.drain_all();
+                q.persist_point();
+                done.send(q.flush_model()).unwrap();
+            });
+            let got = finished.recv_timeout(std::time::Duration::from_secs(20));
+            drop(held);
+            worker.join().unwrap();
+            assert_eq!(got, Ok(model), "a call waited on the plane lock");
+        }
     }
 }

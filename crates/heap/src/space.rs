@@ -374,8 +374,8 @@ impl AddressSpace {
 
     /// Atomic compare-and-swap on the word at `va`. Returns
     /// `(swapped, old value)`. For adopted shared pools the whole
-    /// read-compare-write is atomic under the pool's plane lock and
-    /// a *successful* swap is one durable write boundary (staged under
+    /// read-compare-write is atomic ([`SharedPool::cas_u64`]) and a
+    /// *successful* swap is one durable write boundary (staged under
     /// ADR); a failed CAS is just a load. DRAM and local (single-threaded)
     /// pools get the plain read/compare/write equivalent.
     ///

@@ -42,9 +42,11 @@ rows=(
     # schedule explorer, mt crash sweeps, MT YCSB-A invariance and speedup
     "--mt         | -p utpr-qc sched; -p utpr-kv mt::; --test crash_matrix concurrent_fault_sweep; \
                     -p utpr-bench --test par_determinism mt_ycsb | hotpath"
-    # durable-linearizability checker, conc crash sweeps, flush savings
+    # durable-linearizability checker, conc crash sweeps, the shared
+    # pool's lock-free persistence paths, twin-space property, flush savings
     "--concurrent | -p utpr-qc linear; -p utpr-qc --test selftest checker; -p utpr-kv conc; \
-                    -p utpr-ds --test twin | concurrent"
+                    -p utpr-ds --test twin; -p utpr-heap shard::tests; \
+                    --test heap_props sharded_heap_matches | concurrent"
     # soak, scrubber and media-plane tests, endurance gates
     "--endurance  | -p utpr-kv endurance; -p utpr-heap scrub; -p utpr-heap media; \
                     --test heap_props one_media_plane | endurance"
