@@ -21,9 +21,16 @@
 //!   (gate: ≥ 0.20 for both, the FliT paper's claim);
 //! - extra `checksum_ok` — strategy- and thread-invariance of the
 //!   audit checksum (gate: flush strategies are persistence policies and
-//!   must never change what the structure computes).
+//!   must never change what the structure computes);
+//! - extras `shared_read_ns_t1` / `shared_read_ns_t2` — host ns per
+//!   `SharedPool::read_u64` of the same hot lines from one thread, and per
+//!   thread from two at once (gate: t2 ≤ 2 × t1, as the median of
+//!   per-round ratios, since a load writes nothing shared and two readers
+//!   of one line must not serialize).
 
-use std::sync::Arc;
+use std::hint::black_box;
+use std::sync::{Arc, Barrier};
+use std::time::Instant;
 use utpr_bench::report::{BenchReport, Json};
 use utpr_ds::concurrent::{ConcurrentIndex, FlushCounters, FlushStrategy, Handle};
 use utpr_ds::{ConcHash, ConcList, RbTree, Striped};
@@ -206,6 +213,65 @@ fn sweep_structure<I: ConcurrentIndex>(
     Ok(())
 }
 
+/// Words the shared-load probe reads: eight hot lines of one page, about
+/// what a `ConcHash` op reads from the directory and the chain's head.
+const PROBE_WORDS: u64 = 64;
+/// Loads per thread per probe round.
+const PROBE_LOADS: u64 = 1 << 20;
+const PROBE_ROUNDS: usize = 15;
+
+/// Host ns per shared load of the same hot lines: `(one thread, per thread
+/// with two at once, t2 / t1)`. Each round times both arms back to back,
+/// alternating which goes first. Each is the median over rounds, and the
+/// ratio is taken within each round, so host drift cancels.
+fn shared_read_ns() -> (f64, f64, f64) {
+    let sp = SharedPool::create("shared-read-probe", 1 << 20, 64).expect("probe pool");
+    let base = sp.alloc_raw(PROBE_WORDS * 8).expect("probe words");
+    for w in 0..PROBE_WORDS {
+        sp.write_u64(base + w * 8, w);
+    }
+    let run = |threads: usize| -> f64 {
+        let barrier = Barrier::new(threads);
+        let per_thread: Vec<f64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    let (sp, barrier) = (&sp, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        let t = Instant::now();
+                        let mut sum = 0u64;
+                        for i in 0..PROBE_LOADS {
+                            sum = sum.wrapping_add(sp.read_u64(base + (i % PROBE_WORDS) * 8));
+                        }
+                        black_box(sum);
+                        t.elapsed().as_nanos() as f64 / PROBE_LOADS as f64
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("probe thread panicked")).collect()
+        });
+        per_thread.iter().sum::<f64>() / per_thread.len() as f64
+    };
+    let (mut t1, mut t2, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
+    for round in 0..PROBE_ROUNDS {
+        let (one, two) = if round % 2 == 0 {
+            let one = run(1);
+            (one, run(2))
+        } else {
+            let two = run(2);
+            (run(1), two)
+        };
+        t1.push(one);
+        t2.push(two);
+        ratio.push(two / one);
+    }
+    let median = |mut xs: Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+    (median(t1), median(t2), median(ratio))
+}
+
 fn find<'a>(rows: &'a [Row], s: &str, strat: &str, t: u32) -> &'a Row {
     rows.iter()
         .find(|r| r.structure == s && r.strategy == strat && r.threads == t)
@@ -289,6 +355,11 @@ fn main() {
         "checksums: {}",
         if checksum_ok { "strategy- and thread-invariant" } else { "DIVERGED" }
     );
+    let (read_t1, read_t2, read_ratio) = shared_read_ns();
+    println!(
+        "shared loads of hot lines: {read_t1:.2} ns on one thread, {read_t2:.2} ns per thread \
+         on two ({read_ratio:.2}x)"
+    );
 
     rep.gate("checksums", checksum_ok, "audit checksum across strategies and thread counts");
     for (key, saving) in [
@@ -301,6 +372,13 @@ fn main() {
         rep.set_extra(key, Json::F64(saving));
     }
     rep.set_extra("checksum_ok", Json::Bool(checksum_ok));
+    rep.gate(
+        "shared_read_t2",
+        read_ratio <= 2.0,
+        format!("two threads pay {read_ratio:.2}x one thread's ns per load, ceiling 2"),
+    );
+    rep.set_extra("shared_read_ns_t1", Json::F64(read_t1));
+    rep.set_extra("shared_read_ns_t2", Json::F64(read_t2));
     for r in &rows {
         rep.push_record(Json::obj(vec![
             ("name", Json::Str(format!("{}/{}/t{}", r.structure, r.strategy, r.threads))),

@@ -8,9 +8,10 @@
 //!
 //! Both backings run this code and nothing else: a [`PoolImage`] owns one
 //! plane inline over its single [`PageStore`], a [`SharedPool`] holds one
-//! behind its `media` mutex over its stripes. The plane reaches bytes only
-//! through [`MediaPages`] — "the store holding page `p`" and "every store"
-//! — the way `MemWords` lets the allocator run over either device.
+//! behind its `media` mutex over its pool-wide page table, each page's
+//! dirty bit kept by its stripe. The plane reaches bytes only through
+//! [`MediaPages`] — a page at a time, and the dirty and resident page
+//! lists — the way `MemWords` lets the allocator run over either device.
 //!
 //! The plane decides which pages are bad; it does not keep the quarantine.
 //! Every detecting call returns the bad pages in detection order, and the
@@ -26,23 +27,57 @@ use crate::pagestore::{PageStore, PAGE_SIZE};
 use crate::retain::{decay_draw, RetentionConfig, WearTable};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Where a [`MediaPlane`] finds the bytes it seals and checks.
+/// Where a [`MediaPlane`] finds the bytes it seals and checks. Each
+/// per-page call is atomic against the writes to that page.
 pub(crate) trait MediaPages {
-    /// Runs `f` on the store holding page `page`.
-    fn with_page<R>(&mut self, page: u64, f: impl FnOnce(&mut PageStore) -> R) -> R;
+    /// Whether writes mark pages dirty. Pages that do not get no sidecar.
+    fn tracks_dirty(&mut self) -> bool;
 
-    /// Runs `f` on every store, one at a time.
-    fn each_store(&mut self, f: impl FnMut(&mut PageStore));
+    /// The pages written since they were last sealed, in page order.
+    fn dirty_pages(&mut self) -> Vec<u64>;
+
+    /// Every resident page, in page order.
+    fn resident_pages(&mut self) -> Vec<u64>;
+
+    /// The checksum of resident page `page`, whose dirty bit it clears;
+    /// `None` when the page is not resident.
+    fn seal_page(&mut self, page: u64) -> Option<u32>;
+
+    /// Runs `f` on the bytes of `page` (`None` while it is not resident)
+    /// unless the page is dirty.
+    fn read_clean<R>(&mut self, page: u64, f: impl FnOnce(Option<&[u8]>) -> R) -> Option<R>;
+
+    /// Flips bit `bit` of the byte at `offset` without dirtying its page,
+    /// and only on a clean page when `clean_only`. Returns whether it
+    /// flipped: never on a page that is not resident.
+    fn flip_bit(&mut self, offset: u64, bit: u8, clean_only: bool) -> bool;
 }
 
 impl MediaPages for PageStore {
-    #[inline]
-    fn with_page<R>(&mut self, _page: u64, f: impl FnOnce(&mut PageStore) -> R) -> R {
-        f(self)
+    fn tracks_dirty(&mut self) -> bool {
+        self.dirty_tracking()
     }
 
-    fn each_store(&mut self, mut f: impl FnMut(&mut PageStore)) {
-        f(self)
+    fn dirty_pages(&mut self) -> Vec<u64> {
+        PageStore::dirty_pages(self)
+    }
+
+    fn resident_pages(&mut self) -> Vec<u64> {
+        self.resident_page_numbers()
+    }
+
+    fn seal_page(&mut self, page: u64) -> Option<u32> {
+        let crc = crc32(self.page_bytes(page)?);
+        self.clear_dirty_page(page);
+        Some(crc)
+    }
+
+    fn read_clean<R>(&mut self, page: u64, f: impl FnOnce(Option<&[u8]>) -> R) -> Option<R> {
+        (!self.is_dirty(page)).then(|| f(self.page_bytes(page)))
+    }
+
+    fn flip_bit(&mut self, offset: u64, bit: u8, clean_only: bool) -> bool {
+        !(clean_only && self.is_dirty(offset / PAGE_SIZE)) && self.corrupt_bit(offset, bit)
     }
 }
 
@@ -104,15 +139,15 @@ impl MediaPlane {
     /// configured seal lag. Sealing is *not* a reprogram — the cells keep
     /// the age of their last write.
     pub(crate) fn seal(&mut self, pages: &mut impl MediaPages, quiesced: bool) {
-        let (crcs, clock) = (&mut self.crcs, self.clock.as_ref().filter(|_| quiesced));
-        pages.each_store(|ps| {
-            for page in ps.dirty_pages() {
-                if clock.is_some_and(|c| c.wear.age(page) < c.cfg.seal_lag) {
-                    continue;
-                }
-                seal_page(crcs, ps, page);
+        let clock = self.clock.as_ref().filter(|_| quiesced);
+        for page in pages.dirty_pages() {
+            if clock.is_some_and(|c| c.wear.age(page) < c.cfg.seal_lag) {
+                continue;
             }
-        });
+            if let Some(crc) = pages.seal_page(page) {
+                self.crcs.seal(page, crc);
+            }
+        }
     }
 
     /// Whether `page` is sealed, cold (not re-dirtied since) and no longer
@@ -120,9 +155,7 @@ impl MediaPlane {
     /// its sealed checksum is stale by design.
     fn is_stale(&self, pages: &mut impl MediaPages, page: u64) -> bool {
         let Some(sealed) = self.crcs.get(page) else { return false };
-        pages.with_page(page, |ps| {
-            !ps.is_dirty(page) && ps.page_bytes(page).is_some_and(|b| crc32(b) != sealed)
-        })
+        pages.read_clean(page, |b| b.is_some_and(|b| crc32(b) != sealed)) == Some(true)
     }
 
     /// Verifies every sealed cold page against its checksum and books each
@@ -136,25 +169,24 @@ impl MediaPlane {
         bad
     }
 
-    /// Re-checksums every resident page of every dirty-tracking store at
-    /// its *current* contents and clears its dirty state — the post-salvage
-    /// blessing that makes the repaired image the new ground truth. Each
-    /// page counts as one reprogram in the wear table. Run only after
-    /// [`MediaPlane::verify`] has routed every stale flip through
+    /// Re-checksums every resident page at its *current* contents (when
+    /// the pages track writes at all) and clears its dirty state — the
+    /// post-salvage blessing that makes the repaired image the new ground
+    /// truth. Each page counts as one reprogram in the wear table. Run only
+    /// after [`MediaPlane::verify`] has routed every stale flip through
     /// detection; resealing first would hide them.
     pub(crate) fn reseal(&mut self, pages: &mut impl MediaPages) {
-        let (crcs, mut clock) = (&mut self.crcs, self.clock.as_mut());
-        pages.each_store(|ps| {
-            if !ps.dirty_tracking() {
-                return; // no sidecar is kept for this store
+        if !pages.tracks_dirty() {
+            return; // no sidecar is kept for these pages
+        }
+        for page in pages.resident_pages() {
+            if let Some(crc) = pages.seal_page(page) {
+                self.crcs.seal(page, crc);
             }
-            for page in ps.resident_page_numbers() {
-                seal_page(crcs, ps, page);
-                if let Some(c) = clock.as_mut() {
-                    c.wear.note_write(page);
-                }
+            if let Some(c) = &mut self.clock {
+                c.wear.note_write(page);
             }
-        });
+        }
     }
 
     /// One patrol pass: visits up to `limit` sealed cold pages — oldest
@@ -181,12 +213,11 @@ impl MediaPlane {
                 break;
             }
             let sealed = self.crcs.get(page).expect("sealed page has a crc");
-            verdicts.extend(pages.with_page(page, |ps| {
-                if ps.is_dirty(page) {
-                    return None; // went hot again; the next seal re-covers it
-                }
-                classify_pages(std::iter::once((page, sealed, ps.page_bytes(page))), due).pop()
-            }));
+            // A dirty page went hot again; the next seal re-covers it.
+            let verdict = pages.read_clean(page, |bytes| {
+                classify_pages(std::iter::once((page, sealed, bytes)), due).pop()
+            });
+            verdicts.extend(verdict.flatten());
         }
         for &(page, v) in &verdicts {
             match (v, &mut self.clock) {
@@ -276,7 +307,7 @@ impl MediaPlane {
                 continue;
             };
             let offset = page * PAGE_SIZE + off;
-            if pages.with_page(page, |ps| !ps.is_dirty(page) && ps.corrupt_bit(offset, bit)) {
+            if pages.flip_bit(offset, bit, true) {
                 self.note_strike(page, off, bit);
             }
         }
@@ -291,10 +322,9 @@ impl MediaPlane {
         offset: u64,
         bit: u8,
     ) -> bool {
-        let page = offset / PAGE_SIZE;
-        let flipped = pages.with_page(page, |ps| ps.corrupt_bit(offset, bit));
+        let flipped = pages.flip_bit(offset, bit, false);
         if flipped {
-            self.note_strike(page, offset % PAGE_SIZE, bit);
+            self.note_strike(offset / PAGE_SIZE, offset % PAGE_SIZE, bit);
         }
         flipped
     }
@@ -326,14 +356,6 @@ impl MediaPlane {
         if let Some(c) = &mut self.clock {
             c.flips_detected += c.pending_flips.remove(&page).map_or(0, |bits| bits.len() as u64);
         }
-    }
-}
-
-/// Checksums resident `page` of `ps` into `crcs` and clears its dirty bit.
-fn seal_page(crcs: &mut PageCrcs, ps: &mut PageStore, page: u64) {
-    if let Some(bytes) = ps.page_bytes(page) {
-        crcs.seal(page, crc32(bytes));
-        ps.clear_dirty_page(page);
     }
 }
 

@@ -1,8 +1,10 @@
 //! Sparse byte storage backing simulated memory.
 //!
-//! Both the DRAM half of the address space and each persistent pool are
-//! backed by a [`PageStore`]: a sparse map from page number to a fixed-size
-//! page of bytes. Pages materialize on first write, so a multi-gigabyte
+//! Both the DRAM half of the address space and each owned persistent pool
+//! are backed by a [`PageStore`]: a sparse map from page number to a
+//! fixed-size page of bytes. (A `SharedPool` keeps its pages in a
+//! pool-wide table of atomic words that loads read without a lock,
+//! `shard/pages.rs`.) Pages materialize on first write, so a multi-gigabyte
 //! region costs memory proportional to the bytes actually touched.
 //!
 //! This sits on the hottest path of the whole tree — every simulated load
@@ -18,14 +20,12 @@
 //! layout, never from outside input (a served key picks a tree node, not
 //! a page).
 //!
-//! The same table serves all three kinds of store with memory
-//! proportional to the *resident* pages, whatever their page numbers: a
-//! pool's pages are dense from 0, the DRAM half is keyed by raw VA
-//! anywhere below 2^47, and each of `SharedPool`'s page-interleaved
-//! stripes holds one page in 64 of a pool's whole range. (A flat array
-//! indexed by page number would be as long as the range — a pool's
-//! boundary-tag footer sits at its far end — and a radix tree pays a leaf
-//! per stripe page.)
+//! The same table serves both kinds of store with memory proportional to
+//! the *resident* pages, whatever their page numbers: a pool's pages are
+//! dense from 0, and the DRAM half is keyed by raw VA anywhere below 2^47.
+//! (A flat array indexed by page number would be as long as the range:
+//! the DRAM half spans 2^47 bytes, and a pool's boundary-tag footer sits
+//! at its far end.)
 //!
 //! In front of the table a one-entry last-page memo lets consecutive
 //! accesses to the same page (a node's fields, the allocator header, a

@@ -8,9 +8,13 @@
 //! central boundary-tag allocator), while the fast paths live in
 //! *per-thread leaf state* held by each worker's address space:
 //!
-//! - **Data plane** — reads and writes take only the lock of the stripe
-//!   (page-interleaved, power-of-two many) that holds the touched page.
-//!   Threads working disjoint pages never contend.
+//! - **Data plane** — the pool's bytes live in one pool-wide table of
+//!   pages that never move once written (`pages.rs`). A load takes no lock
+//!   and writes nothing shared: an `Acquire` load of the page entry and one
+//!   of the word. A write takes only the lock of the stripe
+//!   (page-interleaved, power-of-two many) that owns the touched page, so
+//!   writers to disjoint pages never contend and readers contend with
+//!   nobody.
 //! - **Allocation plane** — `pmalloc` is served from a thread-private
 //!   *arena lease*: a block carved off the front of a slab (or of the
 //!   central free list) that the owning thread subdivides with
@@ -37,9 +41,12 @@
 //!
 //! Lock order (a level may only acquire locks from levels to its right):
 //! `plane` → `slabs` → `central` → `media` → stripe locks.
-//! Stripe locks are leaves and are held one at a time; each guards its
-//! pages and their pending lines, so staging a line and applying the write
-//! that dirties it happen under one acquisition. The `plane` mutex guards
+//! Stripe locks are leaves and are held one at a time. They guard writers
+//! only: each serializes the writes to its pages with their pending lines
+//! and dirty bits, so staging a line and applying the write that dirties
+//! it happen under one acquisition, while loads pass them by. A load is
+//! therefore ordered after a store only by `Release`/`Acquire` on the word
+//! it reads, not by a lock (DESIGN.md §10). The `plane` mutex guards
 //! the fault plan and the power-loss drain; on the slow path it also
 //! serializes every boundary, flush and fence, and it is never held across
 //! an allocator call. The `media` mutex guards the pool's media plane
@@ -55,12 +62,17 @@ use crate::error::Result;
 use crate::faults::FaultPlan;
 use crate::integrity::PageVerdict;
 use crate::media::{MediaClock, MediaPages, MediaPlane};
-use crate::pagestore::{PageStore, PAGE_SIZE};
+use crate::pagestore::PAGE_SIZE;
 use crate::persist::{Pending, PersistPlane};
+use crate::pool::MAX_POOL_SIZE;
 use crate::retain::{RetentionConfig, WearStats};
 use crate::space::FlushModel;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+
+mod pages;
+
+use pages::Pages;
 
 /// Sentinel for [`SharedPool`]'s quarantine word: no page quarantined.
 const NO_QUARANTINE: u64 = u64::MAX;
@@ -134,16 +146,52 @@ const PLANE_KEY: PoolId = PoolId::from_raw_trusted(0);
 /// log2 of the FliT tag slots per pool (16 Ki counters, 64 KiB).
 const TAG_BITS: u32 = 14;
 
-/// One page-lock stripe: the pages `p` with `p & stripe_mask` equal to its
-/// index, the ADR lines of those pages written but not yet durable, and how
-/// many of its lines flushes and fences have made durable. Aligned to a
-/// cache line, so two threads locking neighbouring stripes do not share one.
+/// One page-lock stripe, held by the writers of the pages `p` with
+/// `p & stripe_mask` equal to its index: the ADR lines of those pages
+/// written but not yet durable, how many of its lines flushes and fences
+/// have made durable, and, while retention runs, which of its pages are
+/// dirty. The pages themselves live in the pool's one page table. Aligned
+/// to a cache line, so two threads locking neighbouring stripes do not
+/// share one.
 #[derive(Clone, Debug, Default)]
 #[repr(align(64))]
 struct Stripe {
-    store: PageStore,
     pending: Pending,
     drained: u64,
+    /// Retention's dirty bits: bit `p >> log2(stripes)` stands for page
+    /// `p`. `None` while retention is off.
+    dirty_pages: Option<Vec<u64>>,
+}
+
+impl Stripe {
+    /// Marks the page in slot `slot` dirty while retention tracks writes.
+    fn mark_dirty(&mut self, slot: usize) {
+        if let Some(bits) = &mut self.dirty_pages {
+            if slot / 64 >= bits.len() {
+                bits.resize(slot / 64 + 1, 0);
+            }
+            bits[slot / 64] |= 1 << (slot % 64);
+        }
+    }
+
+    fn is_dirty(&self, slot: usize) -> bool {
+        let word = self.dirty_pages.as_ref().and_then(|bits| bits.get(slot / 64));
+        word.is_some_and(|w| w >> (slot % 64) & 1 == 1)
+    }
+
+    fn clear_dirty(&mut self, slot: usize) {
+        if let Some(w) = self.dirty_pages.as_mut().and_then(|bits| bits.get_mut(slot / 64)) {
+            *w &= !(1 << (slot % 64));
+        }
+    }
+
+    /// The slots of the dirty pages, in order.
+    fn dirty_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        let bits = self.dirty_pages.as_deref().unwrap_or_default();
+        bits.iter().enumerate().flat_map(|(w, &word)| {
+            (0..64).filter(move |b| word >> b & 1 == 1).map(move |b| w * 64 + b)
+        })
+    }
 }
 
 /// A counter on a cache line of its own, away from the flags every call
@@ -158,9 +206,10 @@ struct Padded(AtomicU64);
 pub struct SharedPool {
     name: String,
     size: u64,
-    /// Page-interleaved backing stores: page `p` lives in stripe
-    /// `p & stripe_mask`. Each stripe's `PageStore` is sparse and indexed
-    /// by absolute pool offset, so no address arithmetic changes.
+    /// The pool's bytes, read without a lock.
+    pages: Pages,
+    /// Page-interleaved writer locks: the writers of page `p` hold stripe
+    /// `p & stripe_mask`.
     stripes: Box<[Mutex<Stripe>]>,
     stripe_mask: u64,
     /// Bit `i` is set while stripe `i` may hold pending lines: set under
@@ -220,9 +269,9 @@ const _: () = {
     assert_send_sync::<SharedPool>();
 };
 
-/// `MemWords` view of a [`SharedPool`], locking the owning stripe per
-/// word. Lets the single-threaded `Region` code run unchanged over the
-/// striped device.
+/// `MemWords` view of a [`SharedPool`]: a read takes no lock, a write its
+/// page's stripe lock. Lets the single-threaded `Region` code run
+/// unchanged over the striped device.
 struct StripedWords<'a>(&'a SharedPool);
 
 impl MemWords for StripedWords<'_> {
@@ -237,17 +286,51 @@ impl MemWords for StripedWords<'_> {
     }
 }
 
-/// The stripe array as the media plane's page source: page `p` lives in
-/// its stripe's store, locked one at a time under the `media` lock.
+/// The page table as the media plane's page source, under the `media`
+/// lock. A page call holds that page's stripe lock, so no write to the
+/// page lands in between; the dirty list visits the stripes one lock at a
+/// time.
 impl MediaPages for StripedWords<'_> {
-    fn with_page<R>(&mut self, page: u64, f: impl FnOnce(&mut PageStore) -> R) -> R {
-        f(&mut self.0.stripe_for(page * PAGE_SIZE).lock().unwrap().store)
+    fn tracks_dirty(&mut self) -> bool {
+        // The stripes keep dirty bits exactly while retention is on.
+        self.0.media_on.load(Ordering::Acquire)
     }
 
-    fn each_store(&mut self, mut f: impl FnMut(&mut PageStore)) {
-        for stripe in self.0.stripes.iter() {
-            f(&mut stripe.lock().unwrap().store);
+    fn dirty_pages(&mut self) -> Vec<u64> {
+        let (pool, mut pages) = (self.0, Vec::new());
+        for (i, stripe) in pool.stripes.iter().enumerate() {
+            let s = stripe.lock().unwrap();
+            let page = |slot: usize| (slot as u64) << pool.stripe_bits() | i as u64;
+            pages.extend(s.dirty_slots().map(page));
         }
+        pages.sort_unstable();
+        pages
+    }
+
+    fn resident_pages(&mut self) -> Vec<u64> {
+        self.0.pages.resident_every(0, 1).collect()
+    }
+
+    fn seal_page(&mut self, page: u64) -> Option<u32> {
+        let (mut s, slot) = self.0.lock_page(page);
+        let crc = self.0.pages.crc(page)?;
+        s.clear_dirty(slot);
+        Some(crc)
+    }
+
+    fn read_clean<R>(&mut self, page: u64, f: impl FnOnce(Option<&[u8]>) -> R) -> Option<R> {
+        let (s, slot) = self.0.lock_page(page);
+        if s.is_dirty(slot) {
+            return None;
+        }
+        let mut buf = [0; PAGE_SIZE as usize];
+        let resident = self.0.pages.copy_page(page, &mut buf);
+        Some(f(resident.then_some(&buf[..])))
+    }
+
+    fn flip_bit(&mut self, offset: u64, bit: u8, clean_only: bool) -> bool {
+        let (s, slot) = self.0.lock_page(offset / PAGE_SIZE);
+        !(clean_only && s.is_dirty(slot)) && self.0.pages.flip_bit(offset, bit)
     }
 }
 
@@ -258,12 +341,17 @@ impl SharedPool {
     /// # Errors
     ///
     /// Returns [`HeapError::BadPoolSize`](crate::HeapError::BadPoolSize) for sizes the region format
-    /// rejects.
+    /// rejects, and above [`MAX_POOL_SIZE`], the most a pool offset
+    /// addresses (the page table has an entry per page of the size).
     pub fn create(name: &str, size: u64, stripes: usize) -> Result<Arc<SharedPool>> {
+        if size > MAX_POOL_SIZE {
+            return Err(crate::HeapError::BadPoolSize(size));
+        }
         let n = stripes.max(1).next_power_of_two();
         let pool = SharedPool {
             name: name.to_string(),
             size,
+            pages: Pages::new(size),
             stripes: (0..n).map(|_| Mutex::default()).collect(),
             stripe_mask: (n - 1) as u64,
             dirty: (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
@@ -313,16 +401,32 @@ impl SharedPool {
         &self.stripes[self.stripe_index(offset)]
     }
 
-    /// Reads `buf.len()` bytes at `offset`, splitting at page boundaries so
-    /// each page is served under its own stripe lock.
-    pub fn read_bytes(&self, mut offset: u64, mut buf: &mut [u8]) {
-        while !buf.is_empty() {
-            let in_page = (PAGE_SIZE - offset % PAGE_SIZE) as usize;
-            let n = in_page.min(buf.len());
-            self.stripe_for(offset).lock().unwrap().store.read(offset, &mut buf[..n]);
-            offset += n as u64;
-            buf = &mut buf[n..];
+    /// log2 of the stripe count: a page's slot in its stripe's dirty bits
+    /// is its number shifted right by this.
+    fn stripe_bits(&self) -> u32 {
+        self.stripe_mask.count_ones()
+    }
+
+    /// Locks the stripe of `page` and names the page's slot in it.
+    fn lock_page(&self, page: u64) -> (MutexGuard<'_, Stripe>, usize) {
+        let s = self.stripe_for(page * PAGE_SIZE).lock().unwrap();
+        (s, (page >> self.stripe_bits()) as usize)
+    }
+
+    /// Marks the page holding `offset` dirty in its locked stripe `s`
+    /// while retention tracks writes.
+    #[inline]
+    fn note_write_locked(&self, s: &mut Stripe, offset: u64) {
+        if s.dirty_pages.is_some() {
+            s.mark_dirty(((offset / PAGE_SIZE) >> self.stripe_bits()) as usize);
         }
+    }
+
+    /// Reads `buf.len()` bytes at `offset` without a lock, one atomic word
+    /// load at a time: each word is whole, but the range is one snapshot
+    /// only if no writer touches it meanwhile.
+    pub fn read_bytes(&self, offset: u64, buf: &mut [u8]) {
+        self.pages.read(offset, buf);
     }
 
     /// Writes `buf` at `offset`, splitting at page boundaries.
@@ -344,17 +448,19 @@ impl SharedPool {
             if stage {
                 self.stage_locked(i, &mut s, offset, n as u64);
             }
-            s.store.write(offset, &buf[..n]);
+            self.pages.write(offset, &buf[..n]);
+            self.note_write_locked(&mut s, offset);
             offset += n as u64;
             buf = &buf[n..];
         }
     }
 
-    /// Reads the aligned word at `offset` (words never straddle pages).
+    /// Reads the aligned word at `offset` (words never straddle pages):
+    /// two `Acquire` loads, no lock.
     #[inline]
     pub fn read_u64(&self, offset: u64) -> u64 {
         debug_assert_eq!(offset % 8, 0, "unaligned word read at {offset:#x}");
-        self.stripe_for(offset).lock().unwrap().store.read_u64(offset)
+        self.pages.read_u64(offset)
     }
 
     /// Writes the aligned word at `offset`.
@@ -376,7 +482,8 @@ impl SharedPool {
         if stage {
             self.stage_locked(i, &mut s, offset, 8);
         }
-        s.store.write_u64(offset, value);
+        self.pages.write_u64(offset, value);
+        self.note_write_locked(&mut s, offset);
     }
 
     // ---- persistence plane (fault gate, ADR staging, FliT tags) -----------
@@ -458,8 +565,7 @@ impl SharedPool {
         if !self.adr.load(Ordering::Acquire) {
             return;
         }
-        let Stripe { store, pending, .. } = s;
-        pending.stage(PLANE_KEY, off, len, |line, old| store.read(line, old));
+        s.pending.stage(PLANE_KEY, off, len, |line, old| self.pages.read_line(line, old));
         // The bit only tells a drain where to look; the lines themselves
         // pass between threads under the stripe lock. Only a drain clears
         // it, under this same lock, so this load is exact, and skipping
@@ -510,7 +616,8 @@ impl SharedPool {
     /// Compare-and-swap on the word at `off`. Returns `(swapped, old)`.
     /// With no plan enabled the read, compare, stage and write run under
     /// the word's stripe lock, so the swap is atomic against every other
-    /// write to the word; on the slow path they run under the plane lock,
+    /// write to the word, and a lock-free load sees the old value or the
+    /// new one; on the slow path they run under the plane lock,
     /// atomic against every other staged write and CAS. Only a
     /// *successful* swap is a durable write boundary (and stages its line);
     /// a failed CAS is just a load.
@@ -523,10 +630,11 @@ impl SharedPool {
         if !self.slow() {
             let i = self.stripe_index(off);
             let mut s = self.stripes[i].lock().unwrap();
-            let cur = s.store.read_u64(off);
+            let cur = self.pages.read_u64(off);
             if cur == expected {
                 self.stage_locked(i, &mut s, off, 8);
-                s.store.write_u64(off, new);
+                self.pages.write_u64(off, new);
+                self.note_write_locked(&mut s, off);
             }
             return Ok((cur == expected, cur));
         }
@@ -864,14 +972,19 @@ impl SharedPool {
     }
 
     /// Turns the retention plane on: builds the wear table from the pool
-    /// geometry, enables per-stripe dirty tracking (already-resident pages
+    /// geometry, gives every stripe dirty bits (already-resident pages
     /// start dirty — their checksums are unknown), and starts the media
     /// clock at tick 0. The decay *law* (seed, rate) comes separately from
     /// [`SharedPool::set_faults`] with [`FaultPlan::with_decay`].
     pub fn configure_retention(&self, cfg: RetentionConfig) {
         let pages = (self.size / PAGE_SIZE) as usize + 1;
-        for stripe in self.stripes.iter() {
-            stripe.lock().unwrap().store.set_dirty_tracking(true);
+        let step = self.stripes.len() as u64;
+        for (i, stripe) in self.stripes.iter().enumerate() {
+            let mut s = stripe.lock().unwrap();
+            s.dirty_pages = Some(Vec::new());
+            for page in self.pages.resident_every(i as u64, step) {
+                s.mark_dirty((page >> self.stripe_bits()) as usize);
+            }
         }
         *self.media() = MediaPlane::with_retention(cfg, pages);
         self.media_on.store(true, Ordering::Release);
@@ -1018,14 +1131,11 @@ impl SharedPool {
         self.media().crcs().len() as u64
     }
 
-    /// Resident (materialized) pages across all stripes — the set a
+    /// Resident (materialized) pages — the set a
     /// [`SharedPool::reseal_all`] reprograms, and hence the page count a
     /// repair's modelled cost scales with.
     pub fn resident_pages(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().unwrap().store.resident_page_numbers().len() as u64)
-            .sum()
+        self.pages.resident()
     }
 
     /// Distinct pages the decay lottery has struck so far.
@@ -1044,13 +1154,13 @@ impl SharedPool {
         c.pending_flips
             .iter()
             .map(|(page, bits)| {
-                let s = self.stripe_for(page * PAGE_SIZE).lock().unwrap();
+                let (s, slot) = self.lock_page(*page);
                 (
                     *page,
                     bits.len(),
                     m.crcs().get(*page).is_some(),
-                    s.store.is_dirty(*page),
-                    s.store.page_bytes(*page).is_some(),
+                    s.is_dirty(slot),
+                    self.pages.is_resident(*page),
                 )
             })
             .collect()
@@ -1105,23 +1215,24 @@ impl SharedPool {
         self.region.validate(&StripedWords(self))
     }
 
-    /// Host bytes resident across all stripes.
+    /// Host bytes held by resident pages.
     pub fn resident_bytes(&self) -> u64 {
-        self.stripes.iter().map(|s| s.lock().unwrap().store.resident_bytes()).sum()
+        self.pages.resident() * PAGE_SIZE
     }
 
     /// Deep copy of the pool — pages, pending lines, tags, slab cursors,
     /// counters, fault plan. The crash sweeps run every trial against a
     /// fresh snapshot so armed runs never contaminate the base image.
-    /// Quiesce writers first: each stripe is copied under its own lock, so
-    /// a concurrent writer could leave a cross-stripe torn cut (serial
-    /// schedule drivers never do).
+    /// Quiesce writers first: the pages are copied word by word and each
+    /// stripe under its own lock, so a concurrent writer could leave a torn
+    /// cut (serial schedule drivers never do).
     pub fn snapshot(&self) -> Arc<SharedPool> {
         let copy64 = |a: &AtomicU64| AtomicU64::new(a.load(Ordering::Acquire));
         let plane = self.plane().clone();
         Arc::new(SharedPool {
             name: self.name.clone(),
             size: self.size,
+            pages: self.pages.clone(),
             stripes: self.stripes.iter().map(|s| Mutex::new(s.lock().unwrap().clone())).collect(),
             stripe_mask: self.stripe_mask,
             dirty: self.dirty.iter().map(copy64).collect(),
@@ -1149,6 +1260,7 @@ impl SharedPool {
 mod tests {
     use super::*;
     use crate::error::HeapError;
+    use crate::pagestore::PageStore;
 
     #[test]
     fn create_formats_a_valid_region() {
@@ -1156,6 +1268,8 @@ mod tests {
         assert_eq!(p.stripes(), 8);
         assert_eq!(p.validate().unwrap(), 1, "one free block spans the fresh pool");
         assert_eq!(p.allocation_count(), 0);
+        let huge = SharedPool::create("huge", MAX_POOL_SIZE + 16, 1);
+        assert!(matches!(huge, Err(HeapError::BadPoolSize(_))), "past what an offset addresses");
     }
 
     #[test]
@@ -1190,6 +1304,25 @@ mod tests {
         let mut back = vec![0u8; 32];
         p.read_bytes(off, &mut back);
         assert_eq!(back, data);
+
+        // Unaligned heads and tails, whole words, and page crossings, read
+        // back through both paths against a `PageStore`.
+        let mut reference = PageStore::new();
+        let start = PAGE_SIZE * 8;
+        let pieces = [(3, 1), (13, 7), (PAGE_SIZE - 3, 9), (40, PAGE_SIZE + 21)];
+        for (i, (at, len)) in pieces.into_iter().enumerate() {
+            let bytes: Vec<u8> = (0..len).map(|b| (b as u8).wrapping_mul(31) ^ i as u8).collect();
+            p.write_bytes(start + at, &bytes);
+            reference.write(start + at, &bytes);
+        }
+        let mut got = vec![0u8; 3 * PAGE_SIZE as usize];
+        p.read_bytes(start, &mut got);
+        let mut want = vec![0u8; got.len()];
+        reference.read(start, &mut want);
+        assert_eq!(got, want);
+        for w in (start..start + 3 * PAGE_SIZE).step_by(8) {
+            assert_eq!(p.read_u64(w), reference.read_u64(w), "word {w:#x}");
+        }
     }
 
     #[test]
@@ -1724,5 +1857,134 @@ mod tests {
             worker.join().unwrap();
             assert_eq!(got, Ok(model), "a call waited on the plane lock");
         }
+    }
+
+    #[test]
+    fn loads_complete_while_every_stripe_lock_is_held() {
+        let p = SharedPool::create("lockfree-loads", 1 << 20, 4).unwrap();
+        let off = p.alloc_raw(4 * PAGE_SIZE).unwrap();
+        p.write_u64(off, 0xfeed);
+        // Bytes over three pages, so three stripes.
+        let bytes: Vec<u8> = (0..2 * PAGE_SIZE + 100).map(|i| (i * 7) as u8).collect();
+        p.write_bytes(off + 8, &bytes);
+        let held: Vec<_> = p.stripes.iter().map(|s| s.lock().unwrap()).collect();
+        let (done, finished) = std::sync::mpsc::channel();
+        let q = Arc::clone(&p);
+        let worker = std::thread::spawn(move || {
+            let mut back = vec![0u8; bytes.len()];
+            q.read_bytes(off + 8, &mut back);
+            done.send((q.read_u64(off), back == bytes)).unwrap();
+        });
+        let got = finished.recv_timeout(std::time::Duration::from_secs(20));
+        drop(held);
+        worker.join().unwrap();
+        assert_eq!(got, Ok((0xfeed, true)), "a load waited on a stripe lock");
+    }
+
+    #[test]
+    fn loads_that_see_a_link_see_the_node_it_publishes() {
+        // A writer initializes each node on a page no write has touched
+        // yet, on another stripe than the link, then CASes the link to it.
+        // A reader spins on the link and checks each node it names. Before
+        // it lets the writer start the next node, it loads that node's
+        // still unwritten slot, so a load path that remembered the page as
+        // absent would then read the node's fields as zero.
+        const NODES: usize = 400;
+        let p = SharedPool::create("publish", 8 << 20, 4).unwrap();
+        p.set_flush_model(FlushModel::Adr);
+        let link = p.alloc_raw(64).unwrap();
+        let region = p.alloc_raw((2 * NODES as u64 + 2) * PAGE_SIZE).unwrap();
+        let nodes: Vec<u64> = (0..2 * NODES as u64)
+            .map(|k| region.next_multiple_of(PAGE_SIZE) + k * PAGE_SIZE + 8 * (k % 8))
+            .filter(|&n| p.stripe_index(n) != p.stripe_index(link))
+            .take(NODES)
+            .collect();
+        let key = |n: u64| n ^ 0x5eed_0000_0000;
+        let checked = AtomicU64::new(0);
+        // Both sides give up after `patience`, so a failure never hangs.
+        let (t, patience) = (std::time::Instant::now(), std::time::Duration::from_secs(20));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut prev = 0;
+                for (k, &n) in nodes.iter().enumerate() {
+                    while checked.load(Ordering::Acquire) < k as u64 && t.elapsed() < patience {
+                        std::hint::spin_loop();
+                    }
+                    p.write_u64_stage(n, key(n)).unwrap();
+                    p.write_u64_stage(n + 8, !n).unwrap();
+                    p.write_u64_stage(n + 16, prev).unwrap();
+                    assert_eq!(p.cas_u64(link, prev, n).unwrap(), (true, prev));
+                    prev = n;
+                    if k % 64 == 63 {
+                        p.drain_all();
+                    }
+                }
+            });
+            let mut last = 0;
+            while last != nodes[NODES - 1] && t.elapsed() < patience {
+                let n = p.read_u64(link);
+                if n == last {
+                    continue;
+                }
+                let mut fields = [0u8; 24];
+                p.read_bytes(n, &mut fields);
+                let word = |i: usize| u64::from_le_bytes(fields[8 * i..][..8].try_into().unwrap());
+                assert_eq!((p.read_u64(n), p.read_u64(n + 8)), (key(n), !n), "node {n:#x}");
+                assert_eq!((word(0), word(1), word(2)), (key(n), !n, last), "node {n:#x}, bytes");
+                last = n;
+                let at = nodes.binary_search(&n).expect("the link names a node") + 1;
+                if let Some(&next) = nodes.get(at) {
+                    p.read_u64(next);
+                }
+                checked.store(at as u64, Ordering::Release);
+            }
+        });
+        assert_eq!(checked.load(Ordering::Relaxed), NODES as u64, "the reader stalled");
+    }
+
+    #[test]
+    fn loads_racing_staged_stores_and_cas_see_only_whole_words() {
+        // Every value written has equal halves, so a load that mixed two
+        // stores would read unequal ones. The writers run until the reader
+        // has seen enough of their stores land, or has run out of time.
+        const CHANGES: u64 = 20_000;
+        let whole = |k: u64| (k & 0xffff_ffff) << 32 | k & 0xffff_ffff;
+        let p = SharedPool::create("whole", 1 << 20, 4).unwrap();
+        p.set_flush_model(FlushModel::Adr);
+        let word = p.alloc_raw(64).unwrap();
+        p.write_u64(word, whole(1));
+        let done = AtomicBool::new(false);
+        let (torn, changes) = std::thread::scope(|s| {
+            s.spawn(|| {
+                for k in (0..).take_while(|_| !done.load(Ordering::Acquire)) {
+                    p.write_u64_stage(word, whole(k | 0x8000_0000)).unwrap();
+                    if k % 16 == 0 {
+                        p.drain_all();
+                    }
+                }
+            });
+            s.spawn(|| {
+                for k in (0..).take_while(|_| !done.load(Ordering::Acquire)) {
+                    let cur = p.read_u64(word);
+                    p.cas_u64(word, cur, whole(k | 0x4000_0000)).unwrap();
+                }
+            });
+            let (mut torn, mut changes, mut last, mut bytes) = (Vec::new(), 0, 0, [0u8; 8]);
+            let t = std::time::Instant::now();
+            while changes < CHANGES && t.elapsed().as_secs() < 10 {
+                p.read_bytes(word, &mut bytes);
+                for v in [p.read_u64(word), u64::from_le_bytes(bytes)] {
+                    if v >> 32 != v & 0xffff_ffff {
+                        torn.push(v);
+                    }
+                    changes += u64::from(v != last);
+                    last = v;
+                }
+            }
+            done.store(true, Ordering::Release);
+            (torn, changes)
+        });
+        assert!(torn.is_empty(), "{} torn loads, first {:#x}", torn.len(), torn[0]);
+        assert!(changes >= CHANGES, "the reader saw only {changes} stores land");
     }
 }

@@ -8,6 +8,12 @@
 # change regresses modelled cycles by more than 10% or perturbs a workload
 # checksum at all.
 #
+# The concurrent bench's modelled persistence counts (flushes, fences and
+# elided flushes per op) are diffed exactly on the rows whose counts do not
+# depend on thread timing: every single-thread row and every ConcList row
+# (`exact_counts` below). On the other multi-thread rows a race can move a
+# count by a few lines, so there only ops and checksums are compared.
+#
 # Host-time fields (wall_ms, median_ns, p95_ns, ...) are machine noise and
 # are deliberately NEVER diffed. Each bench also checks its own numbers and
 # exits nonzero on a failed gate (host-time ratios included), and this
@@ -29,6 +35,9 @@ mode="${1:-check}"
 # UTPR_BENCH_OUT would land the reports inside crates/bench/.
 base_dir="$(pwd)/baselines"
 tolerance=0.10
+# Concurrent rows (by key) whose flush/fence/elided counts must match
+# exactly.
+exact_counts='/t1$|^clist/'
 benches=(fig11 hotpath interp concurrent endurance server)
 
 run_benches() {
@@ -39,21 +48,25 @@ run_benches() {
     done
 }
 
-# Emits "key cycles checksum" lines from a BENCH_*.json report: one line per
+# Emits "key cycles checksum counts" lines from a BENCH_*.json report: one line per
 # run record that carries modelled cycles. fig11 records are keyed
 # benchmark/mode; hotpath YCSB records are keyed by their run name. interp
 # records carry no cycles; their deterministic guest-instruction count
 # stands in (same seed + scale => bit-identical count), and concurrent
 # grid cells use their deterministic executed-op count the same way (the
 # audit checksum is the real payload there). Records with none of these
-# fields (host-timing summaries, the report header) are skipped.
-# Checksums are kept as strings — they are full u64s and would lose
-# precision as awk doubles.
+# fields (host-timing summaries, the report header) are skipped. `counts`
+# is "flushes,fences,elided" per op on concurrent records and "-" on the
+# rest. Checksums and counts are kept as strings — checksums are full u64s
+# and would lose precision as awk doubles, and counts compare exactly.
 extract() {
     awk '
+        # The number in a `"field":value` pair, without the closing
+        # brackets or newline that end a report'"'"'s last record.
+        function num(pair) { sub(/.*:/, "", pair); sub(/[^0-9.eE+-].*/, "", pair); return pair }
         BEGIN { RS = "{"; FS = "," }
         {
-            key = ""; name = ""; cyc = ""; gi = ""; sum = ""
+            key = ""; name = ""; cyc = ""; gi = ""; sum = ""; fl = ""; fe = ""; el = ""
             for (i = 1; i <= NF; i++) {
                 if ($i ~ /^"benchmark":/) {
                     v = $i; gsub(/.*:"|"/, "", v); key = v
@@ -68,19 +81,26 @@ extract() {
                 } else if ($i ~ /^"ops":/) {
                     v = $i; sub(/.*:/, "", v); if (gi == "") gi = v
                 } else if ($i ~ /^"checksum":/) {
-                    v = $i; sub(/.*:/, "", v); sum = v
+                    sum = num($i)
+                } else if ($i ~ /^"flushes_per_op":/) {
+                    fl = num($i)
+                } else if ($i ~ /^"fences_per_op":/) {
+                    fe = num($i)
+                } else if ($i ~ /^"elided_per_op":/) {
+                    el = num($i)
                 }
             }
             if (key == "") key = name
             if (cyc == "") cyc = gi
-            if (key != "" && cyc != "") print key, cyc, sum
+            counts = (fl == "") ? "-" : fl "," fe "," el
+            if (key != "" && cyc != "") print key, cyc, sum, counts
         }' "$1"
 }
 
 compare() {
     # $1 = baseline extract, $2 = current extract, $3 = report label
-    awk -v tol="$tolerance" -v label="$3" '
-        NR == FNR { cyc[$1] = $2; sum[$1] = $3; next }
+    awk -v tol="$tolerance" -v label="$3" -v exact="$exact_counts" '
+        NR == FNR { cyc[$1] = $2; sum[$1] = $3; counts[$1] = $4; next }
         {
             if (!($1 in cyc)) {
                 printf "%s: %s has no committed baseline (run `scripts/bench_baseline.sh record`)\n", label, $1
@@ -89,6 +109,10 @@ compare() {
             seen[$1] = 1
             if (sum[$1] != $3) {
                 printf "%s: %s checksum drifted %s -> %s (workload results changed!)\n", label, $1, sum[$1], $3
+                bad = 1
+            }
+            if (label == "concurrent" && $1 ~ exact && counts[$1] != $4) {
+                printf "%s: %s flush/fence/elided per op drifted %s -> %s\n", label, $1, counts[$1], $4
                 bad = 1
             }
             b = cyc[$1] + 0; c = $2 + 0

@@ -43,9 +43,12 @@ rows=(
     "--mt         | -p utpr-qc sched; -p utpr-kv mt::; --test crash_matrix concurrent_fault_sweep; \
                     -p utpr-bench --test par_determinism mt_ycsb | hotpath"
     # durable-linearizability checker, conc crash sweeps, the shared
-    # pool's lock-free persistence paths, twin-space property, flush savings
+    # pool's lock-free persistence paths, its lock-free load races again on
+    # their own (so each racing thread has a core), the twin-space property
+    # with word and byte loads and stores, flush savings, shared-load probe
     "--concurrent | -p utpr-qc linear; -p utpr-qc --test selftest checker; -p utpr-kv conc; \
                     -p utpr-ds --test twin; -p utpr-heap shard::tests; \
+                    -p utpr-heap shard::tests::loads_ -- --test-threads=1; \
                     --test heap_props sharded_heap_matches | concurrent"
     # soak, scrubber and media-plane tests, endurance gates
     "--endurance  | -p utpr-kv endurance; -p utpr-heap scrub; -p utpr-heap media; \

@@ -540,6 +540,8 @@ enum TwinOp {
     /// which must gate and stage exactly like the word path.
     WriteBytes { idx: u8, value: u64 },
     Read { idx: u8 },
+    /// The same load through the byte-range path (`AddressSpace::read`).
+    ReadBytes { idx: u8 },
     Free { idx: u8 },
     /// Free of an odd (hence never-allocated) offset: `BadFree` on both
     /// substrates regardless of layout.
@@ -554,6 +556,7 @@ fn twin_op_strategy() -> OneOf<TwinOp> {
         3 => (any::<u8>(), any::<u64>()).prop_map(|(idx, value)| TwinOp::Write { idx, value }),
         1 => (any::<u8>(), any::<u64>()).prop_map(|(idx, value)| TwinOp::WriteBytes { idx, value }),
         4 => any::<u8>().prop_map(|idx| TwinOp::Read { idx }),
+        1 => any::<u8>().prop_map(|idx| TwinOp::ReadBytes { idx }),
         2 => any::<u8>().prop_map(|idx| TwinOp::Free { idx }),
         1 => any::<u32>().prop_map(|off| TwinOp::BadFree { off }),
         1 => Just(TwinOp::OobTranslate),
@@ -622,6 +625,15 @@ fn twin_step(
         TwinOp::Read { idx } if !locs.is_empty() => {
             let loc = locs[idx as usize % locs.len()];
             space.ra2va(loc).and_then(|va| space.read_u64(va)).map_err(|e| discriminant(&e))
+        }
+        TwinOp::ReadBytes { idx } if !locs.is_empty() => {
+            let loc = locs[idx as usize % locs.len()];
+            let mut bytes = [0u8; 8];
+            space
+                .ra2va(loc)
+                .and_then(|va| space.read(va, &mut bytes))
+                .map(|()| u64::from_le_bytes(bytes))
+                .map_err(|e| discriminant(&e))
         }
         TwinOp::Free { idx } if !locs.is_empty() => {
             let loc = locs.swap_remove(idx as usize % locs.len());
