@@ -13,7 +13,8 @@ use utpr_heap::{AddressSpace, FlushModel, PageStore, Region, UndoLog};
 use utpr_kv::rng::Rng;
 use utpr_kv::workload::{generate, WorkloadSpec, Zipfian};
 use utpr_kv::KvStore;
-use utpr_ptr::{C11Engine, ExecEnv, MemEvent, Mode, TimingSink, UPtr};
+use utpr_ptr::c11::{Core, Translate};
+use utpr_ptr::{ExecEnv, MemEvent, Mode, PtrStats, TimingSink, UPtr};
 use utpr_qc::bench::Bench;
 use utpr_qc::bench_group;
 use utpr_sim::cache::Cache;
@@ -29,10 +30,9 @@ fn bench_ptr_ops(c: &mut Bench) {
         b.iter(|| black_box(black_box(rel).kind()));
     });
     c.bench_function("uptr/ra2va", |b| {
-        b.iter(|| {
-            let mut eng = C11Engine::new(&space);
-            black_box(eng.ra2va(black_box(rel)).unwrap())
-        });
+        let mut stats = PtrStats::new();
+        let mut core = Core { space: &space, stats: &mut stats };
+        b.iter(|| black_box(core.ra2va(black_box(loc)).unwrap()));
     });
     c.bench_function("uptr/offset_arith", |b| {
         b.iter(|| black_box(black_box(rel).offset(24)));

@@ -2,16 +2,22 @@
 //! Fig. 4 semantics, counting the dynamic checks the compiled SW version
 //! would execute.
 //!
+//! Both execution paths run every pointer rule through `utpr_ptr::c11`;
+//! the interpreter's [`Translate`] hook counts conversions into
+//! [`InterpStats`].
+//!
 //! This is the functional reference for the compiler path: tests run the
 //! same kernels natively (plain Rust) and through the interpreter and
 //! compare results, the analogue of the paper's LLVM test-suite validation.
 
 use crate::analysis::{analyze_module, analyze_module_with, InferOptions, InferenceReport, SiteKey};
 use crate::decode::{DecodedFn, DecodedModule, OpKind};
-use crate::ir::{BlockId, Function, Inst, IntOp, Module, Operand, Term};
+use crate::ir::{BlockId, CmpOp, Function, Inst, IntOp, Module, Operand, Term};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
-use utpr_heap::{AddressSpace, HeapError, PoolId};
+use utpr_heap::{AddressSpace, HeapError, PoolId, RelLoc, VirtAddr};
+use utpr_ptr::c11::{self, Translate};
 use utpr_ptr::{PtrSpace, UPtr};
 
 /// A runtime value: the IR is dynamically typed between integers and
@@ -358,24 +364,21 @@ impl<'a> Interp<'a> {
         out
     }
 
-    /// Resolves a memory operand the way the reference path's `deref`
-    /// does, but keeps relative pointers in pool coordinates so the
-    /// accessor can skip the VA→RA re-translation inside
-    /// `AddressSpace::read_u64`/`write_u64`. The translation (`ra2va`)
-    /// is still performed for error parity; callers count
-    /// `rel_to_abs` on the `Pool` arm — the probe succeeding on a
-    /// relative pointer is exactly when the reference path counts it.
+    /// Resolves a memory operand by the reference path's rule
+    /// ([`c11::deref_target`]), but keeps relative pointers in pool
+    /// coordinates so the accessor can skip the VA→RA re-translation inside
+    /// `AddressSpace::read_u64`/`write_u64`. The translation runs through
+    /// the uncounted [`Probe`] for error parity; callers count `rel_to_abs`
+    /// on the `Pool` arm — the probe succeeding on a relative pointer is
+    /// exactly when the reference path counts it.
     #[inline]
     fn resolve_mem(&self, p: UPtr, off: i64) -> Result<Mem> {
         let q = p.offset(off);
-        if let Some(loc) = q.as_rel() {
-            self.space.ra2va(loc)?;
-            Ok(Mem::Pool(loc))
-        } else if q.is_null() {
-            Err(InterpError::Heap(HeapError::Unmapped(utpr_heap::VirtAddr::new(0))))
-        } else {
-            Ok(Mem::Va(q.as_va().expect("non-null, non-rel is va")))
-        }
+        let va = c11::deref_target(&mut Probe(self.space), q)?;
+        Ok(match q.as_rel() {
+            Some(loc) => Mem::Pool(loc),
+            None => Mem::Va(va),
+        })
     }
 
     /// The tight indexed-dispatch loop: one flat op array, `pc` as the only
@@ -666,7 +669,7 @@ impl<'a> Interp<'a> {
                             r2a += 1;
                             // Pool VAs are always in the NVM region, so the
                             // destination space is known statically.
-                            let stored = t!('run, self.assign_value(PtrSpace::Nvm, v));
+                            let stored = t!('run, c11::assign_value(self, PtrSpace::Nvm, v));
                             t!('run, self.space.pool_write_u64(
                                 loc.pool,
                                 loc.offset.into(),
@@ -676,7 +679,7 @@ impl<'a> Interp<'a> {
                         Mem::Va(va) => {
                             let dest =
                                 if va.is_nvm_region() { PtrSpace::Nvm } else { PtrSpace::Dram };
-                            let stored = t!('run, self.assign_value(dest, v));
+                            let stored = t!('run, c11::assign_value(self, dest, v));
                             t!('run, self.space.write_u64(va, stored.raw()))
                         }
                     }
@@ -699,25 +702,12 @@ impl<'a> Interp<'a> {
                 OpKind::Free { ptr } => {
                     site!(op.charge);
                     let p = t!('run, as_ptr(regs[ptr as usize]));
-                    match p.kind() {
-                        utpr_ptr::PtrKind::Null => {}
-                        utpr_ptr::PtrKind::Va(va) => {
-                            if va.is_nvm_region() {
-                                let loc = t!('run, self.space.va2ra(va));
-                                self.stats.abs_to_rel += 1;
-                                t!('run, self.space.pfree(loc));
-                            } else {
-                                t!('run, self.space.mfree(va));
-                            }
-                        }
-                        utpr_ptr::PtrKind::Rel(loc) => t!('run, self.space.pfree(loc)),
-                    }
+                    t!('run, self.free(p));
                 }
                 OpKind::PtrToInt { dst, src } => {
                     site!(op.charge);
                     let p = t!('run, as_ptr(regs[src as usize]));
-                    let v = t!('run, self.ra2va(p));
-                    regs[dst as usize] = Val::Int(v.raw() as i64);
+                    regs[dst as usize] = Val::Int(t!('run, c11::to_int(self, p)) as i64);
                 }
                 OpKind::IntToPtr { dst, src } => {
                     let i = t!('run, as_int(regs[src as usize]));
@@ -727,28 +717,13 @@ impl<'a> Interp<'a> {
                     site!(op.charge);
                     let a = t!('run, as_ptr(regs[lhs as usize]));
                     let b = t!('run, as_ptr(regs[rhs as usize]));
-                    let d = match (a.as_rel(), b.as_rel()) {
-                        (Some(_), Some(_)) => a.raw().wrapping_sub(b.raw()) as i64,
-                        _ => {
-                            let av = t!('run, self.ra2va(a)).raw();
-                            let bv = t!('run, self.ra2va(b)).raw();
-                            av.wrapping_sub(bv) as i64
-                        }
-                    };
-                    regs[dst as usize] = Val::Int(d);
+                    regs[dst as usize] = Val::Int(t!('run, c11::diff(self, a, b)));
                 }
                 OpKind::CmpPtr { dst, op: cop, lhs, rhs } => {
                     site!(op.charge);
                     let a = t!('run, as_ptr(regs[lhs as usize]));
                     let b = t!('run, as_ptr(regs[rhs as usize]));
-                    let r = if a.is_null() || b.is_null() {
-                        cop.eval(a.raw(), b.raw())
-                    } else {
-                        let av = t!('run, self.ra2va(a)).raw();
-                        let bv = t!('run, self.ra2va(b)).raw();
-                        cop.eval(av, bv)
-                    };
-                    regs[dst as usize] = Val::Int(i64::from(r));
+                    regs[dst as usize] = Val::Int(i64::from(t!('run, self.cmp_ptr(cop, a, b))));
                 }
                 OpKind::Call { dst, callee, args_start, args_len } => {
                     let srcs =
@@ -784,28 +759,26 @@ impl<'a> Interp<'a> {
         out
     }
 
-    // Pointer-op entry points: `inline` (not `always`) — they fold into
-    // the dispatch arms without bloating the match into icache misses.
+    // Pointer-op entry points shared by both paths: `inline` (not
+    // `always`) — they fold into the dispatch arms without bloating the
+    // match into icache misses.
+
+    /// `lhs op rhs` over pointers: [`c11::eq`] for `==`/`!=`, [`c11::cmp`]
+    /// for the relational operators (`a op b` holds iff `cmp(a, b) op
+    /// Equal` does).
     #[inline]
-    fn ra2va(&mut self, p: UPtr) -> Result<UPtr> {
-        match p.as_rel() {
-            Some(loc) => {
-                let va = self.space.ra2va(loc)?;
-                self.stats.rel_to_abs += 1;
-                Ok(UPtr::from_va(va))
-            }
-            None => Ok(p),
-        }
+    fn cmp_ptr(&mut self, op: CmpOp, a: UPtr, b: UPtr) -> Result<bool> {
+        Ok(match op {
+            CmpOp::Eq => c11::eq(self, a, b)?,
+            CmpOp::Ne => !c11::eq(self, a, b)?,
+            _ => op.eval(c11::cmp(self, a, b)?, Ordering::Equal),
+        })
     }
 
+    /// `free(p)` by [`c11::free_target`].
     #[inline]
-    fn deref(&mut self, p: UPtr, off: i64) -> Result<utpr_heap::VirtAddr> {
-        let q = p.offset(off);
-        if q.is_null() {
-            return Err(InterpError::Heap(HeapError::Unmapped(utpr_heap::VirtAddr::new(0))));
-        }
-        let v = self.ra2va(q)?;
-        Ok(v.as_va().expect("ra2va yields va"))
+    fn free(&mut self, p: UPtr) -> Result<()> {
+        Ok(c11::free_target(self, p)?.free(self.space)?)
     }
 
     fn step(&mut self, inst: &Inst, regs: &mut [Val]) -> Result<()> {
@@ -822,44 +795,29 @@ impl<'a> Interp<'a> {
                 // pmalloc returns a relative address by definition (§V-B).
                 regs[dst.0 as usize] = Val::Ptr(UPtr::from_rel(loc));
             }
-            Inst::Free { ptr } => {
-                let p = as_ptr(eval(regs, *ptr))?;
-                match p.kind() {
-                    utpr_ptr::PtrKind::Null => {}
-                    utpr_ptr::PtrKind::Va(va) => {
-                        if va.is_nvm_region() {
-                            let loc = self.space.va2ra(va)?;
-                            self.stats.abs_to_rel += 1;
-                            self.space.pfree(loc)?;
-                        } else {
-                            self.space.mfree(va)?;
-                        }
-                    }
-                    utpr_ptr::PtrKind::Rel(loc) => self.space.pfree(loc)?,
-                }
-            }
+            Inst::Free { ptr } => self.free(as_ptr(eval(regs, *ptr))?)?,
             Inst::Load { dst, addr, off } => {
                 let p = as_ptr(eval(regs, *addr))?;
-                let va = self.deref(p, *off)?;
+                let va = c11::deref_target(self, p.offset(*off))?;
                 regs[dst.0 as usize] = Val::Int(self.space.read_u64(va)? as i64);
             }
             Inst::Store { addr, off, value } => {
                 let p = as_ptr(eval(regs, *addr))?;
                 let v = as_int(eval(regs, *value))?;
-                let va = self.deref(p, *off)?;
+                let va = c11::deref_target(self, p.offset(*off))?;
                 self.space.write_u64(va, v as u64)?;
             }
             Inst::LoadPtr { dst, addr, off } => {
                 let p = as_ptr(eval(regs, *addr))?;
-                let va = self.deref(p, *off)?;
+                let va = c11::deref_target(self, p.offset(*off))?;
                 regs[dst.0 as usize] = Val::Ptr(UPtr::from_raw(self.space.read_u64(va)?));
             }
             Inst::StorePtr { addr, off, value } => {
                 let p = as_ptr(eval(regs, *addr))?;
                 let v = as_ptr(eval(regs, *value))?;
-                let dva = self.deref(p, *off)?;
+                let dva = c11::deref_target(self, p.offset(*off))?;
                 let dest = if dva.is_nvm_region() { PtrSpace::Nvm } else { PtrSpace::Dram };
-                let stored = self.assign_value(dest, v)?;
+                let stored = c11::assign_value(self, dest, v)?;
                 self.space.write_u64(dva, stored.raw())?;
             }
             Inst::Gep { dst, base, off } => {
@@ -882,8 +840,7 @@ impl<'a> Interp<'a> {
             }
             Inst::PtrToInt { dst, src } => {
                 let p = as_ptr(eval(regs, *src))?;
-                let v = self.ra2va(p)?;
-                regs[dst.0 as usize] = Val::Int(v.raw() as i64);
+                regs[dst.0 as usize] = Val::Int(c11::to_int(self, p)? as i64);
             }
             Inst::IntToPtr { dst, src } => {
                 let i = as_int(eval(regs, *src))?;
@@ -892,27 +849,12 @@ impl<'a> Interp<'a> {
             Inst::PtrDiff { dst, lhs, rhs } => {
                 let a = as_ptr(eval(regs, *lhs))?;
                 let b = as_ptr(eval(regs, *rhs))?;
-                let d = match (a.as_rel(), b.as_rel()) {
-                    (Some(_), Some(_)) => a.raw().wrapping_sub(b.raw()) as i64,
-                    _ => {
-                        let av = self.ra2va(a)?.raw();
-                        let bv = self.ra2va(b)?.raw();
-                        av.wrapping_sub(bv) as i64
-                    }
-                };
-                regs[dst.0 as usize] = Val::Int(d);
+                regs[dst.0 as usize] = Val::Int(c11::diff(self, a, b)?);
             }
             Inst::CmpPtr { dst, op, lhs, rhs } => {
                 let a = as_ptr(eval(regs, *lhs))?;
                 let b = as_ptr(eval(regs, *rhs))?;
-                let r = if a.is_null() || b.is_null() {
-                    op.eval(a.raw(), b.raw())
-                } else {
-                    let av = self.ra2va(a)?.raw();
-                    let bv = self.ra2va(b)?.raw();
-                    op.eval(av, bv)
-                };
-                regs[dst.0 as usize] = Val::Int(i64::from(r));
+                regs[dst.0 as usize] = Val::Int(i64::from(self.cmp_ptr(*op, a, b)?));
             }
             Inst::CmpInt { dst, op, lhs, rhs } => {
                 let a = as_int(eval(regs, *lhs))?;
@@ -930,23 +872,6 @@ impl<'a> Interp<'a> {
         }
         Ok(())
     }
-
-    fn assign_value(&mut self, dest: PtrSpace, p: UPtr) -> Result<UPtr> {
-        if p.is_null() {
-            return Ok(p);
-        }
-        match dest {
-            PtrSpace::Nvm => match p.as_va() {
-                Some(va) if va.is_nvm_region() => {
-                    let loc = self.space.va2ra(va)?;
-                    self.stats.abs_to_rel += 1;
-                    Ok(UPtr::from_rel(loc))
-                }
-                _ => Ok(p),
-            },
-            PtrSpace::Dram => self.ra2va(p),
-        }
-    }
 }
 
 // Operand fetch is the single hottest helper in both dispatch loops;
@@ -961,11 +886,46 @@ fn eval(regs: &[Val], op: Operand) -> Val {
     }
 }
 
+/// The interpreter's conversion hook: every [`c11`] rule either path runs
+/// converts through here and is counted into [`InterpStats`].
+impl Translate for Interp<'_> {
+    #[inline]
+    fn ra2va(&mut self, loc: RelLoc) -> c11::Result<VirtAddr> {
+        let va = self.space.ra2va(loc)?;
+        self.stats.rel_to_abs += 1;
+        Ok(va)
+    }
+
+    #[inline]
+    fn va2ra(&mut self, va: VirtAddr) -> c11::Result<RelLoc> {
+        let loc = self.space.va2ra(va)?;
+        self.stats.abs_to_rel += 1;
+        Ok(loc)
+    }
+}
+
+/// The decoded path's error-parity probe: the conversions the reference
+/// path would make, uncounted (the decoded loop counts memory-operand
+/// `rel_to_abs` in a local).
+struct Probe<'s>(&'s AddressSpace);
+
+impl Translate for Probe<'_> {
+    #[inline]
+    fn ra2va(&mut self, loc: RelLoc) -> c11::Result<VirtAddr> {
+        self.0.ra2va(loc)
+    }
+
+    #[inline]
+    fn va2ra(&mut self, va: VirtAddr) -> c11::Result<RelLoc> {
+        self.0.va2ra(va)
+    }
+}
+
 /// A resolved memory target for the decoded path: either pool coordinates
 /// (relative pointer, validated) or a plain virtual address.
 enum Mem {
-    Pool(utpr_heap::RelLoc),
-    Va(utpr_heap::VirtAddr),
+    Pool(RelLoc),
+    Va(VirtAddr),
 }
 
 /// Register-frame size threshold below which frames live on the stack.

@@ -668,7 +668,6 @@ mod tests {
             }
         }
         assert_eq!(alloc_deref_resolved, Some(Provenance::AllocResult.is_statically_resolved()));
-        assert_eq!(param_deref_resolved, Some(!Provenance::Param.is_statically_resolved() == false));
-        assert_eq!(param_deref_resolved, Some(false));
+        assert_eq!(param_deref_resolved, Some(Provenance::Param.is_statically_resolved()));
     }
 }

@@ -26,10 +26,10 @@
 //!   after **every** shared NVM load and store, fence at operation end.
 //!   Correct everywhere, maximally expensive; the baseline.
 //! * [`FlushStrategy::FliT`] — per-word tag counters. A store tags its
-//!   word and defers the writeback to the operation's persist point,
-//!   where the writer flushes and untags its write set. A load flushes
-//!   only when the word is tagged (someone's store is still in flight);
-//!   untagged loads elide the flush entirely. Tags live in
+//!   word *before* storing and defers the writeback to the operation's
+//!   persist point, where the writer flushes and untags its write set. A
+//!   load flushes only when the word is tagged (someone's store is still in
+//!   flight); untagged loads elide the flush entirely. Tags live in
 //!   [`SharedPool`]'s fixed table of hashed atomic counters, never in the
 //!   persistent image; two words sharing a slot can only cost a reader a
 //!   flush it did not need.
@@ -277,28 +277,38 @@ impl<'a, S: TimingSink> Handle<'a, S> {
         self.tick()?;
         let v = self.env.read_u64(site, base, off)?;
         let w = self.word_off(base, off)?;
-        match self.strategy {
-            FlushStrategy::Eager => self.issue_flush(w),
-            FlushStrategy::FliT => {
-                if self.sp.word_tagged(w) {
-                    self.issue_flush(w);
-                } else {
-                    self.counters.elided += 1;
-                }
-            }
-            FlushStrategy::Traverse => self.counters.elided += 1,
-        }
+        self.note_load(w);
         Ok(v)
     }
 
+    /// Read-side rule: Eager flushes every load; FliT flushes only a tagged
+    /// word; Traverse flushes nothing during the traversal.
+    fn note_load(&mut self, w: u64) {
+        match self.strategy {
+            FlushStrategy::Eager => self.issue_flush(w),
+            FlushStrategy::FliT if self.sp.word_tagged(w) => self.issue_flush(w),
+            FlushStrategy::FliT | FlushStrategy::Traverse => self.counters.elided += 1,
+        }
+    }
+
+    /// FliT tags a word *before* the store that dirties it (or, with
+    /// `on: false`, drops that tag when the store did not happen), so a
+    /// reader that sees the new value also sees the tag and flushes the line
+    /// until the writer's persist point. The other strategies keep no tags.
+    fn tag(&self, w: u64, on: bool) {
+        match (self.strategy, on) {
+            (FlushStrategy::FliT, true) => self.sp.tag_word(w),
+            (FlushStrategy::FliT, false) => self.sp.untag_word(w),
+            _ => {}
+        }
+    }
+
+    /// Write-side rule, after the store: Eager flushes now; FliT and
+    /// Traverse defer the line to the persist point.
     fn note_store(&mut self, w: u64) {
         match self.strategy {
             FlushStrategy::Eager => self.issue_flush(w),
-            FlushStrategy::FliT => {
-                self.sp.tag_word(w);
-                self.write_set.push(w);
-            }
-            FlushStrategy::Traverse => self.write_set.push(w),
+            FlushStrategy::FliT | FlushStrategy::Traverse => self.write_set.push(w),
         }
     }
 
@@ -309,14 +319,17 @@ impl<'a, S: TimingSink> Handle<'a, S> {
     /// Propagates translation/crash errors.
     pub fn write_word(&mut self, site: &'static Site, base: UPtr, off: i64, v: u64) -> Result<()> {
         self.tick()?;
-        self.env.write_u64(site, base, off, v)?;
         let w = self.word_off(base, off)?;
+        self.tag(w, true);
+        self.env.write_u64(site, base, off, v).inspect_err(|_| self.tag(w, false))?;
         self.note_store(w);
         Ok(())
     }
 
     /// Compare-and-swap on a shared word. A successful CAS is a store
-    /// (tag/flush per strategy); a failed CAS is a load.
+    /// (tag/flush per strategy); a failed CAS is a load. FliT tags before
+    /// the CAS, as for a store, and a failed CAS drops that tag before the
+    /// read-side check.
     ///
     /// # Errors
     ///
@@ -330,22 +343,15 @@ impl<'a, S: TimingSink> Handle<'a, S> {
         new: u64,
     ) -> Result<(bool, u64)> {
         self.tick()?;
-        let (ok, old) = self.env.cas_u64(site, base, off, expected, new)?;
         let w = self.word_off(base, off)?;
+        self.tag(w, true);
+        let cas = self.env.cas_u64(site, base, off, expected, new);
+        let (ok, old) = cas.inspect_err(|_| self.tag(w, false))?;
         if ok {
             self.note_store(w);
         } else {
-            match self.strategy {
-                FlushStrategy::Eager => self.issue_flush(w),
-                FlushStrategy::FliT => {
-                    if self.sp.word_tagged(w) {
-                        self.issue_flush(w);
-                    } else {
-                        self.counters.elided += 1;
-                    }
-                }
-                FlushStrategy::Traverse => self.counters.elided += 1,
-            }
+            self.tag(w, false);
+            self.note_load(w);
         }
         Ok((ok, old))
     }
@@ -516,6 +522,47 @@ mod tests {
         h.op_persist();
         assert!(!sp.word_tagged(w), "persist point must untag the write set");
         assert_eq!(h.counters().ops, 1);
+    }
+
+    /// FliT's write-side order with real threads: a reader that loads the
+    /// writer's new value finds the word tagged until the writer reaches
+    /// its persist point, so it never elides a flush it owes.
+    #[test]
+    fn flit_reader_that_sees_a_store_finds_it_tagged() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        const OPS: u64 = 20_000;
+        let (sp, mut env) = shared_env(14);
+        let site = utpr_ptr::site!("conc.tag_order", StackLocal);
+        let p = env.alloc(site, 64).unwrap();
+        let w = u64::from(env.space().va2ra_uncached(p.as_va().unwrap()).unwrap().offset);
+        let mut h = Handle::new(&mut env, FlushStrategy::FliT).unwrap();
+        h.write_word(site, p, 0, 0).unwrap();
+        h.op_persist();
+        // The last value whose persist point the writer has begun.
+        let persisting = AtomicU64::new(0);
+        let done = AtomicBool::new(false);
+        let missed = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut missed = 0u64;
+                while !done.load(Ordering::Acquire) {
+                    let mut b = [0u8; 8];
+                    sp.read_bytes(w, &mut b);
+                    let tagged = sp.word_tagged(w);
+                    if u64::from_le_bytes(b) > persisting.load(Ordering::Acquire) && !tagged {
+                        missed += 1;
+                    }
+                }
+                missed
+            });
+            for v in 1..=OPS {
+                h.write_word(site, p, 0, v).unwrap();
+                persisting.store(v, Ordering::Release);
+                h.op_persist();
+            }
+            done.store(true, Ordering::Release);
+            reader.join().unwrap()
+        });
+        assert_eq!(missed, 0, "loads saw an unpersisted store with its word untagged");
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! to a virtual address once and then *reused*, while `Explicit` translates
 //! again at every access.
 
-use crate::c11::Result;
+use crate::c11::{self, Result, Translate};
 use crate::event::{MemEvent, NullSink, TimingSink};
-use crate::ptr::{PtrFormat, UPtr};
+use crate::ptr::{PtrFormat, PtrSpace, UPtr};
 use crate::site::{Site, PC_DETERMINE_Y_HELPER, PC_PA_DETERMINE_X, PC_PA_DETERMINE_Y};
 use crate::stats::PtrStats;
 use std::collections::HashSet;
@@ -404,49 +404,6 @@ impl<S: TimingSink> ExecEnv<S> {
         self.sink.event(ev);
     }
 
-    // ---- conversions with mode-appropriate narration -----------------------
-
-    /// Converts a relative location to its virtual address, charging the
-    /// mode-appropriate machinery.
-    #[inline]
-    fn convert_ra2va(&mut self, loc: RelLoc) -> Result<VirtAddr> {
-        let va = self.space.ra2va(loc)?;
-        self.stats.rel_to_abs += 1;
-        match self.mode {
-            Mode::Hw => self.emit(MemEvent::PolbAccess { pool: loc.pool.raw() }),
-            Mode::Sw => {
-                self.emit(MemEvent::Exec(SW_CONV_UOPS));
-                self.emit(MemEvent::SwRa2Va { pool: loc.pool.raw() });
-            }
-            Mode::Explicit => {
-                // The explicit model's accessor (a D_RO/direct-style API)
-                // spends extra instructions computing base+offset on every
-                // access, on the load's critical path.
-                self.stats.explicit_translations += 1;
-                self.emit(MemEvent::Exec(2));
-                self.emit(MemEvent::PolbAccess { pool: loc.pool.raw() });
-            }
-            Mode::Volatile => {}
-        }
-        Ok(va)
-    }
-
-    /// Converts a persistent-half virtual address to relative format.
-    #[inline]
-    fn convert_va2ra(&mut self, va: VirtAddr) -> Result<RelLoc> {
-        let loc = self.space.va2ra(va)?;
-        self.stats.abs_to_rel += 1;
-        match self.mode {
-            Mode::Hw => self.emit(MemEvent::ValbAccess { va: va.raw() }),
-            Mode::Sw => {
-                self.emit(MemEvent::Exec(SW_CONV_UOPS));
-                self.emit(MemEvent::SwVa2Ra { va: va.raw() });
-            }
-            _ => {}
-        }
-        Ok(loc)
-    }
-
     /// Whether a site keeps its dynamic check under the active policy.
     #[inline]
     fn site_unresolved(&self, site: &'static Site) -> bool {
@@ -497,19 +454,14 @@ impl<S: TimingSink> ExecEnv<S> {
     }
 
     /// Resolves a pointer (+ byte offset) to the virtual address an access
-    /// would touch, emitting translation events as the mode requires.
+    /// would touch ([`c11::deref_target`]), emitting translation events as
+    /// the mode requires; the flag says whether the pointer was relative.
     #[inline]
     fn resolve(&mut self, site: &'static Site, base: UPtr, off: i64) -> Result<(VirtAddr, bool)> {
         let p = base.offset(off);
-        self.sw_check(site, branch_kind::DETERMINE_Y, p.format() == PtrFormat::Relative);
-        match p.kind() {
-            crate::ptr::PtrKind::Null => Err(HeapError::Unmapped(VirtAddr::new(0))),
-            crate::ptr::PtrKind::Va(va) => Ok((va, false)),
-            crate::ptr::PtrKind::Rel(loc) => {
-                let va = self.convert_ra2va(loc)?;
-                Ok((va, true))
-            }
-        }
+        let rel = p.format() == PtrFormat::Relative;
+        self.sw_check(site, branch_kind::DETERMINE_Y, rel);
+        Ok((c11::deref_target(self, p)?, rel))
     }
 
     // ---- data access (load / storeD) ----------------------------------------
@@ -593,7 +545,8 @@ impl<S: TimingSink> ExecEnv<S> {
 
     /// Loads the pointer stored at `base + off` and binds it to a local,
     /// which in the user-transparent modes converts a relative value to its
-    /// virtual address once (the conversion-reuse effect of paper Fig. 12).
+    /// virtual address once (the conversion-reuse effect of paper Fig. 12):
+    /// a local is a DRAM destination of [`c11::assign_value`].
     /// In [`Mode::Explicit`] the raw object id is returned and every later
     /// access through it will translate again.
     ///
@@ -617,22 +570,21 @@ impl<S: TimingSink> ExecEnv<S> {
                 if !self.conversion_reuse {
                     return Ok(raw);
                 }
-                match raw.as_rel() {
-                    Some(loc) => Ok(UPtr::from_va(self.convert_ra2va(loc)?)),
-                    None => Ok(raw),
-                }
+                c11::assign_value(self, PtrSpace::Dram, raw)
             }
         }
     }
 
     /// Stores pointer `value` at `base + off` — the `storeP` instruction /
     /// `pointerAssignment` helper. The stored format follows the paper's
-    /// Fig. 3: persistent destinations store relocation-stable relative
-    /// addresses, volatile destinations store virtual addresses.
+    /// Fig. 3 ([`c11::assign_value`]): persistent destinations store
+    /// relocation-stable relative addresses, volatile destinations store
+    /// virtual addresses.
     ///
     /// # Errors
     ///
     /// Faults on null/unmapped destinations and detached pools.
+    #[inline]
     pub fn write_ptr(
         &mut self,
         site: &'static Site,
@@ -661,35 +613,19 @@ impl<S: TimingSink> ExecEnv<S> {
             }
         }
 
-        let mut rs_va2ra = false;
-        let mut rs_ra2va = false;
-        let stored = if value.is_null() {
-            value
-        } else if dest_nvm {
-            match value.kind() {
-                crate::ptr::PtrKind::Va(v) if v.is_nvm_region() => {
-                    rs_va2ra = true;
-                    UPtr::from_rel(self.convert_va2ra(v)?)
-                }
-                _ => value,
-            }
-        } else {
-            match value.as_rel() {
-                Some(loc) => {
-                    rs_ra2va = true;
-                    UPtr::from_va(self.convert_ra2va(loc)?)
-                }
-                None => value,
-            }
-        };
+        let dest = if dest_nvm { PtrSpace::Nvm } else { PtrSpace::Dram };
+        let stored = c11::assign_value(self, dest, value)?;
 
         match self.mode {
             Mode::Hw => {
+                // The value changed iff a hook fired: va2ra into NVM,
+                // ra2va into DRAM.
+                let converted = stored != value;
                 self.stats.storep += 1;
                 self.emit(MemEvent::StoreP {
                     va: dva.raw(),
-                    rs_va2ra,
-                    rs_ra2va,
+                    rs_va2ra: converted && dest_nvm,
+                    rs_ra2va: converted && !dest_nvm,
                     rd_ra2va: rd_was_rel,
                 });
             }
@@ -708,7 +644,8 @@ impl<S: TimingSink> ExecEnv<S> {
 
     // ---- comparisons ----------------------------------------------------------
 
-    /// `a == b` over pointers, with the mode's check/conversion costs.
+    /// `a == b` over pointers ([`c11::eq`]), with the mode's
+    /// check/conversion costs.
     ///
     /// # Errors
     ///
@@ -718,16 +655,11 @@ impl<S: TimingSink> ExecEnv<S> {
         self.sw_check(site, branch_kind::DETERMINE_Y, a.format() == PtrFormat::Relative);
         self.sw_check(site, branch_kind::DETERMINE_Y2, b.format() == PtrFormat::Relative);
         self.emit(MemEvent::Exec(1));
-        if a.is_null() || b.is_null() {
-            return Ok(a.raw() == b.raw());
-        }
         if self.mode == Mode::Explicit {
             // Object ids compare directly.
             return Ok(a.raw() == b.raw());
         }
-        let av = self.normalize(a)?;
-        let bv = self.normalize(b)?;
-        Ok(av == bv)
+        c11::eq(self, a, b)
     }
 
     /// `p == NULL` — the null test every pointer-chasing loop performs. In
@@ -740,14 +672,6 @@ impl<S: TimingSink> ExecEnv<S> {
         self.emit(MemEvent::Exec(1));
         self.emit(MemEvent::Branch { pc: site.pc(branch_kind::PROGRAM), taken: p.is_null() });
         p.is_null()
-    }
-
-    #[inline]
-    fn normalize(&mut self, p: UPtr) -> Result<u64> {
-        match p.as_rel() {
-            Some(loc) => Ok(self.convert_ra2va(loc)?.raw()),
-            None => Ok(p.raw()),
-        }
     }
 
     // ---- allocation -------------------------------------------------------------
@@ -806,7 +730,7 @@ impl<S: TimingSink> ExecEnv<S> {
                         // pmalloc returns a relative address by definition;
                         // binding it to a local converts it (site resolved:
                         // no dynamic check, just the conversion).
-                        Ok(UPtr::from_va(self.convert_ra2va(loc)?))
+                        Ok(UPtr::from_va(self.ra2va(loc)?))
                     }
                 }
             }
@@ -835,18 +759,7 @@ impl<S: TimingSink> ExecEnv<S> {
     }
 
     fn free_now(&mut self, p: UPtr) -> Result<()> {
-        match p.kind() {
-            crate::ptr::PtrKind::Null => Ok(()),
-            crate::ptr::PtrKind::Va(va) => {
-                if va.is_nvm_region() {
-                    let loc = self.convert_va2ra(va)?;
-                    self.space.pfree(loc)
-                } else {
-                    self.space.mfree(va)
-                }
-            }
-            crate::ptr::PtrKind::Rel(loc) => self.space.pfree(loc),
-        }
+        c11::free_target(self, p)?.free(&mut self.space)
     }
 
     // ---- persistent transactions -----------------------------------------------
@@ -1027,10 +940,7 @@ impl<S: TimingSink> ExecEnv<S> {
                             branch_kind::DETERMINE_Y,
                             raw.format() == PtrFormat::Relative,
                         );
-                        match raw.as_rel() {
-                            Some(loc) => Ok(UPtr::from_va(self.convert_ra2va(loc)?)),
-                            None => Ok(raw),
-                        }
+                        c11::assign_value(self, PtrSpace::Dram, raw)
                     }
                 }
             }
@@ -1057,16 +967,7 @@ impl<S: TimingSink> ExecEnv<S> {
                     .attachment(pool)
                     .ok_or(HeapError::PoolDetached(pool))?
                     .base;
-                let stored = if p.is_null() {
-                    p
-                } else {
-                    match p.kind() {
-                        crate::ptr::PtrKind::Va(v) if v.is_nvm_region() => {
-                            UPtr::from_rel(self.convert_va2ra(v)?)
-                        }
-                        _ => p,
-                    }
-                };
+                let stored = c11::assign_value(self, PtrSpace::Nvm, p)?;
                 match self.mode {
                     Mode::Hw => {
                         self.stats.storep += 1;
@@ -1150,11 +1051,53 @@ impl<S: TimingSink> ExecEnv<S> {
     }
 }
 
+/// The environment's conversion hook: counts each conversion and narrates it
+/// the way the mode's build performs it. Every [`c11`] rule the environment
+/// runs converts through here.
+impl<S: TimingSink> Translate for ExecEnv<S> {
+    #[inline]
+    fn ra2va(&mut self, loc: RelLoc) -> Result<VirtAddr> {
+        let va = self.space.ra2va(loc)?;
+        self.stats.rel_to_abs += 1;
+        match self.mode {
+            Mode::Hw => self.emit(MemEvent::PolbAccess { pool: loc.pool.raw() }),
+            Mode::Sw => {
+                self.emit(MemEvent::Exec(SW_CONV_UOPS));
+                self.emit(MemEvent::SwRa2Va { pool: loc.pool.raw() });
+            }
+            Mode::Explicit => {
+                // The explicit model's accessor (a D_RO/direct-style API)
+                // spends extra instructions computing base+offset on every
+                // access, on the load's critical path.
+                self.stats.explicit_translations += 1;
+                self.emit(MemEvent::Exec(2));
+                self.emit(MemEvent::PolbAccess { pool: loc.pool.raw() });
+            }
+            Mode::Volatile => {}
+        }
+        Ok(va)
+    }
+
+    #[inline]
+    fn va2ra(&mut self, va: VirtAddr) -> Result<RelLoc> {
+        let loc = self.space.va2ra(va)?;
+        self.stats.abs_to_rel += 1;
+        match self.mode {
+            Mode::Hw => self.emit(MemEvent::ValbAccess { va: va.raw() }),
+            Mode::Sw => {
+                self.emit(MemEvent::Exec(SW_CONV_UOPS));
+                self.emit(MemEvent::SwVa2Ra { va: va.raw() });
+            }
+            _ => {}
+        }
+        Ok(loc)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::CountingSink;
-    use crate::ptr::PtrSpace;
     use crate::site;
 
     fn env(mode: Mode) -> ExecEnv<CountingSink> {

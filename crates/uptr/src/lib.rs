@@ -11,8 +11,10 @@
 //!
 //! - [`UPtr`] — the tagged pointer value (bit 63 selects the format,
 //!   bit 47 of a virtual address selects the NVM half; paper Fig. 2);
-//! - [`C11Engine`] — the executable semantics of the paper's Fig. 4 table,
-//!   used by the soundness test battery;
+//! - [`c11`] — the paper's Fig. 4 table as free functions over one
+//!   conversion hook ([`c11::Translate`]); [`ExecEnv`] and the `utpr-cc` IR
+//!   interpreter both execute them, each through its own hook, and the
+//!   soundness test battery runs every property through all of them;
 //! - [`ExecEnv`] — the instrumented environment on which the benchmarks run
 //!   in the paper's four build variants ([`Mode`]), emitting the
 //!   micro-architectural event stream ([`MemEvent`]) that `utpr-sim` prices;
@@ -52,7 +54,6 @@ pub mod ptr;
 pub mod site;
 pub mod stats;
 
-pub use c11::C11Engine;
 pub use env::{branch_kind, CheckPolicy, ExecEnv, ExecEnvBuilder, Mode, Placement};
 pub use event::{CountingSink, MemEvent, NullSink, TimingSink};
 pub use ptr::{PtrFormat, PtrKind, PtrSpace, UPtr};

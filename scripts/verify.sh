@@ -37,8 +37,10 @@ rows=(
     # translation: sVALB tests, equivalence, sVALB hit rate, va2ra speedup
     "--hotpath    | -p utpr-heap lookaside; -p utpr-heap space::tests; --test heap_props translation; \
                     --test mode_equivalence translation_cache; --test crash_matrix peek_raw | hotpath"
-    # guest-MIPS interpreter: differential grid, mem speedup, residual
-    "--interp     | | interp"
+    # guest-MIPS interpreter: the Fig. 4 soundness battery (which runs every
+    # property through both interpreter paths), the interpreter's own tests,
+    # differential grid, mem speedup, residual
+    "--interp     | --test soundness_c11; -p utpr-cc interp | interp"
     # schedule explorer, mt crash sweeps, MT YCSB-A invariance and speedup
     "--mt         | -p utpr-qc sched; -p utpr-kv mt::; --test crash_matrix concurrent_fault_sweep; \
                     -p utpr-bench --test par_determinism mt_ycsb | hotpath"
